@@ -17,6 +17,7 @@ from .graph import (
     UnknownVertex,
     EdgeNotInGraph,
     NotAPermutation,
+    InternalError,
     build_graph,
     classify_edge,
     edge_classes,
@@ -42,12 +43,12 @@ from .rhombus import (
     find_weak_rhombus,
     is_hamiltonian,
 )
-from .decompose import FreeVertex, StPolygon, decompose
+from .decompose import FreeVertex, PolygonTable, StPolygon, decompose
 from .polygon import (
     NotAnStPolygon,
     PolygonCosts,
+    channel_costs,
     channel_order,
-    local_edges,
     polygon_costs,
     polygon_subgraph,
 )
@@ -85,7 +86,8 @@ __all__ = [
     "OuterplanarStDigraph", "SideKind", "SidePosition", "EdgeClass",
     "ParseError", "ValidationError", "MultipleSources", "MultipleSinks",
     "CycleDetected", "SideNotAPath", "EmbeddingNotPlane", "DuplicateEdge",
-    "UnknownVertex", "EdgeNotInGraph", "NotAPermutation", "build_graph",
+    "UnknownVertex", "EdgeNotInGraph", "NotAPermutation", "InternalError",
+    "build_graph",
     "classify_edge", "edge_classes", "graph_from_json", "graph_to_json",
     "is_linear_extension", "topological_order",
     "CrossingRecord", "HpExtendedGraph", "NotLinearExtension",
@@ -93,9 +95,9 @@ __all__ = [
     "solution_crossings",
     "Rhombus", "RhombusKind", "extract_hamiltonian_path",
     "find_strong_rhombus", "find_weak_rhombus", "is_hamiltonian",
-    "FreeVertex", "StPolygon", "decompose",
-    "NotAnStPolygon", "PolygonCosts", "channel_order", "local_edges",
-    "polygon_costs", "polygon_subgraph",
+    "FreeVertex", "PolygonTable", "StPolygon", "decompose",
+    "NotAnStPolygon", "PolygonCosts", "channel_costs",
+    "channel_order", "polygon_costs", "polygon_subgraph",
     "CompletionSolution", "solution_problems", "solve", "verify_solution",
     "BookEmbedding", "EdgeDrawing", "InvalidSolution", "Segment",
     "SpineNotLinearExtension", "book_from_json", "book_to_json",

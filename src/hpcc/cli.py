@@ -1,8 +1,9 @@
 """Command line front end.
 
-Exit codes: 0 success, 1 a solver self-check failed, 2 unreadable input,
-3 invalid instance or data (the class name says which rule), 4 instance
-too large for the oracle, 5 solver and oracle disagree.
+Exit codes: 0 success, 1 a solver self-check failed (the message names
+the stage), 2 unreadable input or a non-integer HPCC_MAX_ORACLE, 3 invalid
+instance or data (the class name says which rule), 4 instance too large
+for the oracle, 5 solver and oracle disagree.
 """
 
 from __future__ import annotations
@@ -18,16 +19,20 @@ from pathlib import Path
 from .book import (InvalidSolution, book_to_json, to_book_embedding,
                    validate_book_embedding)
 from .decompose import StPolygon, decompose
-from .graph import (OuterplanarStDigraph, ParseError, ValidationError,
-                    graph_from_json, graph_to_json)
+from .graph import (OuterplanarStDigraph, InternalError, ParseError,
+                    ValidationError, graph_from_json, graph_to_json)
 from .oracle import (GeneratorParams, InfeasibleParams, InstanceTooLarge,
                      brute_force_optimal, generate)
-from .polygon import polygon_costs
+from .polygon import CHANNELS, channel_costs
 from .render import render_svg
 from .rhombus import is_hamiltonian
 from .solver import CompletionSolution, solution_problems, solve
 
 _ORACLE_DEFAULT = 12
+
+
+class BadOracleLimit(ValueError):
+    """HPCC_MAX_ORACLE is set, but not to an integer."""
 
 
 def _read_text(path: str | None) -> str:
@@ -90,12 +95,11 @@ def _cmd_check(args) -> int:
 def _cmd_decompose(args) -> int:
     g = _read_graph(args)
     elements = decompose(g)
-    polys = [el for el in elements if isinstance(el, StPolygon)]
-    costs = iter(polygon_costs(g, polys))
+    costs = iter(channel_costs(g, elements.table)[0].tolist())
     out = []
     for el in elements:
         if isinstance(el, StPolygon):
-            pc = next(costs)
+            row = next(costs)
             out.append({
                 "kind": "polygon",
                 "source": g.name(el.source),
@@ -105,12 +109,8 @@ def _cmd_decompose(args) -> int:
                 "median": _named_edge(g, el.median),
                 "lower_limit": _named_edge(g, el.lower_limit),
                 "upper_limit": _named_edge(g, el.upper_limit),
-                "costs": {
-                    "1L": pc.c1L,
-                    "1R": pc.c1R,
-                    "2L": None if math.isinf(pc.c2L) else pc.c2L,
-                    "2R": None if math.isinf(pc.c2R) else pc.c2R,
-                },
+                "costs": {tag: None if math.isinf(c) else int(c)
+                          for tag, c in zip(CHANNELS, row)},
             })
         else:
             out.append({"kind": "free", "vertex": g.name(el.vertex)})
@@ -122,7 +122,7 @@ def _solve_checked(g: OuterplanarStDigraph) -> CompletionSolution:
     sol = solve(g)
     probs = solution_problems(g, sol)
     if probs:
-        raise AssertionError("; ".join(probs))
+        raise InternalError("verify", "; ".join(probs))
     return sol
 
 
@@ -141,7 +141,7 @@ def _cmd_embed(args) -> int:
     be = to_book_embedding(g, sol)
     probs = validate_book_embedding(be, g)
     if probs:
-        raise AssertionError("; ".join(probs))
+        raise InternalError("book", "; ".join(probs))
     _write_text(args.output, book_to_json(g, be))
     if args.svg:
         _write_text(args.svg, render_svg(g, be))
@@ -155,9 +155,20 @@ def _cmd_render(args) -> int:
     return 0
 
 
+def _max_oracle(args) -> int:
+    if args.max_oracle is not None:
+        return args.max_oracle
+    raw = os.environ.get("HPCC_MAX_ORACLE", str(_ORACLE_DEFAULT))
+    try:
+        return int(raw)
+    except ValueError:
+        raise BadOracleLimit(
+            f"HPCC_MAX_ORACLE={raw!r} is not an integer") from None
+
+
 def _cmd_oracle(args) -> int:
     g = _read_graph(args)
-    best, witness = brute_force_optimal(g, max_vertices=args.max_oracle)
+    best, witness = brute_force_optimal(g, max_vertices=_max_oracle(args))
     payload = {
         "crossings": None if math.isinf(best) else best,
         "order": None if witness is None else g.names_of(witness),
@@ -169,7 +180,7 @@ def _cmd_oracle(args) -> int:
 def _cmd_compare(args) -> int:
     g = _read_graph(args)
     sol = _solve_checked(g)
-    best, _ = brute_force_optimal(g, max_vertices=args.max_oracle)
+    best, _ = brute_force_optimal(g, max_vertices=_max_oracle(args))
     if sol.crossings != best:
         print(f"mismatch: solver found {sol.crossings} crossings, "
               f"oracle found {best}", file=sys.stderr)
@@ -199,7 +210,6 @@ def _parser() -> argparse.ArgumentParser:
         description="Crossing-minimal acyclic hamiltonian completion of "
                     "outerplanar st-digraphs.")
     sub = top.add_subparsers(dest="command", required=True)
-    oracle_default = int(os.environ.get("HPCC_MAX_ORACLE", _ORACLE_DEFAULT))
 
     def add(name, func, help_, *, svg=False, oracle=False):
         p = sub.add_parser(name, help=help_)
@@ -213,8 +223,9 @@ def _parser() -> argparse.ArgumentParser:
             p.add_argument("--svg", default=None,
                            help="also write an SVG rendering here")
         if oracle:
-            p.add_argument("--max-oracle", type=int, default=oracle_default,
-                           help="largest n the oracle will enumerate")
+            p.add_argument("--max-oracle", type=int, default=None,
+                           help="largest n to enumerate, default "
+                                f"$HPCC_MAX_ORACLE or {_ORACLE_DEFAULT}")
         return p
 
     add("check", _cmd_check, "validate an instance and summarise it")
@@ -240,14 +251,17 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"ParseError: {exc}", file=sys.stderr)
+    except (ParseError, BadOracleLimit) as exc:
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except InstanceTooLarge as exc:
         print(f"InstanceTooLarge: {exc}", file=sys.stderr)
         return 4
-    except (InvalidSolution, AssertionError) as exc:
-        print(f"self-check failed: {exc}", file=sys.stderr)
+    except InternalError as exc:
+        print(f"self-check failed in stage {exc}", file=sys.stderr)
+        return 1
+    except InvalidSolution as exc:
+        print(f"self-check failed in stage book: {exc}", file=sys.stderr)
         return 1
     except (ValidationError, InfeasibleParams) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)

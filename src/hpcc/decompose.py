@@ -2,9 +2,14 @@
 
 Every median and every weak face seeds one polygon; the polygon then grows
 each chain run outward until the chords incident to its source and sink cut
-it off.  What no polygon covers is a free vertex.  Elements are returned
+it off.  What no polygon covers is a free vertex.  Elements are ordered
 bottom-up; consecutive polygons overlap in at most a shared vertex or a
 shared two-sided edge.
+
+The solver works from a :class:`PolygonTable` (one array per field,
+polygons bottom-up), built in a fixed number of vectorised passes and
+cached on the graph.  :func:`decompose` returns its public view: a list
+of :class:`StPolygon` and :class:`FreeVertex` carrying it as ``.table``.
 """
 
 from __future__ import annotations
@@ -13,10 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embedding import face_vertices, median_scan
-from .graph import (OuterplanarStDigraph, Edge, VertexId, topo_index,
-                    _LEFT, _RIGHT)
+from .embedding import median_scan
+from .graph import (OuterplanarStDigraph, Edge, InternalError, VertexId,
+                    topo_index, _LEFT, _RIGHT)
 from .rhombus import _weak_face_mask
+
+# junction kinds: how a polygon meets the previous one; GAP also covers the
+# first polygon and any polygon with a free vertex right below it
+GAP, VERTEX, EDGE = 0, 1, 2
 
 
 @dataclass(frozen=True)
@@ -57,6 +66,45 @@ class FreeVertex:
 DecompositionElement = StPolygon | FreeVertex
 
 
+@dataclass(frozen=True)
+class PolygonTable:
+    """Polygons bottom-up as parallel int64 arrays, fields as in StPolygon."""
+    n: int
+    source: np.ndarray
+    sink: np.ndarray
+    left_lo: np.ndarray
+    left_hi: np.ndarray
+    right_lo: np.ndarray
+    right_hi: np.ndarray
+    median: np.ndarray      # bool: (source, sink) is an edge
+    lower: np.ndarray       # lower limit is (source, lower); -1 if none
+    upper: np.ndarray       # upper limit is (upper, sink); -1 if none
+    junction: np.ndarray    # GAP, VERTEX or EDGE to the previous polygon
+    element: np.ndarray     # decomposition order: polygon index, or ~v
+
+    def __len__(self) -> int:
+        return len(self.source)
+
+    def run_vertices(self):
+        """Ids of every chain run vertex, with the polygon holding it."""
+        # right rank j is id n - j: negate right ranks to keep ids rising
+        lo = np.concatenate([self.left_lo, -self.right_hi])
+        count = np.maximum(np.concatenate([self.left_hi, -self.right_lo])
+                           - lo + 1, 0)
+        off = np.cumsum(count) - count
+        ids = np.arange(int(count.sum())) + np.repeat(lo - off, count)
+        return (np.where(ids > 0, ids, self.n + ids),
+                np.repeat(np.tile(np.arange(len(self)), 2), count))
+
+
+class Decomposition(list):
+    """:func:`decompose`'s element list; ``.table`` is its PolygonTable."""
+
+    def __init__(self, elements, table: PolygonTable):
+        super().__init__(elements)
+        self.table = table
+
+
 def _limit_tables(g: OuterplanarStDigraph):
     """Per-vertex extreme two-sided neighbours, as opposite-chain ranks.
 
@@ -64,138 +112,98 @@ def _limit_tables(g: OuterplanarStDigraph):
     hi_in[v] the highest such in-neighbour; 0 / -1 where none exists.
     Only two-sided edges contribute, which is all a polygon limit can be.
     """
-    tabs = g._cache.get("limits")
-    if tabs is None:
-        lo_out = np.full(g.n, g.n, dtype=np.int64)
-        hi_in = np.full(g.n, -1, dtype=np.int64)
-        st, sh = g.side[g.tail], g.side[g.head]
-        ts = ((st == _LEFT) & (sh == _RIGHT)) | ((st == _RIGHT) & (sh == _LEFT))
-        u, v = g.tail[ts], g.head[ts]
-        np.minimum.at(lo_out, u, g.rank[v])
-        np.maximum.at(hi_in, v, g.rank[u])
-        lo_out[lo_out == g.n] = 0
-        tabs = g._cache["limits"] = (lo_out, hi_in)
-    return tabs
+    lo_out = np.full(g.n, g.n, dtype=np.int64)
+    hi_in = np.full(g.n, -1, dtype=np.int64)
+    st, sh = g.side[g.tail], g.side[g.head]
+    ts = ((st == _LEFT) & (sh == _RIGHT)) | ((st == _RIGHT) & (sh == _LEFT))
+    u, v = g.tail[ts], g.head[ts]
+    np.minimum.at(lo_out, u, g.rank[v])
+    np.maximum.at(hi_in, v, g.rank[u])
+    lo_out[lo_out == g.n] = 0
+    return lo_out, hi_in
 
 
-def _grow(g: OuterplanarStDigraph, src: VertexId, snk: VertexId) -> StPolygon:
-    """Maximal polygon with the given source and sink.
+def _build_table(g: OuterplanarStDigraph) -> PolygonTable:
+    """Grow every median and weak face into its maximal polygon.
 
     A chain run starts right above the source (or at the source's lowest
     out-neighbour on that chain, when the source sits on the other chain)
     and ends symmetrically under the sink.
     """
-    median = (src, snk) if g.has_edge(src, snk) else None
-    lo_out, hi_in = _limit_tables(g)
-
-    def run(side_code, top_rank):
-        if src == g.s:
-            lo = 1
-        elif g.side[src] == side_code:
-            lo = int(g.rank[src]) + 1
-        else:
-            lo = int(lo_out[src])
-            assert lo > 0, "polygon source has no limit edge"
-        if snk == g.t:
-            hi = top_rank
-        elif g.side[snk] == side_code:
-            hi = int(g.rank[snk]) - 1
-        else:
-            hi = int(hi_in[snk])
-            assert hi >= 0, "polygon sink has no limit edge"
-        return lo, hi
-
-    llo, lhi = run(_LEFT, g.k)
-    rlo, rhi = run(_RIGHT, g.m)
-
-    if src == g.s:
-        lower = None
-    elif g.side[src] == _LEFT:
-        lower = (src, g.n - rlo)
-    else:
-        lower = (src, llo)
-    if snk == g.t:
-        upper = None
-    elif g.side[snk] == _LEFT:
-        upper = (g.n - rhi, snk)
-    else:
-        upper = (lhi, snk)
-    return StPolygon(src, snk, llo, lhi, rlo, rhi, g.n, median, lower, upper)
-
-
-def median_candidates(g: OuterplanarStDigraph):
-    """Median edges with their fan witnesses, bottom-up."""
     scan = median_scan(g)
-    ti = topo_index(g)
-    u, v = g.tail[scan.edges], g.head[scan.edges]
-    order = np.lexsort((ti[v], ti[u]))
-    return [((int(u[i]), int(v[i])),
-             (int(scan.left_witness[i]), int(scan.right_witness[i])))
-            for i in order]
-
-
-def _canonical_face(g, face_idx, src, snk):
-    verts = face_vertices(g, face_idx)
-    mids = [v for v in verts if v != src and v != snk]
-    mids.sort(key=lambda v: (g.side[v], int(g.rank[v])))
-    return (src, *mids, snk)
-
-
-def weak_polygon_seeds(g: OuterplanarStDigraph):
-    """Faces with interior vertices on both chains, with their grown limits."""
     f, weak = _weak_face_mask(g)
+    wi = np.flatnonzero(weak)
+    src = np.concatenate([g.tail[scan.edges], f.src_of[wi]]).astype(np.int64)
+    snk = np.concatenate([g.head[scan.edges], f.snk_of[wi]]).astype(np.int64)
+    # weak faces have no (source, sink) edge, medians are one
+    median = np.arange(len(src)) < len(scan.edges)
     ti = topo_index(g)
-    cand = np.flatnonzero(weak)
-    order = np.lexsort((ti[f.snk_of[cand]], ti[f.src_of[cand]]))
-    out = []
-    for i in cand[order]:
-        src, snk = int(f.src_of[i]), int(f.snk_of[i])
-        p = _grow(g, src, snk)
-        out.append((_canonical_face(g, int(i), src, snk),
-                    (p.lower_limit, p.upper_limit)))
-    return out
+    by_src = np.argsort(ti[src], kind="stable")
+    src, snk, median = src[by_src], snk[by_src], median[by_src]
+
+    lo_out, hi_in = _limit_tables(g)
+    at_s, at_t = src == g.s, snk == g.t
+    s_left, t_left = g.side[src] == _LEFT, g.side[snk] == _LEFT
+    # rows: left chain, right chain
+    chain = np.array([[_LEFT], [_RIGHT]])
+    lo = np.where(at_s, 1, np.where(g.side[src] == chain, g.rank[src] + 1,
+                                    lo_out[src]))
+    hi = np.where(at_t, [[g.k], [g.m]], np.where(
+        g.side[snk] == chain, g.rank[snk] - 1, hi_in[snk]))
+    if (lo <= 0).any():
+        raise InternalError("decompose", "polygon source has no limit edge")
+    if (hi < 0).any():
+        raise InternalError("decompose", "polygon sink has no limit edge")
+    (llo, rlo), (lhi, rhi) = lo, hi
+    lower = np.where(at_s, -1, np.where(s_left, g.n - rlo, llo))
+    upper = np.where(at_t, -1, np.where(t_left, g.n - rhi, lhi))
+
+    if (src[1:] == src[:-1]).any() or np.bincount(snk).max(initial=0) > 1:
+        raise InternalError("decompose", "polygons share a source or sink")
+    # Endpoints stack on top of chains: one vertex may be sink of a polygon,
+    # chain vertex of the next, and source of the one after.
+    ends = np.concatenate([src, snk])
+    free = []
+    for lo, hi, top, side in ((llo, lhi, g.k, _LEFT), (rlo, rhi, g.m, _RIGHT)):
+        cov = np.cumsum(np.bincount(lo, minlength=top + 2)
+                        - np.bincount(hi + 1, minlength=top + 2))[1:top + 1]
+        if cov.max(initial=0) > 1:
+            raise InternalError("decompose", "polygon chains overlap")
+        cov += np.bincount(g.rank[ends[g.side[ends] == side]],
+                           minlength=top + 1)[1:]
+        free.append(np.flatnonzero(cov == 0) + 1)
+    free = np.concatenate([free[0], g.n - free[1]])
+
+    P = len(src)
+    at = np.argsort(ti[np.concatenate([src, free])], kind="stable")
+    element = np.concatenate([np.arange(P), ~free])[at]
+    # polygons meet only when no free vertex sits between them
+    meet = np.diff(np.flatnonzero(element >= 0)) == 1
+    vertex = meet & (snk[:-1] == src[1:])
+    edge = meet & ~vertex & (lower[1:] == snk[:-1])
+    junction = np.full(P, GAP, dtype=np.int64)
+    junction[1:] = np.select([vertex, edge], [VERTEX, EDGE], GAP)
+    return PolygonTable(g.n, src, snk, llo, lhi, rlo, rhi, median,
+                        lower, upper, junction, element)
+
+
+def _elements(t: PolygonTable) -> list[DecompositionElement]:
+    cols = (t.source, t.sink, t.left_lo, t.left_hi, t.right_lo, t.right_hi,
+            t.median, t.lower, t.upper)
+    polys = [StPolygon(s, k, a, b, c, d, t.n, (s, k) if med else None,
+                       (s, lo) if lo >= 0 else None,
+                       (up, k) if up >= 0 else None)
+             for s, k, a, b, c, d, med, lo, up in
+             zip(*(x.tolist() for x in cols))]
+    return [polys[e] if e >= 0 else FreeVertex(~e)
+            for e in t.element.tolist()]
 
 
 def decompose(g: OuterplanarStDigraph) -> list[DecompositionElement]:
-    scan = median_scan(g)
-    f, weak = _weak_face_mask(g)
-    polys = [_grow(g, int(u), int(v))
-             for u, v in zip(g.tail[scan.edges], g.head[scan.edges])]
-    polys += [_grow(g, int(f.src_of[i]), int(f.snk_of[i]))
-              for i in np.flatnonzero(weak)]
-
-    cov_l = np.zeros(g.k + 2, dtype=np.int64)
-    cov_r = np.zeros(g.m + 2, dtype=np.int64)
-    for p in polys:
-        cov_l[p.left_lo] += 1
-        cov_l[p.left_hi + 1] -= 1
-        cov_r[p.right_lo] += 1
-        cov_r[p.right_hi + 1] -= 1
-    cov_l = np.cumsum(cov_l)
-    cov_r = np.cumsum(cov_r)
-    if (g.k and cov_l[1:g.k + 1].max(initial=0) > 1) or \
-            (g.m and cov_r[1:g.m + 1].max(initial=0) > 1):
-        raise AssertionError("internal: polygon chains overlap")
-    # Endpoints stack on top of chains: one vertex may be sink of a polygon,
-    # chain vertex of the next, and source of the one after.
-    seen_src: set[int] = set()
-    seen_snk: set[int] = set()
-    for p in polys:
-        if p.source in seen_src or p.sink in seen_snk:
-            raise AssertionError("internal: polygons share a source or sink")
-        seen_src.add(p.source)
-        seen_snk.add(p.sink)
-        for v in (p.source, p.sink):
-            if g.side[v] == _LEFT:
-                cov_l[g.rank[v]] += 1
-            elif g.side[v] == _RIGHT:
-                cov_r[g.rank[v]] += 1
-
-    elements: list[DecompositionElement] = list(polys)
-    elements += [FreeVertex(int(r)) for r in
-                 np.flatnonzero(cov_l[1:g.k + 1] == 0) + 1]
-    elements += [FreeVertex(int(g.n - r)) for r in
-                 np.flatnonzero(cov_r[1:g.m + 1] == 0) + 1]
-    ti = topo_index(g)
-    elements.sort(key=lambda el: int(ti[el.representative]))
-    return elements
+    """Polygons and free vertices bottom-up, as a :class:`Decomposition`;
+    built once per graph, later calls return a copy of the list."""
+    d = g._cache.get("decomposition")
+    if d is None:
+        table = _build_table(g)
+        d = g._cache["decomposition"] = Decomposition(_elements(table), table)
+    return Decomposition(d, d.table)

@@ -65,6 +65,15 @@ class NotAPermutation(ValidationError):
     pass
 
 
+class InternalError(RuntimeError):
+    """A solver invariant failed (an explicit raise, which ``python -O``
+    keeps); ``stage`` names the pipeline stage."""
+
+    def __init__(self, stage: str, detail: str):
+        super().__init__(f"{stage}: {detail}")
+        self.stage = stage
+
+
 class SideKind(Enum):
     SOURCE = "Source"
     LEFT = "Left"

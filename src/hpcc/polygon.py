@@ -9,7 +9,9 @@ Costing sweeps one jump endpoint along a chain run while the other stays
 fixed.  For a fixed chord, the set of sweep ordinals it crosses is one
 contiguous interval (or its complement), so every chord contributes a
 constant number of difference-array events and all polygons of a
-decomposition are costed together in four vectorized passes.
+:class:`PolygonTable` are costed together in four vectorized passes
+(:func:`channel_costs`).  :class:`PolygonCosts` and :func:`channel_order`
+are per-polygon views of the same numbers for the public API.
 """
 
 from __future__ import annotations
@@ -19,9 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decompose import StPolygon
-from .graph import (OuterplanarStDigraph, Edge, ValidationError, build_graph,
-                    _LEFT, _RIGHT)
+from .decompose import PolygonTable, StPolygon
+from .graph import (OuterplanarStDigraph, Edge, ValidationError, build_graph)
 
 CHANNELS = ("1L", "1R", "2L", "2R")
 
@@ -90,36 +91,42 @@ def channel_order(p: StPolygon, tag: str, q: int | None = None) -> list[int]:
     return [p.source] + mid + [p.sink]
 
 
-def _validate(g: OuterplanarStDigraph, polys: list[StPolygon]) -> None:
+def _table(g: OuterplanarStDigraph, polys: list[StPolygon]) -> PolygonTable:
+    """Table over any polygon list, in its order; junctions all GAP."""
     for p in polys:
         if p.n != g.n:
             raise NotAnStPolygon(f"polygon built for n={p.n}, graph has n={g.n}")
-        if not (1 <= p.left_lo <= p.left_hi <= g.k
-                and 1 <= p.right_lo <= p.right_hi <= g.m):
-            raise NotAnStPolygon(
-                f"polygon at {p.source} needs nonempty runs on both chains")
-        med = (p.source, p.sink) if g.has_edge(p.source, p.sink) else None
-        if p.median != med:
-            raise NotAnStPolygon(
-                f"polygon at {p.source} disagrees with the graph about "
-                f"the edge {p.source}->{p.sink}")
+    rows = np.array([(p.source, p.sink, p.left_lo, p.left_hi, p.right_lo,
+                      p.right_hi, p.median is not None,
+                      -1 if p.lower_limit is None else p.lower_limit[1],
+                      -1 if p.upper_limit is None else p.upper_limit[0])
+                     for p in polys], dtype=np.int64).reshape(-1, 9).T
+    return PolygonTable(g.n, *rows[:6], rows[6] == 1, *rows[7:],
+                        np.zeros(len(polys), np.int64), np.arange(len(polys)))
 
 
-def _interior_owner(g: OuterplanarStDigraph, polys: list[StPolygon]):
-    own = np.full(g.n, -1, dtype=np.int64)
-    for pi, p in enumerate(polys):
-        own[p.left_lo:p.left_hi + 1] = pi
-        own[g.n - p.right_hi:g.n - p.right_lo + 1] = pi
-    return own
+def _validate(g: OuterplanarStDigraph, t: PolygonTable) -> None:
+    ok = ((1 <= t.left_lo) & (t.left_lo <= t.left_hi) & (t.left_hi <= g.k)
+          & (1 <= t.right_lo) & (t.right_lo <= t.right_hi)
+          & (t.right_hi <= g.m))
+    if not ok.all():
+        p = int(np.flatnonzero(~ok)[0])
+        raise NotAnStPolygon(f"polygon at {t.source[p]} needs nonempty runs "
+                             f"on both chains")
+    bad = np.flatnonzero(g.has_edges(t.source, t.sink) != t.median)
+    if len(bad):
+        s, k = int(t.source[bad[0]]), int(t.sink[bad[0]])
+        raise NotAnStPolygon(f"polygon at {s} disagrees with the graph about "
+                             f"the edge {s}->{k}")
 
 
-def _local_pairs(g: OuterplanarStDigraph, polys: list[StPolygon]):
+def _local_pairs(g: OuterplanarStDigraph, t: PolygonTable):
     """(edge id, polygon id) pairs; an edge shared by two polygons is listed
     under both.  Rejects edges that would pierce a polygon interior."""
-    own = _interior_owner(g, polys)
-    sig = np.fromiter((p.source for p in polys), np.int64, len(polys))
-    tau = np.fromiter((p.sink for p in polys), np.int64, len(polys))
-    SIG, TAU = np.append(sig, -1), np.append(tau, -1)
+    own = np.full(g.n, -1, dtype=np.int64)
+    ids, pi = t.run_vertices()
+    own[ids] = pi
+    SIG, TAU = np.append(t.source, -1), np.append(t.sink, -1)
 
     pit, pih = own[g.tail], own[g.head]
     both = (pit >= 0) & (pit == pih)
@@ -134,21 +141,11 @@ def _local_pairs(g: OuterplanarStDigraph, polys: list[StPolygon]):
         ((g.tail == SIG[pih]) | (g.tail == TAU[pih]))
 
     eids = np.arange(g.edge_count, dtype=np.int64)
-    pe = [eids[ok_t], eids[ok_h]]
-    pp = [pit[ok_t], pih[ok_h]]
-    med_p = np.asarray([pi for pi, p in enumerate(polys)
-                        if p.median is not None], dtype=np.int64)
-    pe.append(np.searchsorted(g._edge_keys, sig[med_p] * g.n + tau[med_p]))
-    pp.append(med_p)
-    return np.concatenate(pe), np.concatenate(pp)
-
-
-def local_edges(g: OuterplanarStDigraph, p: StPolygon) -> list[Edge]:
-    """Edges with both endpoints on the polygon, boundary included."""
-    _validate(g, [p])
-    pe, _ = _local_pairs(g, [p])
-    pe = np.sort(pe)
-    return [(int(g.tail[e]), int(g.head[e])) for e in pe]
+    med_p = np.flatnonzero(t.median)
+    keys = t.source[med_p] * g.n + t.sink[med_p]
+    return (np.concatenate([eids[ok_t], eids[ok_h],
+                            np.searchsorted(g._edge_keys, keys)]),
+            np.concatenate([pit[ok_t], pih[ok_h], med_p]))
 
 
 def _jump_costs(pa, pb, base, fixv, orda, ordb, lena, flat_len):
@@ -195,21 +192,22 @@ def _segment_best(c_first, c_second, off, width, count):
     return cost, split
 
 
-def polygon_costs(g: OuterplanarStDigraph,
-                  polys: list[StPolygon]) -> list[PolygonCosts]:
-    """All four channel costs for every polygon, with jump witnesses."""
-    if not polys:
-        return []
-    _validate(g, polys)
-    pe, pp = _local_pairs(g, polys)
+def channel_costs(g: OuterplanarStDigraph, t: PolygonTable):
+    """Channel prices of every polygon of the table, as (cost, split).
+
+    ``cost[p, c]`` prices channel ``CHANNELS[c]`` (inf where the run cannot
+    be split); ``split[p, c]`` is the split realising it (lefts for 2L,
+    rights for 2R, before the jump), 0 for the one-jump channels.
+    """
+    P = len(t)
+    if not P:
+        return np.zeros((0, 4)), np.zeros((0, 4), dtype=np.int64)
+    _validate(g, t)
+    pe, pp = _local_pairs(g, t)
     pa = np.minimum(g.tail[pe], g.head[pe])
     pb = np.maximum(g.tail[pe], g.head[pe])
 
-    P = len(polys)
-    llo = np.fromiter((p.left_lo for p in polys), np.int64, P)
-    lhi = np.fromiter((p.left_hi for p in polys), np.int64, P)
-    rlo = np.fromiter((p.right_lo for p in polys), np.int64, P)
-    rhi = np.fromiter((p.right_hi for p in polys), np.int64, P)
+    llo, lhi, rlo, rhi = t.left_lo, t.left_hi, t.right_lo, t.right_hi
     K, M = lhi - llo + 1, rhi - rlo + 1
 
     offR = np.zeros(P + 1, dtype=np.int64)
@@ -232,39 +230,41 @@ def polygon_costs(g: OuterplanarStDigraph,
     f3 = _jump_costs(pa, pb, baseL, g.n - rlo[pp], la, lb, kL, int(offL[-1]))
     f4 = _jump_costs(pa, pb, baseL, g.n - rhi[pp], la, lb, kL, int(offL[-1]))
 
-    c1L = f1[offR[:-1] + M]
-    c1R = f2[offR[:-1] + 1]
     c2R, q2R = _segment_best(f1, f2, offR, M + 2, M)
     c2L, q2L = _segment_best(f3, f4, offL, K + 2, K)
+    cost = np.stack([f1[offR[:-1] + M], f2[offR[:-1] + 1], c2L, c2R],
+                    axis=1).astype(np.float64)
+    cost[:, 2:][cost[:, 2:] < 0] = math.inf
+    return cost, np.column_stack([np.zeros((P, 2), np.int64), q2L, q2R])
 
+
+def polygon_costs(g: OuterplanarStDigraph,
+                  polys: list[StPolygon]) -> list[PolygonCosts]:
+    """All four channel costs for every polygon, with jump witnesses."""
+    if not polys:
+        return []
+    costs, splits = channel_costs(g, _table(g, polys))
     out = []
-    for pi, p in enumerate(polys):
+    for p, c, (_, _, q2L, q2R) in zip(polys, costs.tolist(), splits.tolist()):
         lam1, lamK = p.left_lo, p.left_hi
         rho1, rhoM = g.n - p.right_lo, g.n - p.right_hi
-        w2L = w2R = None
-        if c2R[pi] >= 0:
-            q = int(q2R[pi])
-            w2R = ((g.n - (p.right_lo + q - 1), lam1),
-                   (lamK, g.n - (p.right_lo + q)))
-        if c2L[pi] >= 0:
-            q = int(q2L[pi])
-            w2L = ((p.left_lo + q - 1, rho1), (rhoM, p.left_lo + q))
+        sl, sr = c[2] != math.inf, c[3] != math.inf   # splittable runs
         out.append(PolygonCosts(
-            polygon=p,
-            c1L=int(c1L[pi]), c1R=int(c1R[pi]),
-            c2L=int(c2L[pi]) if c2L[pi] >= 0 else math.inf,
-            c2R=int(c2R[pi]) if c2R[pi] >= 0 else math.inf,
-            q2L=int(q2L[pi]) if c2L[pi] >= 0 else None,
-            q2R=int(q2R[pi]) if c2R[pi] >= 0 else None,
+            polygon=p, c1L=int(c[0]), c1R=int(c[1]),
+            c2L=int(c[2]) if sl else math.inf,
+            c2R=int(c[3]) if sr else math.inf,
+            q2L=q2L if sl else None, q2R=q2R if sr else None,
             w1L=((rhoM, lam1),), w1R=((lamK, rho1),),
-            w2L=w2L, w2R=w2R))
+            w2L=((lam1 + q2L - 1, rho1), (rhoM, lam1 + q2L)) if sl else None,
+            w2R=((rho1 - q2R + 1, lam1), (lamK, rho1 - q2R)) if sr else None))
     return out
 
 
 def polygon_subgraph(g: OuterplanarStDigraph, p: StPolygon):
     """The polygon as a standalone instance; vertex names carry over."""
-    _validate(g, [p])
-    pe, _ = _local_pairs(g, [p])
+    t = _table(g, [p])
+    _validate(g, t)
+    pe, _ = _local_pairs(g, t)
     edges = [(g.name(g.tail[e]), g.name(g.head[e])) for e in np.sort(pe)]
     return build_graph([g.name(v) for v in p.left_vertices],
                        [g.name(v) for v in p.right_vertices],

@@ -1,12 +1,17 @@
 """Minimum-crossing acyclic hamiltonian completion.
 
-Dynamic program over the decomposition, bottom-up, with two cells per
-element: the best cost so far given that the path walks the element's
-left chain last, or its right chain last.  Junctions between consecutive
-elements are plain graph edges except when two polygons share an edge.
-There the later polygon's entry run is spliced below the earlier sink,
-which reroutes one jump; the rerouted jump crosses the shared edge once,
-and nothing else changes, so the transition charges exactly +1.
+Dynamic program over the polygons of the decomposition's
+:class:`PolygonTable`, bottom-up, with two cells per polygon: the best
+cost so far given that the path walks the polygon's left chain last, or
+its right chain last.  Free vertices leave both cells unchanged, so the
+DP skips them.  Junctions between consecutive polygons are plain graph
+edges except when two polygons share an edge.  There the later polygon's
+entry run is spliced below the earlier sink, which reroutes one jump; the
+rerouted jump crosses the shared edge once, and nothing else changes, so
+the transition charges exactly +1.
+
+The DP is one pass over the table's cost rows, and the splice one pass
+over its elements that takes each polygon's chain runs as ranges.
 """
 
 from __future__ import annotations
@@ -14,13 +19,28 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
+import numpy as np
+
 from .crossings import CrossingRecord, build_hp_extended, solution_crossings
-from .decompose import FreeVertex, StPolygon, decompose
-from .graph import (OuterplanarStDigraph, Edge, VertexId, NotAPermutation,
-                    ValidationError, is_linear_extension, _LEFT)
-from .polygon import PolygonCosts, channel_order, polygon_costs
+from .decompose import EDGE, GAP, VERTEX, PolygonTable, decompose
+from .graph import (OuterplanarStDigraph, Edge, InternalError, VertexId,
+                    NotAPermutation, ValidationError, is_linear_extension,
+                    _LEFT)
+from .polygon import channel_costs
 
 _L, _R = 0, 1
+# channel codes index polygon.CHANNELS: 0 1L, 1 1R, 2 2L, 3 2R.  A
+# shared-edge transition into cell x weighs four terms: previous cell
+# _OLD[i] with channel _TERM_CH[x][i]; the first minimum wins.
+_TERM_CH = ((0, 0, 2, 2), (1, 1, 3, 3))
+_OLD = (_L, _R, _L, _R)
+_OPENS_LEFT = (False, True, True, False)   # 1R and 2L
+# _PEN[sink cell][x][i] is 1 where term i's spliced jump crosses the shared
+# edge: the previous path ends on the sink's chain and the new channel
+# opens with vertices of the other chain
+_PEN = tuple(tuple(tuple(int(o == sc and _OPENS_LEFT[ch] == (sc == _R))
+                         for o, ch in zip(_OLD, chs)) for chs in _TERM_CH)
+             for sc in (_L, _R))
 
 
 @dataclass(frozen=True)
@@ -31,150 +51,123 @@ class CompletionSolution:
     crossings: int
 
 
-def _junction(prev, nxt) -> str:
-    if isinstance(prev, StPolygon) and isinstance(nxt, StPolygon):
-        if prev.sink == nxt.source:
-            return "vertex"
-        if nxt.lower_limit == (nxt.source, prev.sink):
-            return "edge"
-    return "gap"
-
-
-def _shared_edge_terms(cL, cR, pc: PolygonCosts, sink_on_left: bool):
-    # +1 marks the combinations whose spliced jump crosses the shared
-    # edge: the previous path ends on the sink's chain and the new
-    # channel opens with vertices of the other chain.
-    if sink_on_left:
-        terms_l = ((cL + pc.c1L + 1, _L, "1L"), (cR + pc.c1L, _R, "1L"),
-                   (cL + pc.c2L, _L, "2L"), (cR + pc.c2L, _R, "2L"))
-        terms_r = ((cL + pc.c1R, _L, "1R"), (cR + pc.c1R, _R, "1R"),
-                   (cL + pc.c2R + 1, _L, "2R"), (cR + pc.c2R, _R, "2R"))
-    else:
-        terms_l = ((cL + pc.c1L, _L, "1L"), (cR + pc.c1L, _R, "1L"),
-                   (cL + pc.c2L, _L, "2L"), (cR + pc.c2L + 1, _R, "2L"))
-        terms_r = ((cL + pc.c1R, _L, "1R"), (cR + pc.c1R + 1, _R, "1R"),
-                   (cL + pc.c2R, _L, "2R"), (cR + pc.c2R, _R, "2R"))
-    return min(terms_l, key=lambda t: t[0]), min(terms_r, key=lambda t: t[0])
-
-
-def _plan(g: OuterplanarStDigraph, elements, costs):
-    """DP forward pass; returns (best, channel tag per element)."""
+def _plan(g: OuterplanarStDigraph, t: PolygonTable, cost):
+    """DP over the polygons; returns (best, channel code per polygon)."""
+    edge = (t.junction == EDGE).tolist()
+    sink_cell = np.where(g.side[t.sink] == _LEFT, _L, _R).tolist()
+    cl = cr = 0
     back = []
-    cL = cR = None
-    prev = None
-    ci = 0
-    for el in elements:
-        if cL is None:
-            base, bprev = 0, None
+    for p, c in enumerate(cost.tolist()):
+        if edge[p]:
+            pen, step = _PEN[sink_cell[p - 1]], []
+            for x in (_L, _R):
+                a, b, d = c[x], c[x + 2], pen[x]
+                terms = [cl + a + d[0], cr + a + d[1],
+                         cl + b + d[2], cr + b + d[3]]
+                i = terms.index(min(terms))
+                step.append((terms[i], _OLD[i], _TERM_CH[x][i]))
         else:
-            base, bprev = (cR, _R) if cR <= cL else (cL, _L)
-        if isinstance(el, FreeVertex):
-            nL = nR = base
-            row = (bprev, None, bprev, None)
-        else:
-            pc = costs[ci]
-            ci += 1
-            if prev is not None and _junction(prev, el) == "edge":
-                on_left = bool(g.side[prev.sink] == _LEFT)
-                (nL, pL, tL), (nR, pR, tR) = \
-                    _shared_edge_terms(cL, cR, pc, on_left)
-                row = (pL, tL, pR, tR)
+            # one-jump channels win ties against their two-jump partners
+            o, base = (_R, cr) if cr <= cl else (_L, cl)
+            step = [(base + c[x], o, x) if c[x] <= c[x + 2]
+                    else (base + c[x + 2], o, x + 2) for x in (_L, _R)]
+        cl, cr = step[_L][0], step[_R][0]
+        back.append(step)
+    cell, best = (_R, cr) if cr <= cl else (_L, cl)
+    chosen = [0] * len(back)
+    for p in range(len(back) - 1, -1, -1):
+        _, cell, chosen[p] = back[p][cell]
+    return int(best), np.asarray(chosen, dtype=np.int64)
+
+
+def _splice(g: OuterplanarStDigraph, t: PolygonTable, ch, split):
+    """Hamiltonian order taking channel ``ch`` (split ``split``) through
+    every polygon, element by element bottom-up.
+
+    A polygon contributes its source, X[:a], Y, X[a:] and its sink, for
+    the channel's opening run X and other run Y; a free vertex contributes
+    itself.  A shared-vertex junction drops the source.  At a shared-edge
+    junction the previous sink opens X or Y and is dropped; when it opens
+    Y, the stretch X[:a] moves to right after the new source, below the
+    previous sink's run.
+    """
+    n, order, joins = g.n, [], []
+    cols = (t.source, t.sink, t.left_lo, t.left_hi, t.right_lo, t.right_hi,
+            t.upper, t.junction, ch, split)
+    polys = zip(*(c.tolist() for c in cols))
+    up = -1
+    for e in t.element.tolist():
+        if e < 0:
+            if order:
+                joins.append((order[-1], ~e))
+            order.append(~e)
+            continue
+        s, k, llo, lhi, rlo, rhi, upper, jn, c, q = next(polys)
+        runs = (range(llo, lhi + 1), range(n - rlo, n - rhi - 1, -1))
+        x, y = runs[not _OPENS_LEFT[c]], runs[_OPENS_LEFT[c]]
+        a = len(x) if c < 2 else q
+        if jn == GAP:
+            if order:
+                joins.append((order[-1], s))
+            order.append(s)
+        elif jn == VERTEX and order[-1] != s or jn == EDGE and up != s:
+            raise InternalError("splice", "a polygon does not start where "
+                                          "the previous one ends")
+        elif jn == EDGE:
+            if order[-1] == y[0]:
+                i = len(order) - 2
+                while i >= 0 and order[i] != s:
+                    i -= 1
+                if i < 0:
+                    raise InternalError("splice", "a polygon source is "
+                                                  "missing from the order")
+                order[i + 1:i + 1] = x[:a]
+                x, a, y = x[a:], 0, y[1:]
+            elif order[-1] == x[0]:
+                x, a = x[1:], a - 1
             else:
-                (vL, tL), (vR, tR) = pc.left_best, pc.right_best
-                nL, nR = base + vL, base + vR
-                row = (bprev, tL, bprev, tR)
-        back.append(row)
-        cL, cR = nL, nR
-        prev = el
-
-    if cL is None:
-        return 0, []
-    cell = _R if cR <= cL else _L
-    best = cR if cell == _R else cL
-    tags = [None] * len(elements)
-    for i in reversed(range(len(elements))):
-        pL, tL, pR, tR = back[i]
-        tags[i] = tR if cell == _R else tL
-        cell = pR if cell == _R else pL
-    return best, tags
-
-
-def _splice(g: OuterplanarStDigraph, elements, costs, tags) -> list[VertexId]:
-    order: list[VertexId] = []
-    prev = None
-    ci = 0
-    for el, tag in zip(elements, tags):
-        if isinstance(el, FreeVertex):
-            local = [el.vertex]
-        else:
-            pc = costs[ci]
-            ci += 1
-            local = channel_order(el, tag, pc.split(tag))
-        if not order:
-            order = local
-        else:
-            kind = _junction(prev, el)
-            if kind == "vertex":
-                assert order[-1] == el.source
-                order.extend(local[1:])
-            elif kind == "edge":
-                t_prev = prev.sink
-                assert order[-1] == t_prev
-                at = local.index(t_prev)
-                mid, rest = local[1:at], local[at + 1:]
-                if mid:
-                    side = g.side[t_prev]
-                    i = len(order) - 2
-                    while g.side[order[i]] == side:
-                        i -= 1
-                    assert order[i] == el.source
-                    order[i + 1:i + 1] = mid
-                order.extend(rest)
-            else:
-                assert g.has_edge(order[-1], local[0]), \
-                    "elements not joined by an edge"
-                order.extend(local)
-        prev = el
-
+                raise InternalError("splice", "a shared edge does not open "
+                                              "a chain run")
+        order += [*x[:a], *y, *x[a:], k]
+        up = upper
     if not order or order[0] != g.s:
-        assert not order or g.has_edge(g.s, order[0])
+        if order:
+            joins.append((g.s, order[0]))
         order.insert(0, g.s)
     if order[-1] != g.t:
-        assert g.has_edge(order[-1], g.t)
+        joins.append((order[-1], g.t))
         order.append(g.t)
+    if joins and not g.has_edges(*zip(*joins)).all():
+        raise InternalError("splice", "elements not joined by an edge")
     return order
 
 
 def solve(g: OuterplanarStDigraph) -> CompletionSolution:
     """Optimal completion; the recount at the end guards the plan."""
-    elements = decompose(g)
-    costs = polygon_costs(
-        g, [el for el in elements if isinstance(el, StPolygon)])
-    best, tags = _plan(g, elements, costs)
-    order = _splice(g, elements, costs, tags)
+    t = decompose(g).table
+    cost, split = channel_costs(g, t)
+    best, ch = _plan(g, t, cost)
+    order = _splice(g, t, ch, split[np.arange(len(t)), ch])
     ces, records, total = solution_crossings(g, order)
     if total != best:
-        raise AssertionError(
-            f"planned {best} crossings but the order realises {total}")
+        raise InternalError("solve", f"planned {best} crossings but the "
+                                     f"order realises {total}")
     return CompletionSolution(order=order, completion_edges=ces,
                               records=records, crossings=total)
 
 
-def _owners(g: OuterplanarStDigraph, elements) -> dict[VertexId, int]:
-    own: dict[VertexId, int] = {}
-    for i, el in enumerate(elements):
-        if isinstance(el, FreeVertex):
-            own.setdefault(el.vertex, i)
-        else:
-            own.setdefault(el.source, i)
-            own.setdefault(el.sink, i)
-            for v in el.left_vertices:
-                own.setdefault(v, i)
-            for v in el.right_vertices:
-                own.setdefault(v, i)
-    own.setdefault(g.s, 0)
-    own.setdefault(g.t, max(len(elements) - 1, 0))
-    return own
+def _owners(g: OuterplanarStDigraph, t: PolygonTable) -> list[int]:
+    """Per vertex, the index of the first element holding it; s and t
+    default to the first and the last element."""
+    el = t.element
+    at = np.flatnonzero(el >= 0)
+    own = np.full(g.n, len(el), dtype=np.int64)
+    ids, pi = t.run_vertices()
+    own[ids], own[~el[el < 0]] = at[pi], np.flatnonzero(el < 0)
+    own[g.s], own[g.t] = 0, max(len(el) - 1, 0)
+    for ends in (t.source, t.sink):
+        own[ends] = np.minimum(own[ends], at)
+    return own.tolist()
 
 
 def solution_problems(g: OuterplanarStDigraph,
@@ -202,21 +195,22 @@ def solution_problems(g: OuterplanarStDigraph,
         probs.append(f"an edge is crossed {worst} times, 2 is the most "
                      f"an optimal drawing ever needs")
 
-    elements = decompose(g)
-    own = _owners(g, elements)
-    limit_of = {el.upper_limit: i for i, el in enumerate(elements)
-                if isinstance(el, StPolygon) and el.upper_limit is not None}
+    t = decompose(g).table
+    up = np.flatnonzero(t.upper >= 0)
+    limit_of = dict(zip(zip(t.upper[up].tolist(), t.sink[up].tolist()),
+                        np.flatnonzero(t.element >= 0)[up].tolist()))
     hits: dict[Edge, list[Edge]] = {}
     for r in records:
         if r.crossed_edge in limit_of:
             hits.setdefault(r.crossed_edge, []).append(r.completion_edge)
+    own = _owners(g, t) if hits else []
     for lim, ce_list in hits.items():
         i = limit_of[lim]
         if len(ce_list) > 1:
             probs.append(f"limit edge {lim} is crossed {len(ce_list)} times")
             continue
         f, h = ce_list[0]
-        if not (own.get(h, -1) <= i < own.get(f, -1)):
+        if not (own[h] <= i < own[f]):
             probs.append(f"the crossing of limit edge {lim} does not come "
                          f"from the element above it")
 

@@ -1,0 +1,187 @@
+"""Helpers only the tests need, built on the public API.
+
+Rhombus seed listings and polygon edge lists, plus the solver's
+original element-by-element DP and splice.  The array-backed
+solver must reproduce that reference order exactly, tie-breaks included.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from hpcc import (FreeVertex, StPolygon, channel_order, decompose,
+                  polygon_costs, polygon_subgraph)
+from hpcc.embedding import face_vertices, faces, median_scan
+from hpcc.graph import topo_index
+
+_L, _R = 0, 1
+LADDER_PY = Path(__file__).resolve().parents[1] / "perfbench" / "ladder.py"
+
+
+def ladder_module():
+    """The benchmark's ladder generator, imported by path."""
+    name = "perfbench_ladder"
+    if name not in sys.modules:
+        spec = importlib.util.spec_from_file_location(name, LADDER_PY)
+        mod = importlib.util.module_from_spec(spec)
+        sys.modules[name] = mod      # dataclasses resolve their module
+        spec.loader.exec_module(mod)
+    return sys.modules[name]
+
+
+def median_candidates(g):
+    """Median edges with their fan witnesses, bottom-up."""
+    scan = median_scan(g)
+    ti = topo_index(g)
+    u, v = g.tail[scan.edges], g.head[scan.edges]
+    order = np.lexsort((ti[v], ti[u]))
+    return [((int(u[i]), int(v[i])),
+             (int(scan.left_witness[i]), int(scan.right_witness[i])))
+            for i in order]
+
+
+def weak_polygon_seeds(g):
+    """Faces with chain vertices on both sides and no (source, sink) edge,
+    bottom-up, as (source, chain vertices by side and rank, sink) with the
+    limits of the polygon each one seeds."""
+    f = faces(g)
+    ti = topo_index(g)
+    limits = {(p.source, p.sink): (p.lower_limit, p.upper_limit)
+              for p in decompose(g) if isinstance(p, StPolygon)}
+    out = []
+    for i in range(f.count):
+        src, snk = int(f.src_of[i]), int(f.snk_of[i])
+        if i == f.outer or src < 0 or snk < 0 or g.has_edge(src, snk):
+            continue
+        mids = sorted((v for v in face_vertices(g, i) if v not in (src, snk)),
+                      key=lambda v: (int(g.side[v]), int(g.rank[v])))
+        if len({int(g.side[v]) for v in mids}) == 2:
+            out.append(((src, *mids, snk), limits[(src, snk)]))
+    out.sort(key=lambda seed: (ti[seed[0][0]], ti[seed[0][-1]]))
+    return out
+
+
+def local_edges(g, p):
+    """Edges with both endpoints on the polygon, boundary included."""
+    sub = polygon_subgraph(g, p)
+    return sorted((g.vid(sub.name(u)), g.vid(sub.name(v)))
+                  for u, v in zip(sub.tail.tolist(), sub.head.tolist()))
+
+
+# -- the original per-element DP and splice --------------------------------
+
+def _junction(prev, nxt):
+    if isinstance(prev, StPolygon) and isinstance(nxt, StPolygon):
+        if prev.sink == nxt.source:
+            return "vertex"
+        if nxt.lower_limit == (nxt.source, prev.sink):
+            return "edge"
+    return "gap"
+
+
+def _shared_edge_terms(cL, cR, pc, sink_on_left):
+    if sink_on_left:
+        terms_l = ((cL + pc.c1L + 1, _L, "1L"), (cR + pc.c1L, _R, "1L"),
+                   (cL + pc.c2L, _L, "2L"), (cR + pc.c2L, _R, "2L"))
+        terms_r = ((cL + pc.c1R, _L, "1R"), (cR + pc.c1R, _R, "1R"),
+                   (cL + pc.c2R + 1, _L, "2R"), (cR + pc.c2R, _R, "2R"))
+    else:
+        terms_l = ((cL + pc.c1L, _L, "1L"), (cR + pc.c1L, _R, "1L"),
+                   (cL + pc.c2L, _L, "2L"), (cR + pc.c2L + 1, _R, "2L"))
+        terms_r = ((cL + pc.c1R, _L, "1R"), (cR + pc.c1R + 1, _R, "1R"),
+                   (cL + pc.c2R, _L, "2R"), (cR + pc.c2R, _R, "2R"))
+    return min(terms_l, key=lambda t: t[0]), min(terms_r, key=lambda t: t[0])
+
+
+def _plan(g, elements, costs):
+    back = []
+    cL = cR = None
+    prev = None
+    ci = 0
+    for el in elements:
+        if cL is None:
+            base, bprev = 0, None
+        else:
+            base, bprev = (cR, _R) if cR <= cL else (cL, _L)
+        if isinstance(el, FreeVertex):
+            nL = nR = base
+            row = (bprev, None, bprev, None)
+        else:
+            pc = costs[ci]
+            ci += 1
+            if prev is not None and _junction(prev, el) == "edge":
+                on_left = 1 <= prev.sink <= g.k      # left chain ids
+                (nL, pL, tL), (nR, pR, tR) = \
+                    _shared_edge_terms(cL, cR, pc, on_left)
+                row = (pL, tL, pR, tR)
+            else:
+                (vL, tL), (vR, tR) = pc.left_best, pc.right_best
+                nL, nR = base + vL, base + vR
+                row = (bprev, tL, bprev, tR)
+        back.append(row)
+        cL, cR = nL, nR
+        prev = el
+    if cL is None:
+        return 0, []
+    cell = _R if cR <= cL else _L
+    best = cR if cell == _R else cL
+    tags = [None] * len(elements)
+    for i in reversed(range(len(elements))):
+        pL, tL, pR, tR = back[i]
+        tags[i] = tR if cell == _R else tL
+        cell = pR if cell == _R else pL
+    return best, tags
+
+
+def _splice(g, elements, costs, tags):
+    order = []
+    prev = None
+    ci = 0
+    for el, tag in zip(elements, tags):
+        if isinstance(el, FreeVertex):
+            local = [el.vertex]
+        else:
+            pc = costs[ci]
+            ci += 1
+            local = channel_order(el, tag, pc.split(tag))
+        if not order:
+            order = local
+        else:
+            kind = _junction(prev, el)
+            if kind == "vertex":
+                assert order[-1] == el.source
+                order.extend(local[1:])
+            elif kind == "edge":
+                t_prev = prev.sink
+                assert order[-1] == t_prev
+                at = local.index(t_prev)
+                mid, rest = local[1:at], local[at + 1:]
+                if mid:
+                    i = len(order) - 2
+                    while g.side[order[i]] == g.side[t_prev]:
+                        i -= 1
+                    assert order[i] == el.source
+                    order[i + 1:i + 1] = mid
+                order.extend(rest)
+            else:
+                assert g.has_edge(order[-1], local[0])
+                order.extend(local)
+        prev = el
+    if not order or order[0] != g.s:
+        assert not order or g.has_edge(g.s, order[0])
+        order.insert(0, g.s)
+    if order[-1] != g.t:
+        assert g.has_edge(order[-1], g.t)
+        order.append(g.t)
+    return order
+
+
+def reference_solution(g):
+    """(planned crossings, order) from the element-by-element solver."""
+    elements = decompose(g)
+    costs = polygon_costs(
+        g, [el for el in elements if isinstance(el, StPolygon)])
+    best, tags = _plan(g, elements, costs)
+    return best, _splice(g, elements, costs, tags)

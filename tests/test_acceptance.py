@@ -19,18 +19,13 @@ from hpcc.book import (
     to_book_embedding,
     validate_book_embedding,
 )
-from hpcc.decompose import (
-    FreeVertex,
-    StPolygon,
-    decompose,
-    median_candidates,
-    weak_polygon_seeds,
-)
+from hpcc.decompose import FreeVertex, StPolygon, decompose
 from hpcc.graph import graph_from_json
 from hpcc.oracle import brute_force_optimal, enumerate_hamiltonian_orders
 from hpcc.polygon import channel_order, polygon_costs, polygon_subgraph
 from hpcc.rhombus import find_strong_rhombus, find_weak_rhombus, is_hamiltonian
 from hpcc.solver import solution_problems
+from reference import median_candidates, weak_polygon_seeds
 
 DENSITIES = (0.0, 0.3, 0.7, 1.0)
 SEEDS_PER_CELL = 417     # 6 sizes x 4 densities x 417 = 10,008 instances

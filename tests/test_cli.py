@@ -2,12 +2,18 @@
 
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from hpcc import build_graph, graph_from_json, graph_to_json
 from hpcc.cli import main
+from reference import ladder_module
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture
@@ -166,3 +172,34 @@ def test_oracle_size_cap(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("HPCC_MAX_ORACLE", "8")
     code, _, err = run(capsys, "oracle", "-i", str(path))
     assert code == 4
+
+
+def test_bad_oracle_limit_only_stops_the_oracle(capsys, sr_file, monkeypatch):
+    monkeypatch.setenv("HPCC_MAX_ORACLE", "abc")
+    code, out, _ = run(capsys, "solve", "-i", sr_file)
+    assert code == 0 and json.loads(out)["crossings"] == 1
+    for cmd in ("oracle", "compare"):
+        code, _, err = run(capsys, cmd, "-i", sr_file)
+        assert code == 2
+        assert "BadOracleLimit: HPCC_MAX_ORACLE='abc' is not an integer" in err
+    code, _, _ = run(capsys, "oracle", "-i", sr_file, "--max-oracle", "12")
+    assert code == 0
+
+
+def test_optimised_interpreter_gives_identical_bytes(tmp_path, request):
+    # python -O strips assert statements; no behaviour may hang on them
+    texts = [graph_to_json(request.getfixturevalue(name))
+             for name in ("weak_rhombus", "strong_rhombus", "stacked_rhombi",
+                          "chorded_polygon")]
+    texts.append(json.dumps(ladder_module().ladder(200, 11).doc))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
+    for i, text in enumerate(texts):
+        path = tmp_path / f"in{i}.json"
+        path.write_text(text)
+        for cmd in ("solve", "embed"):
+            outs = [subprocess.run(
+                [sys.executable, *flags, "-m", "hpcc", cmd, "-i", str(path)],
+                capture_output=True, env=env, check=True, timeout=120).stdout
+                for flags in ((), ("-O",))]
+            assert outs[0] and outs[0] == outs[1]

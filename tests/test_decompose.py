@@ -4,14 +4,9 @@ import numpy as np
 from hypothesis import given, settings
 
 from hpcc import GeneratorParams, build_graph, generate, solve
-from hpcc.decompose import (
-    FreeVertex,
-    StPolygon,
-    decompose,
-    median_candidates,
-    weak_polygon_seeds,
-)
+from hpcc.decompose import FreeVertex, StPolygon, decompose
 from hpcc.graph import topo_index
+from reference import median_candidates, weak_polygon_seeds
 from strategies import instances
 
 

@@ -11,10 +11,10 @@ from hpcc.oracle import brute_force_optimal
 from hpcc.polygon import (
     NotAnStPolygon,
     channel_order,
-    local_edges,
     polygon_costs,
     polygon_subgraph,
 )
+from reference import local_edges
 from strategies import instances
 
 

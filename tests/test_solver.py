@@ -1,14 +1,25 @@
 """End-to-end completion solver and the solution verifier."""
 
+import dataclasses
+import importlib
+import json
 from collections import Counter
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 
-from hpcc import build_graph, solve
+from hpcc import (GeneratorParams, InternalError, build_graph, decompose,
+                  generate, graph_from_json, graph_to_json, solve)
+from hpcc.cli import main
 from hpcc.crossings import solution_crossings
+from hpcc.decompose import EDGE, GAP, VERTEX
 from hpcc.graph import is_linear_extension
 from hpcc.solver import CompletionSolution, solution_problems, verify_solution
+from reference import ladder_module, reference_solution
 from strategies import instances
+
+KIND_NAMES = {GAP: "gap", VERTEX: "vertex", EDGE: "edge"}
 
 
 def by_name(g, ids):
@@ -139,3 +150,89 @@ def test_solver_output_is_always_clean(g):
     per_edge = Counter(r.crossed_edge for r in sol.records)
     assert all(c <= 2 for c in per_edge.values())
     assert solution_problems(g, sol) == []
+
+
+def test_no_elements_means_the_bare_edge():
+    g = build_graph([], [], [("s", "t")], s="s", t="t")
+    sol = solve(g)
+    assert (sol.order, sol.crossings) == ([0, 1], 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(instances(max_n=14))
+def test_matches_the_element_by_element_reference(g):
+    sol = solve(g)
+    assert reference_solution(g) == (sol.crossings, sol.order)
+
+
+@pytest.mark.parametrize("n,density,seed", [(9, 0.3, 70), (10, 0.3, 65),
+                                              (12, 0.5, 126)])
+def test_two_jump_channel_opened_by_a_shared_edge(n, density, seed):
+    # each instance has a shared edge whose previous sink opens the split
+    # run of the next polygon's optimal two-jump channel; the splice drops
+    # that sink and must shift the split by one
+    g = generate(GeneratorParams(n=n, chord_density=density, seed=seed))
+    sol = solve(g)
+    assert reference_solution(g) == (sol.crossings, sol.order)
+
+
+@pytest.mark.parametrize("rhombi,seed", [(50, 101), (120, 102), (200, 103),
+                                         (350, 104), (500, 105), (500, 106)])
+def test_ladders_beyond_oracle_size(rhombi, seed):
+    lad = ladder_module().ladder(rhombi, seed)
+    g = graph_from_json(json.dumps(lad.doc))
+    sol = solve(g)
+    assert sol.crossings == rhombi
+    assert solution_problems(g, sol) == []
+    kinds = Counter(KIND_NAMES[k]
+                    for k in decompose(g).table.junction[1:].tolist())
+    assert {k: kinds[k] for k in lad.junctions} == lad.junctions
+    assert reference_solution(g) == (sol.crossings, sol.order)
+
+
+def test_embed_builds_the_polygon_table_once(monkeypatch, tmp_path):
+    mod = importlib.import_module("hpcc.decompose")
+    built, real = [], mod._build_table
+    monkeypatch.setattr(mod, "_build_table",
+                        lambda g: built.append(g) or real(g))
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(ladder_module().ladder(30, 7).doc))
+    assert main(["embed", "-i", str(path),
+                 "-o", str(tmp_path / "out.json")]) == 0
+    assert len(built) == 1
+
+
+class TestInternalErrors:
+    """Broken tables surface as InternalError naming the stage, which
+    ``python -O`` cannot strip, and as exit code 1 from the CLI."""
+
+    def run_cli(self, g, tmp_path, capsys):
+        path = tmp_path / "in.json"
+        path.write_text(graph_to_json(g))
+        code = main(["solve", "-i", str(path)])
+        return code, capsys.readouterr().err
+
+    def test_missing_limit_edge_in_decompose(self, monkeypatch, tmp_path,
+                                             capsys, stacked_rhombi):
+        mod = importlib.import_module("hpcc.decompose")
+        monkeypatch.setattr(mod, "_limit_tables", lambda g: (
+            np.zeros(g.n, dtype=np.int64), np.full(g.n, -1, dtype=np.int64)))
+        with pytest.raises(InternalError) as exc:
+            decompose(stacked_rhombi)
+        assert exc.value.stage == "decompose"
+        code, err = self.run_cli(stacked_rhombi, tmp_path, capsys)
+        assert code == 1
+        assert "self-check failed in stage decompose" in err
+
+    def test_shared_edge_off_the_upper_limit_in_splice(
+            self, monkeypatch, tmp_path, capsys, edge_linked_polygons):
+        mod = importlib.import_module("hpcc.decompose")
+        real = mod._build_table
+        monkeypatch.setattr(mod, "_build_table", lambda g: dataclasses.replace(
+            real(g), upper=np.full(len(real(g)), -1, dtype=np.int64)))
+        with pytest.raises(InternalError) as exc:
+            solve(edge_linked_polygons)
+        assert exc.value.stage == "splice"
+        code, err = self.run_cli(edge_linked_polygons, tmp_path, capsys)
+        assert code == 1
+        assert "self-check failed in stage splice" in err
