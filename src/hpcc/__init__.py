@@ -3,8 +3,6 @@ outerplanar st-digraphs, and the matching two-page book embeddings."""
 
 from .graph import (
     OuterplanarStDigraph,
-    SideKind,
-    SidePosition,
     EdgeClass,
     ParseError,
     ValidationError,
@@ -83,7 +81,7 @@ from .render import render_svg
 __version__ = "0.1.0"
 
 __all__ = [
-    "OuterplanarStDigraph", "SideKind", "SidePosition", "EdgeClass",
+    "OuterplanarStDigraph", "EdgeClass",
     "ParseError", "ValidationError", "MultipleSources", "MultipleSinks",
     "CycleDetected", "SideNotAPath", "EmbeddingNotPlane", "DuplicateEdge",
     "UnknownVertex", "EdgeNotInGraph", "NotAPermutation", "InternalError",

@@ -17,8 +17,8 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 
 from .crossings import NotLinearExtension, solution_crossings
-from .graph import (OuterplanarStDigraph, Edge, EdgeClass, ParseError,
-                    ValidationError, VertexId, classify_edge, _LEFT)
+from .graph import (OuterplanarStDigraph, Edge, ParseError, ValidationError,
+                    VertexId, _LEFT)
 from .solver import CompletionSolution, solution_problems
 
 LEFT_PAGE = "L"
@@ -57,14 +57,13 @@ class BookEmbedding:
         return sum(len(d.spine_crossings) for d in self.drawings)
 
 
-def _first_page(g: OuterplanarStDigraph, pos, spine, u: int, v: int) -> str:
+def _first_page(g: OuterplanarStDigraph, pos, spine, u: int, v: int,
+                cls: int) -> str:
     if pos[v] == pos[u] + 1:
-        cls = classify_edge(g, (u, v))
-        if cls is EdgeClass.ONE_SIDED_LEFT:
-            return LEFT_PAGE
-        if cls is EdgeClass.ONE_SIDED_RIGHT:
-            return RIGHT_PAGE
-        return LEFT_PAGE if g.side[u] == _LEFT else RIGHT_PAGE
+        # one-sided edges keep their side's page, two-sided ones the tail's
+        if cls == 2:
+            return LEFT_PAGE if g.side[u] == _LEFT else RIGHT_PAGE
+        return LEFT_PAGE if cls == 0 else RIGHT_PAGE
     # rotation at u: the page is the side of the spine line on which the
     # edge leaves, read off the vertex cycle between the directions of
     # the spine successor and predecessor of u
@@ -91,9 +90,10 @@ def to_book_embedding(g: OuterplanarStDigraph,
         dives[r.crossed_edge].append(c)
 
     drawings = []
-    for u, v in zip(g.tail.tolist(), g.head.tolist()):
+    for u, v, cls in zip(g.tail.tolist(), g.head.tolist(),
+                         g.classes.tolist()):
         coords = sorted(dives.get((u, v), ()))
-        page = _first_page(g, pos, spine, u, v)
+        page = _first_page(g, pos, spine, u, v, cls)
         stops = [float(pos[u])] + coords + [float(pos[v])]
         segs = []
         for a, b in zip(stops, stops[1:]):

@@ -6,6 +6,11 @@ Because validated instances are plane, the graph chords split into three
 tame families (laminar left, laminar right, a rank-monotone two-sided
 chain), so the crossings of a query chord are a stack slice on each side
 plus two contiguous runs of the two-sided chain.
+
+The chord families come sorted from the graph (``g.chords``, built once by
+:func:`hpcc.graph.build_graph`, which validates the same arrays for
+planarity), along with the line coordinates ``g.lcoord``/``g.rcoord``;
+nothing here re-sorts or re-derives them.
 """
 
 from __future__ import annotations
@@ -15,8 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import (OuterplanarStDigraph, Edge, ValidationError,
-                    edge_classes, is_linear_extension, NotAPermutation,
-                    _LEFT, _RIGHT)
+                    is_linear_extension, NotAPermutation, _LEFT, _RIGHT)
 
 
 class SameSideCompletionEdge(ValidationError):
@@ -32,50 +36,6 @@ class CrossingRecord:
     completion_edge: Edge
     crossed_edge: Edge
     ordinal: int  # 0-based position along the completion edge, tail first
-
-
-@dataclass
-class ChordIndex:
-    la: np.ndarray   # left chords, left-line coordinates, la < lb
-    lb: np.ndarray
-    leid: np.ndarray
-    ra: np.ndarray   # right chords, right-line coordinates
-    rb: np.ndarray
-    reid: np.ndarray
-    ti: np.ndarray   # two-sided chords: left rank, right rank, both ascending
-    tj: np.ndarray
-    teid: np.ndarray
-
-
-def chord_index(g: OuterplanarStDigraph) -> ChordIndex:
-    if "chords" in g._cache:
-        return g._cache["chords"]
-    cls = edge_classes(g)
-    lc, rc = g.lcoord, g.rcoord
-    eids = np.arange(g.edge_count, dtype=np.int64)
-
-    def one_side(mask, coord):
-        a = np.minimum(coord[g.tail[mask]], coord[g.head[mask]])
-        b = np.maximum(coord[g.tail[mask]], coord[g.head[mask]])
-        e = eids[mask]
-        chord = (b - a) >= 2
-        a, b, e = a[chord], b[chord], e[chord]
-        order = np.lexsort((-b, a))
-        return a[order], b[order], e[order]
-
-    la, lb, leid = one_side(cls == 0, lc)
-    ra, rb, reid = one_side(cls == 1, rc)
-
-    two = cls == 2
-    tt, th = g.tail[two], g.head[two]
-    ti = np.where(lc[tt] >= 0, lc[tt], lc[th])
-    tj = np.where(rc[tt] >= 0, rc[tt], rc[th])
-    teid = eids[two]
-    order = np.lexsort((tj, ti))
-    idx = ChordIndex(la, lb, leid, ra, rb, reid,
-                     ti[order], tj[order], teid[order])
-    g._cache["chords"] = idx
-    return idx
 
 
 def _side_size(n: int, pa, pb, probe):
@@ -121,7 +81,7 @@ def _batch_crossings(g, f_arr, h_arr):
     the size of the ce-tail-side region of each crossed chord, which is
     the geometric crossing order along the completion edge.
     """
-    idx = chord_index(g)
+    idx = g.chords
     n, k, m = g.n, g.k, g.m
     lc, rc = g.lcoord, g.rcoord
     C = len(f_arr)

@@ -105,30 +105,13 @@ class Decomposition(list):
         self.table = table
 
 
-def _limit_tables(g: OuterplanarStDigraph):
-    """Per-vertex extreme two-sided neighbours, as opposite-chain ranks.
-
-    lo_out[v] = rank of v's lowest out-neighbour on the other chain,
-    hi_in[v] the highest such in-neighbour; 0 / -1 where none exists.
-    Only two-sided edges contribute, which is all a polygon limit can be.
-    """
-    lo_out = np.full(g.n, g.n, dtype=np.int64)
-    hi_in = np.full(g.n, -1, dtype=np.int64)
-    st, sh = g.side[g.tail], g.side[g.head]
-    ts = ((st == _LEFT) & (sh == _RIGHT)) | ((st == _RIGHT) & (sh == _LEFT))
-    u, v = g.tail[ts], g.head[ts]
-    np.minimum.at(lo_out, u, g.rank[v])
-    np.maximum.at(hi_in, v, g.rank[u])
-    lo_out[lo_out == g.n] = 0
-    return lo_out, hi_in
-
-
 def _build_table(g: OuterplanarStDigraph) -> PolygonTable:
     """Grow every median and weak face into its maximal polygon.
 
     A chain run starts right above the source (or at the source's lowest
     out-neighbour on that chain, when the source sits on the other chain)
-    and ends symmetrically under the sink.
+    and ends symmetrically under the sink; both limits are read from the
+    graph's ``lo_out``/``hi_in`` tables.
     """
     scan = median_scan(g)
     f, weak = _weak_face_mask(g)
@@ -141,15 +124,14 @@ def _build_table(g: OuterplanarStDigraph) -> PolygonTable:
     by_src = np.argsort(ti[src], kind="stable")
     src, snk, median = src[by_src], snk[by_src], median[by_src]
 
-    lo_out, hi_in = _limit_tables(g)
     at_s, at_t = src == g.s, snk == g.t
     s_left, t_left = g.side[src] == _LEFT, g.side[snk] == _LEFT
     # rows: left chain, right chain
     chain = np.array([[_LEFT], [_RIGHT]])
     lo = np.where(at_s, 1, np.where(g.side[src] == chain, g.rank[src] + 1,
-                                    lo_out[src]))
+                                    g.lo_out[src]))
     hi = np.where(at_t, [[g.k], [g.m]], np.where(
-        g.side[snk] == chain, g.rank[snk] - 1, hi_in[snk]))
+        g.side[snk] == chain, g.rank[snk] - 1, g.hi_in[snk]))
     if (lo <= 0).any():
         raise InternalError("decompose", "polygon source has no limit edge")
     if (hi < 0).any():

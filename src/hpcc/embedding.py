@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import OuterplanarStDigraph, VertexId, _LEFT, _RIGHT
+from .graph import OuterplanarStDigraph, _LEFT, _RIGHT
 
 
 @dataclass
@@ -135,26 +135,6 @@ def faces(g: OuterplanarStDigraph) -> Faces:
               src_count, snk_count, left_count, right_count, src_nb1, src_nb2)
     g._cache["faces"] = f
     return f
-
-
-def face_vertices(g: OuterplanarStDigraph, face_idx: int) -> tuple[VertexId, ...]:
-    """Boundary walk of one face, starting at its smallest slot."""
-    f = faces(g)
-    inc = incidence(g)
-    start = int(f.first_slot[face_idx])
-    out, slot = [], start
-    while True:
-        out.append(int(inc.base[slot]))
-        slot = int(f.face_next[slot])
-        if slot == start:
-            break
-    return tuple(out)
-
-
-def interior_faces_as_sets(g: OuterplanarStDigraph) -> list[frozenset]:
-    f = faces(g)
-    return [frozenset(face_vertices(g, i))
-            for i in range(f.count) if i != f.outer]
 
 
 @dataclass

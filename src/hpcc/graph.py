@@ -6,6 +6,20 @@ identified with its position on that cycle, so ``s`` is always id 0, the
 left chain occupies ids ``1..k``, ``t`` is ``k+1`` and the right chain runs
 ``k+2..n-1`` from the topmost right vertex down to the lowest.  All geometric
 reasoning (planarity, crossings, faces) happens in this coordinate system.
+
+:func:`build_graph` is the one place that derives the per-graph tables;
+each is built by one function here and stored on the graph:
+
+- ``lcoord``/``rcoord`` (:func:`_line_coords`): each vertex's position on
+  the left and right chain lines;
+- ``classes`` (:func:`_edge_class_codes`): each edge's class code, which
+  :func:`classify_edge` and :func:`edge_classes` read;
+- ``chords`` (:func:`_chord_index`): the chord families, sorted once; the
+  plane check validates them and the crossing geometry queries them;
+- ``lo_out``/``hi_in`` (:func:`_limit_tables`): each vertex's extreme
+  two-sided neighbours, which gate the topological merge and bound every
+  st-polygon of the decomposition;
+- the sorted edge keys behind :meth:`OuterplanarStDigraph.has_edge`.
 """
 
 from __future__ import annotations
@@ -13,7 +27,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from math import inf
 
 import numpy as np
 
@@ -74,48 +87,59 @@ class InternalError(RuntimeError):
         self.stage = stage
 
 
-class SideKind(Enum):
-    SOURCE = "Source"
-    LEFT = "Left"
-    RIGHT = "Right"
-    SINK = "Sink"
-
-
 class EdgeClass(Enum):
     ONE_SIDED_LEFT = "OneSidedLeft"
     ONE_SIDED_RIGHT = "OneSidedRight"
     TWO_SIDED = "TwoSided"
 
 
-@dataclass(frozen=True)
-class SidePosition:
-    kind: SideKind
-    rank: float  # 0 for the source, 1..k/1..m along a chain, +inf for the sink
-
-
 # side codes used in numpy arrays
 _SRC, _LEFT, _RIGHT, _SNK = 0, 1, 2, 3
-_KIND_OF_CODE = {_SRC: SideKind.SOURCE, _LEFT: SideKind.LEFT,
-                 _RIGHT: SideKind.RIGHT, _SNK: SideKind.SINK}
+# class codes of edge_classes, in EdgeClass order
+_EDGE_CLASSES = tuple(EdgeClass)
+
+
+@dataclass
+class ChordIndex:
+    """The graph's chords by family, as parallel arrays with edge ids."""
+    la: np.ndarray  # left chords, left-line coordinates, la < lb
+    lb: np.ndarray
+    leid: np.ndarray
+    ra: np.ndarray   # right chords, right-line coordinates
+    rb: np.ndarray
+    reid: np.ndarray
+    ti: np.ndarray   # two-sided chords: left rank, right rank, both ascending
+    tj: np.ndarray
+    teid: np.ndarray
 
 
 class OuterplanarStDigraph:
-    """Validated, immutable instance.  Construct via :func:`build_graph`."""
+    """Validated, immutable instance.  Construct via :func:`build_graph`,
+    which derives every table passed in here."""
 
-    def __init__(self, names, k, m, tail, head, side, rank, topo):
+    def __init__(self, names, k, m, tail, head, keys, side, rank, lcoord,
+                 rcoord, classes, chords, lo_out, hi_in, topo):
         self.names: list[str] = names
         self.n: int = len(names)
         self.k: int = k
         self.m: int = m
         self.s: VertexId = 0
         self.t: VertexId = k + 1
-        self.tail: np.ndarray = tail
+        self.tail: np.ndarray = tail    # edges sorted by (tail, head)
         self.head: np.ndarray = head
         self.side: np.ndarray = side
         self.rank: np.ndarray = rank
+        # left line: s=0, l_i=i, t=k+1; right line: s=0, r_j=j, t=m+1;
+        # -1 off the line
+        self.lcoord: np.ndarray = lcoord
+        self.rcoord: np.ndarray = rcoord
+        self.classes: np.ndarray = classes  # 0 left, 1 right, 2 two-sided
+        self.chords: ChordIndex = chords
+        self.lo_out: np.ndarray = lo_out
+        self.hi_in: np.ndarray = hi_in
         self._topo = topo
         self._ids = {nm: i for i, nm in enumerate(names)}
-        self._edge_keys = np.sort(tail.astype(np.int64) * self.n + head)
+        self._edge_keys = keys          # tail * n + head, ascending
         self._cache: dict = {}
 
     # -- identity helpers -------------------------------------------------
@@ -125,9 +149,6 @@ class OuterplanarStDigraph:
             return self._ids[name]
         except KeyError:
             raise UnknownVertex(name) from None
-
-    def vids(self, names) -> list[VertexId]:
-        return [self.vid(nm) for nm in names]
 
     def name(self, v: VertexId) -> str:
         return self.names[v]
@@ -166,40 +187,23 @@ class OuterplanarStDigraph:
         idx_c = np.minimum(idx, len(self._edge_keys) - 1)
         return self._edge_keys[idx_c] == keys
 
-    def side_position(self, v: VertexId) -> SidePosition:
-        code = int(self.side[v])
-        r = inf if code == _SNK else float(self.rank[v])
-        return SidePosition(_KIND_OF_CODE[code], r)
-
-    # -- local coordinates used by the crossing geometry ------------------
-
-    @property
-    def lcoord(self) -> np.ndarray:
-        """Left-line coordinate: s=0, l_i=i, t=k+1, right vertices -1."""
-        if "lcoord" not in self._cache:
-            c = np.full(self.n, -1, dtype=np.int64)
-            c[0:self.k + 2] = np.arange(self.k + 2)
-            self._cache["lcoord"] = c
-        return self._cache["lcoord"]
-
-    @property
-    def rcoord(self) -> np.ndarray:
-        """Right-line coordinate: s=0, r_j=j, t=m+1, left vertices -1."""
-        if "rcoord" not in self._cache:
-            c = np.full(self.n, -1, dtype=np.int64)
-            c[0] = 0
-            c[self.k + 1] = self.m + 1
-            if self.m:
-                c[self.k + 2:] = np.arange(self.m, 0, -1)
-            self._cache["rcoord"] = c
-        return self._cache["rcoord"]
-
     def __repr__(self):
         return (f"OuterplanarStDigraph(n={self.n}, k={self.k}, m={self.m}, "
                 f"edges={self.edge_count})")
 
 
-def _edge_class_codes(n, k, m, tail, head, side):
+def _line_coords(k, m):
+    """Left- and right-line coordinates of every vertex, -1 off the line."""
+    n = k + m + 2
+    lcoord = np.full(n, -1, dtype=np.int64)
+    lcoord[:k + 2] = np.arange(k + 2)
+    rcoord = np.full(n, -1, dtype=np.int64)
+    rcoord[0], rcoord[k + 1] = 0, m + 1
+    rcoord[k + 2:] = np.arange(m, 0, -1)
+    return lcoord, rcoord
+
+
+def _edge_class_codes(tail, head, side):
     """Per-edge class code: 0 left, 1 right, 2 two-sided.
 
     Edges touching s or t take the side of the other endpoint; (s,t) is
@@ -216,7 +220,33 @@ def _edge_class_codes(n, k, m, tail, head, side):
     return cls
 
 
-def _check_plane(n, k, m, tail, head, cls, lcoord, rcoord, names):
+def _chord_index(tail, head, cls, lcoord, rcoord) -> ChordIndex:
+    """Sort each chord family once: one-sided chords spanning at least two
+    line steps by (start, -end), two-sided chords by (left, right) rank."""
+    eids = np.arange(len(tail), dtype=np.int64)
+
+    def one_side(mask, coord):
+        a = np.minimum(coord[tail[mask]], coord[head[mask]])
+        b = np.maximum(coord[tail[mask]], coord[head[mask]])
+        e = eids[mask]
+        chord = (b - a) >= 2
+        a, b, e = a[chord], b[chord], e[chord]
+        order = np.lexsort((-b, a))
+        return a[order], b[order], e[order]
+
+    la, lb, leid = one_side(cls == 0, lcoord)
+    ra, rb, reid = one_side(cls == 1, rcoord)
+
+    two = cls == 2
+    tt, th = tail[two], head[two]
+    ti = np.where(lcoord[tt] >= 0, lcoord[tt], lcoord[th])
+    tj = np.where(rcoord[tt] >= 0, rcoord[tt], rcoord[th])
+    order = np.lexsort((tj, ti))
+    return ChordIndex(la, lb, leid, ra, rb, reid,
+                      ti[order], tj[order], eids[two][order])
+
+
+def _check_plane(k, m, c: ChordIndex):
     """Reject any pair of edges whose position chords strictly interleave.
 
     Decomposes the check by edge class: each one-sided family must be laminar
@@ -224,69 +254,58 @@ def _check_plane(n, k, m, tail, head, cls, lcoord, rcoord, names):
     two-sided endpoint may sit strictly under a one-sided chord.  Cross-line
     one-sided pairs can never interleave, so nothing else needs checking.
     """
-    def laminar(alpha, beta, label):
-        span = beta - alpha
-        chord = span >= 2
-        a, b = alpha[chord], beta[chord]
-        order = np.lexsort((-b, a))
-        a, b = a[order].tolist(), b[order].tolist()
+    for a, b, label in ((c.la, c.lb, "left"), (c.ra, c.rb, "right")):
         stack = []
-        for x, y in zip(a, b):
+        for x, y in zip(a.tolist(), b.tolist()):
             while stack and stack[-1] <= x:
                 stack.pop()
             if stack and stack[-1] < y:
                 raise EmbeddingNotPlane(f"interleaving {label} chords")
             stack.append(y)
-        return a, b
 
-    lmask = cls == 0
-    rmask = cls == 1
-    tmask = cls == 2
-
-    la = np.minimum(lcoord[tail[lmask]], lcoord[head[lmask]])
-    lb = np.maximum(lcoord[tail[lmask]], lcoord[head[lmask]])
-    ra = np.minimum(rcoord[tail[rmask]], rcoord[head[rmask]])
-    rb = np.maximum(rcoord[tail[rmask]], rcoord[head[rmask]])
-    laminar(la, lb, "left")
-    laminar(ra, rb, "right")
-
-    if tmask.any():
-        tt, th = tail[tmask], head[tmask]
-        li = np.where(lcoord[tt] >= 0, lcoord[tt], lcoord[th])
-        rj = np.where(rcoord[tt] >= 0, rcoord[tt], rcoord[th])
-        order = np.lexsort((rj, li))
-        rj_sorted = rj[order]
-        if np.any(np.diff(rj_sorted) < 0):
+    if len(c.ti):
+        if np.any(np.diff(c.tj) < 0):
             raise EmbeddingNotPlane("two-sided chords out of chain order")
 
         # one-sided chords may not strictly cover a two-sided endpoint
-        for a, b, coords, size in ((la, lb, li, k), (ra, rb, rj, m)):
-            cover = np.zeros(size + 3, dtype=np.int64)
-            chord = (b - a) >= 2
-            np.add.at(cover, a[chord] + 1, 1)
-            np.add.at(cover, b[chord], -1)
-            depth = np.cumsum(cover)
+        for a, b, coords, size in ((c.la, c.lb, c.ti, k),
+                                   (c.ra, c.rb, c.tj, m)):
+            depth = np.cumsum(np.bincount(a + 1, minlength=size + 3)
+                              - np.bincount(b, minlength=size + 3))
             if np.any(depth[coords] > 0):
                 raise EmbeddingNotPlane("two-sided chord under a covering chord")
 
 
-def _toposort(k, m, tail, head, side, rank):
+def _limit_tables(n, tail, head, cls, rank):
+    """Per-vertex extreme two-sided neighbours, as opposite-chain ranks.
+
+    lo_out[v] = rank of v's lowest out-neighbour on the other chain,
+    hi_in[v] the highest such in-neighbour; 0 / -1 where none exists.
+    Only two-sided edges contribute, which is all a polygon limit can be.
+    """
+    lo_out = np.full(n, n, dtype=np.int64)
+    hi_in = np.full(n, -1, dtype=np.int64)
+    two = cls == 2
+    u, v = tail[two], head[two]
+    np.minimum.at(lo_out, u, rank[v])
+    np.maximum.at(hi_in, v, rank[u])
+    lo_out[lo_out == n] = 0
+    return lo_out, hi_in
+
+
+def _toposort(k, m, hi_in):
     """Deterministic merge of the two chains, lowest rank first, left on ties.
 
-    Readiness of a chain head is gated by its highest-ranked predecessor on
-    the opposite chain; a stuck merge means a cycle through two-sided edges.
+    Readiness of a chain head is gated by the highest-ranked two-sided
+    in-neighbour of it or of any vertex below it on its chain (a prefix
+    maximum of ``hi_in``); a stuck merge means a cycle through two-sided
+    edges.
     """
     n = k + m + 2
-    req_l = np.zeros(k + 2, dtype=np.int64)
-    req_r = np.zeros(m + 2, dtype=np.int64)
-    two = (side[tail] == _RIGHT) & (side[head] == _LEFT)
-    np.maximum.at(req_l, rank[head[two]], rank[tail[two]])
-    two = (side[tail] == _LEFT) & (side[head] == _RIGHT)
-    np.maximum.at(req_r, rank[head[two]], rank[tail[two]])
-    np.maximum.accumulate(req_l, out=req_l)
-    np.maximum.accumulate(req_r, out=req_r)
-    rl = req_l.tolist()
-    rr = req_r.tolist()
+    # index = chain rank; right rank j is id n - j
+    rl = np.maximum.accumulate(hi_in[:k + 1]).tolist()
+    rr = np.maximum.accumulate(
+        np.concatenate(([-1], hi_in[:k + 1:-1]))).tolist()
 
     order = [0]
     append = order.append
@@ -317,36 +336,6 @@ def _has_duplicate(values):
         return False
     srt = np.sort(arr)
     return bool((srt[1:] == srt[:-1]).any())
-
-
-def _infer_terminals(side_names, edges):
-    """Unique source and sink of the edge relation, by degree count."""
-    endpoints = set()
-    for e in edges:
-        if len(e) != 2:
-            raise ParseError(f"edge {e!r} is not a pair")
-        endpoints.add(e[0])
-        endpoints.add(e[1])
-    universe = set(side_names) | endpoints
-    extras = endpoints - set(side_names)
-    if len(extras) > 2:
-        raise UnknownVertex(sorted(extras)[2])
-    indeg = dict.fromkeys(universe, 0)
-    outdeg = dict.fromkeys(universe, 0)
-    for u, v in edges:
-        outdeg[u] += 1
-        indeg[v] += 1
-    sources = [v for v in universe if indeg[v] == 0]
-    sinks = [v for v in universe if outdeg[v] == 0]
-    if not sources:
-        raise CycleDetected("every vertex has an incoming edge")
-    if len(sources) > 1:
-        raise MultipleSources(str(sorted(map(str, sources))))
-    if not sinks:
-        raise CycleDetected("every vertex has an outgoing edge")
-    if len(sinks) > 1:
-        raise MultipleSinks(str(sorted(map(str, sinks))))
-    return sources[0], sinks[0]
 
 
 def _edge_endpoint_ids(names, edges):
@@ -393,8 +382,8 @@ def build_graph(left_seq, right_seq, edges, s=None, t=None):
     """Validate and index an instance given as vertex names.
 
     ``left_seq`` and ``right_seq`` list the chain vertices bottom-up; ``edges``
-    is an iterable of (from, to) name pairs.  When ``s``/``t`` are omitted they
-    are inferred as the unique source and sink of the edge relation.
+    is an iterable of (from, to) name pairs; ``s`` and ``t`` are required.
+    Derives every per-graph table once and stores it on the result.
     """
     left_seq = list(left_seq)
     right_seq = list(right_seq)
@@ -405,15 +394,10 @@ def build_graph(left_seq, right_seq, edges, s=None, t=None):
     if _has_duplicate(side_names):
         raise SideNotAPath("repeated vertex in side sequences")
 
-    if s is None and t is None:
-        s, t = _infer_terminals(side_names, edges)
-        if s in side_names or t in side_names:
-            raise SideNotAPath("inferred s/t lies inside a side sequence")
-    else:
-        if s is None or t is None or s == t:
-            raise ParseError("s and t must both be given and distinct")
-        if s in side_names or t in side_names:
-            raise SideNotAPath("s/t may not appear inside a side sequence")
+    if s is None or t is None or s == t:
+        raise ParseError("s and t must both be given and distinct")
+    if s in side_names or t in side_names:
+        raise SideNotAPath("s/t may not appear inside a side sequence")
 
     n = k + m + 2
     names = [s] + left_seq + [t] + right_seq[::-1]
@@ -450,8 +434,7 @@ def build_graph(left_seq, right_seq, edges, s=None, t=None):
     rank = np.zeros(n, dtype=np.int64)
     rank[1:k + 1] = np.arange(1, k + 1)
     rank[k + 1] = n  # sink sentinel, above every chain rank
-    if m:
-        rank[k + 2:] = np.arange(m, 0, -1)
+    rank[k + 2:] = np.arange(m, 0, -1)
 
     # required boundary path along each side
     wu = np.concatenate((np.arange(k + 1), [0], np.arange(n - 1, k + 1, -1)))
@@ -465,49 +448,36 @@ def build_graph(left_seq, right_seq, edges, s=None, t=None):
         raise SideNotAPath(
             f"missing boundary edge ({names[int(wu[b])]}, {names[int(wv[b])]})")
 
-    g_tmp_l = np.full(n, -1, dtype=np.int64)
-    g_tmp_l[:k + 2] = np.arange(k + 2)
-    g_tmp_r = np.full(n, -1, dtype=np.int64)
-    g_tmp_r[0] = 0
-    g_tmp_r[k + 1] = m + 1
-    if m:
-        g_tmp_r[k + 2:] = np.arange(m, 0, -1)
-
-    cls = _edge_class_codes(n, k, m, tail, head, side)
+    lcoord, rcoord = _line_coords(k, m)
+    cls = _edge_class_codes(tail, head, side)
     lft = cls == 0
-    if np.any(g_tmp_l[tail[lft]] >= g_tmp_l[head[lft]]):
+    if np.any(lcoord[tail[lft]] >= lcoord[head[lft]]):
         raise CycleDetected("descending edge on the left side")
     rgt = cls == 1
-    if np.any(g_tmp_r[tail[rgt]] >= g_tmp_r[head[rgt]]):
+    if np.any(rcoord[tail[rgt]] >= rcoord[head[rgt]]):
         raise CycleDetected("descending edge on the right side")
 
-    _check_plane(n, k, m, tail, head, cls, g_tmp_l, g_tmp_r, names)
-    topo = _toposort(k, m, tail, head, side, rank)
-
-    g = OuterplanarStDigraph(names, k, m, tail, head, side, rank, topo)
-    g._cache["cls"] = cls
-    return g
+    chords = _chord_index(tail, head, cls, lcoord, rcoord)
+    _check_plane(k, m, chords)
+    lo_out, hi_in = _limit_tables(n, tail, head, cls, rank)
+    topo = _toposort(k, m, hi_in)
+    return OuterplanarStDigraph(names, k, m, tail, head, keys, side, rank,
+                                lcoord, rcoord, cls, chords, lo_out, hi_in,
+                                topo)
 
 
 def classify_edge(g: OuterplanarStDigraph, e: Edge) -> EdgeClass:
+    """The class of one edge, read from :func:`edge_classes`."""
     u, v = e
     if not (0 <= u < g.n and 0 <= v < g.n) or not g.has_edge(u, v):
         raise EdgeNotInGraph(str(e))
-    ls, rs = g.side[u], g.side[v]
-    if ls == _LEFT or rs == _LEFT:
-        return EdgeClass.TWO_SIDED if (ls == _RIGHT or rs == _RIGHT) \
-            else EdgeClass.ONE_SIDED_LEFT
-    if ls == _RIGHT or rs == _RIGHT:
-        return EdgeClass.ONE_SIDED_RIGHT
-    return EdgeClass.ONE_SIDED_LEFT  # the (s,t) convention
+    # edges are stored in key order, so the key's index is the edge id
+    return _EDGE_CLASSES[g.classes[np.searchsorted(g._edge_keys, u * g.n + v)]]
 
 
 def edge_classes(g: OuterplanarStDigraph) -> np.ndarray:
     """Per-edge class codes aligned with g.tail/g.head (0=L, 1=R, 2=two-sided)."""
-    if "cls" not in g._cache:
-        g._cache["cls"] = _edge_class_codes(
-            g.n, g.k, g.m, g.tail, g.head, g.side)
-    return g._cache["cls"]
+    return g.classes
 
 
 def topological_order(g: OuterplanarStDigraph) -> tuple[VertexId, ...]:

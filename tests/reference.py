@@ -1,20 +1,22 @@
 """Helpers only the tests need, built on the public API.
 
-Rhombus seed listings and polygon edge lists, plus the solver's
+Face walks, rhombus seed listings and polygon edge lists, plain-Python
+recomputations of the tables ``build_graph`` stores, plus the solver's
 original element-by-element DP and splice.  The array-backed
 solver must reproduce that reference order exactly, tie-breaks included.
 """
 
 import importlib.util
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from hpcc import (FreeVertex, StPolygon, channel_order, decompose,
                   polygon_costs, polygon_subgraph)
-from hpcc.embedding import face_vertices, faces, median_scan
-from hpcc.graph import topo_index
+from hpcc.embedding import faces, incidence, median_scan
+from hpcc.graph import _LEFT, _RIGHT, _SNK, _SRC, topo_index
 
 _L, _R = 0, 1
 LADDER_PY = Path(__file__).resolve().parents[1] / "perfbench" / "ladder.py"
@@ -29,6 +31,26 @@ def ladder_module():
         sys.modules[name] = mod      # dataclasses resolve their module
         spec.loader.exec_module(mod)
     return sys.modules[name]
+
+
+def face_vertices(g, face_idx):
+    """Boundary walk of one face, starting at its smallest slot."""
+    f = faces(g)
+    inc = incidence(g)
+    start = int(f.first_slot[face_idx])
+    out, slot = [], start
+    while True:
+        out.append(int(inc.base[slot]))
+        slot = int(f.face_next[slot])
+        if slot == start:
+            break
+    return tuple(out)
+
+
+def interior_faces_as_sets(g):
+    f = faces(g)
+    return [frozenset(face_vertices(g, i))
+            for i in range(f.count) if i != f.outer]
 
 
 def median_candidates(g):
@@ -68,6 +90,79 @@ def local_edges(g, p):
     sub = polygon_subgraph(g, p)
     return sorted((g.vid(sub.name(u)), g.vid(sub.name(v)))
                   for u, v in zip(sub.tail.tolist(), sub.head.tolist()))
+
+
+# -- the graph's stored tables, recomputed ---------------------------------
+
+@dataclass
+class Tables:
+    lcoord: list
+    rcoord: list
+    classes: list
+    lo_out: list
+    hi_in: list
+    left: list      # chords as (start, end, edge id), in index order
+    right: list
+    two: list
+    topo: list
+
+
+def reference_tables(g):
+    """Every table ``build_graph`` stores, recomputed with plain loops from
+    ``g.tail``, ``g.head`` and ``g.side`` (vertex ids are cycle positions)."""
+    n, side = g.n, g.side.tolist()
+    edges = list(zip(g.tail.tolist(), g.head.tolist()))
+    s, t = side.index(_SRC), side.index(_SNK)
+    chains = ([v for v in range(n) if side[v] == _LEFT],
+              [v for v in reversed(range(n)) if side[v] == _RIGHT])
+    lcoord, rcoord = [-1] * n, [-1] * n
+    for chain, coord in zip(chains, (lcoord, rcoord)):
+        coord[s], coord[t] = 0, len(chain) + 1
+        for r, v in enumerate(chain, 1):
+            coord[v] = r
+    rank = [max(a, b) for a, b in zip(lcoord, rcoord)]   # on chain vertices
+
+    def edge_class(u, v):
+        sides = {side[u], side[v]}
+        if _LEFT in sides and _RIGHT in sides:
+            return 2
+        return 1 if _RIGHT in sides else 0
+
+    classes = [edge_class(u, v) for u, v in edges]
+    lo, hi = {}, {}
+    chords = ([], [], [])
+    for e, ((u, v), c) in enumerate(zip(edges, classes)):
+        if c == 2:
+            lo[u] = min(lo.get(u, n), rank[v])
+            hi[v] = max(hi.get(v, -1), rank[u])
+            a, b = (u, v) if side[u] == _LEFT else (v, u)
+            chords[2].append((lcoord[a], rcoord[b], e))
+            continue
+        coord = lcoord if c == 0 else rcoord
+        a, b = sorted((coord[u], coord[v]))
+        if b - a >= 2:
+            chords[c].append((a, b, e))
+
+    preds = [set() for _ in range(n)]
+    for u, v in edges:
+        preds[v].add(u)
+    topo, (left, right), i, j = [s], chains, 0, 0
+    while i < len(left) or j < len(right):
+        ok_l = i < len(left) and preds[left[i]] <= set(topo)
+        ok_r = j < len(right) and preds[right[j]] <= set(topo)
+        assert ok_l or ok_r, "no chain head is ready"
+        if ok_l and (not ok_r or i <= j):
+            topo.append(left[i])
+            i += 1
+        else:
+            topo.append(right[j])
+            j += 1
+    return Tables(lcoord, rcoord, classes,
+                  [lo.get(v, 0) for v in range(n)],
+                  [hi.get(v, -1) for v in range(n)],
+                  sorted(chords[0], key=lambda c: (c[0], -c[1])),
+                  sorted(chords[1], key=lambda c: (c[0], -c[1])),
+                  sorted(chords[2]), topo + [t])
 
 
 # -- the original per-element DP and splice --------------------------------

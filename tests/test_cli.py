@@ -192,14 +192,27 @@ def test_optimised_interpreter_gives_identical_bytes(tmp_path, request):
              for name in ("weak_rhombus", "strong_rhombus", "stacked_rhombi",
                           "chorded_polygon")]
     texts.append(json.dumps(ladder_module().ladder(200, 11).doc))
+    # interleaving two-sided chords: every command rejects it (exit 3)
+    texts.append(json.dumps({
+        "left": ["l1", "l2"], "right": ["r1", "r2"], "s": "s", "t": "t",
+        "edges": [["s", "l1"], ["l1", "l2"], ["l2", "t"], ["s", "r1"],
+                  ["r1", "r2"], ["r2", "t"], ["l2", "r1"], ["l1", "r2"]]}))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
     for i, text in enumerate(texts):
         path = tmp_path / f"in{i}.json"
         path.write_text(text)
-        for cmd in ("solve", "embed"):
-            outs = [subprocess.run(
+        plane = i < len(texts) - 1
+        for cmd in ("check", "decompose", "solve", "embed"):
+            runs = [subprocess.run(
                 [sys.executable, *flags, "-m", "hpcc", cmd, "-i", str(path)],
-                capture_output=True, env=env, check=True, timeout=120).stdout
+                capture_output=True, env=env, timeout=120)
                 for flags in ((), ("-O",))]
-            assert outs[0] and outs[0] == outs[1]
+            got = [(r.returncode, r.stdout, r.stderr) for r in runs]
+            assert got[0] == got[1]
+            code, out, err = got[0]
+            if plane:
+                assert (code, err) == (0, b"") and out
+            else:
+                assert (code, out) == (3, b"")
+                assert err.startswith(b"EmbeddingNotPlane: ")

@@ -3,7 +3,8 @@
 import numpy as np
 from hypothesis import given, settings
 
-from hpcc.embedding import face_vertices, faces, interior_faces_as_sets, median_scan
+from hpcc.embedding import faces, median_scan
+from reference import face_vertices, interior_faces_as_sets
 from strategies import instances
 
 

@@ -13,16 +13,18 @@ from hpcc import (
     MultipleSinks,
     MultipleSources,
     ParseError,
-    SideKind,
     SideNotAPath,
     UnknownVertex,
     build_graph,
     classify_edge,
+    edge_classes,
     graph_from_json,
     graph_to_json,
     is_linear_extension,
     topological_order,
 )
+from hpcc.graph import _LEFT, _RIGHT
+from reference import reference_tables
 from strategies import instances
 
 PATH_EDGES = [("s", "a"), ("a", "b"), ("b", "t"), ("s", "r1"), ("r1", "t")]
@@ -36,10 +38,9 @@ def test_vertex_ids_are_cycle_positions():
     assert g.name(0) == "s" and g.name(3) == "t"
     assert g.n == 6 and g.k == 2 and g.m == 2
     assert g.edge_count == 6
-    pos = g.side_position(g.vid("a"))
-    assert pos.kind is SideKind.LEFT and pos.rank == 1
-    pos = g.side_position(g.vid("r2"))
-    assert pos.kind is SideKind.RIGHT and pos.rank == 2
+    a, r2 = g.vid("a"), g.vid("r2")
+    assert g.side[a] == _LEFT and g.rank[a] == 1
+    assert g.side[r2] == _RIGHT and g.rank[r2] == 2
 
 
 def test_minimal_two_vertex_instance():
@@ -74,17 +75,10 @@ def test_s_and_t_must_be_distinct():
         build_graph(["a", "b"], ["r1"], PATH_EDGES, s="s", t="s")
     with pytest.raises(ParseError):
         build_graph(["a", "b"], ["r1"], PATH_EDGES, s="s", t=None)
-
-
-def test_terminals_inferred_from_degrees():
-    g = build_graph(["a", "b"], ["r1"], PATH_EDGES)
-    assert g.name(g.s) == "s" and g.name(g.t) == "t"
-
-
-def test_inferred_terminal_may_not_sit_on_a_side():
-    with pytest.raises(SideNotAPath):
-        build_graph(["a", "b"], ["r1"],
-                    [("a", "b"), ("b", "t"), ("a", "r1"), ("r1", "t")])
+    with pytest.raises(ParseError):
+        build_graph(["a", "b"], ["r1"], PATH_EDGES, s=None, t="t")
+    with pytest.raises(ParseError):
+        build_graph(["a", "b"], ["r1"], PATH_EDGES)
 
 
 def test_integer_vertex_names():
@@ -171,3 +165,22 @@ def test_generated_instances_have_consistent_indexing(g):
     again = graph_from_json(graph_to_json(g))
     assert again.edge_set == g.edge_set
     assert again.names == g.names
+
+
+@settings(max_examples=150, deadline=None)
+@given(instances())
+def test_stored_tables_match_plain_recomputation(g):
+    ref = reference_tables(g)
+    assert g.lcoord.tolist() == ref.lcoord
+    assert g.rcoord.tolist() == ref.rcoord
+    assert edge_classes(g).tolist() == ref.classes
+    assert [classify_edge(g, (u, v))
+            for u, v in zip(g.tail.tolist(), g.head.tolist())] == \
+        [list(EdgeClass)[c] for c in ref.classes]
+    assert g.lo_out.tolist() == ref.lo_out
+    assert g.hi_in.tolist() == ref.hi_in
+    c = g.chords
+    assert list(zip(c.la.tolist(), c.lb.tolist(), c.leid.tolist())) == ref.left
+    assert list(zip(c.ra.tolist(), c.rb.tolist(), c.reid.tolist())) == ref.right
+    assert list(zip(c.ti.tolist(), c.tj.tolist(), c.teid.tolist())) == ref.two
+    assert list(topological_order(g)) == ref.topo

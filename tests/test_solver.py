@@ -202,6 +202,27 @@ def test_embed_builds_the_polygon_table_once(monkeypatch, tmp_path):
     assert len(built) == 1
 
 
+def test_embed_builds_each_graph_table_once(monkeypatch, tmp_path):
+    mod = importlib.import_module("hpcc.graph")
+    builders = ("_line_coords", "_edge_class_codes", "_chord_index",
+                "_limit_tables", "_toposort")
+    calls = Counter()
+
+    def counted(name, real):
+        def build(*args):
+            calls[name] += 1
+            return real(*args)
+        return build
+
+    for name in builders:
+        monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(ladder_module().ladder(30, 7).doc))
+    assert main(["embed", "-i", str(path),
+                 "-o", str(tmp_path / "out.json")]) == 0
+    assert calls == dict.fromkeys(builders, 1)
+
+
 class TestInternalErrors:
     """Broken tables surface as InternalError naming the stage, which
     ``python -O`` cannot strip, and as exit code 1 from the CLI."""
@@ -214,11 +235,12 @@ class TestInternalErrors:
 
     def test_missing_limit_edge_in_decompose(self, monkeypatch, tmp_path,
                                              capsys, stacked_rhombi):
-        mod = importlib.import_module("hpcc.decompose")
-        monkeypatch.setattr(mod, "_limit_tables", lambda g: (
-            np.zeros(g.n, dtype=np.int64), np.full(g.n, -1, dtype=np.int64)))
+        # the limit tables are built with the graph, so rebuild it
+        mod = importlib.import_module("hpcc.graph")
+        monkeypatch.setattr(mod, "_limit_tables", lambda n, *_: (
+            np.zeros(n, dtype=np.int64), np.full(n, -1, dtype=np.int64)))
         with pytest.raises(InternalError) as exc:
-            decompose(stacked_rhombi)
+            decompose(graph_from_json(graph_to_json(stacked_rhombi)))
         assert exc.value.stage == "decompose"
         code, err = self.run_cli(stacked_rhombi, tmp_path, capsys)
         assert code == 1
