@@ -15,10 +15,11 @@ import json
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from itertools import islice
 
 from .crossings import NotLinearExtension, solution_crossings
 from .graph import (OuterplanarStDigraph, Edge, ParseError, ValidationError,
-                    VertexId, _LEFT)
+                    VertexId, _LEFT, json_array, json_object, json_scalars)
 from .solver import CompletionSolution, solution_problems
 
 LEFT_PAGE = "L"
@@ -222,21 +223,22 @@ def validate_book_embedding(be: BookEmbedding,
 
 
 def book_to_json(g: OuterplanarStDigraph, be: BookEmbedding) -> str:
-    payload = {
-        "spine": [g.name(v) for v in be.spine],
-        "edges": [
-            {
-                "edge": [g.name(d.edge[0]), g.name(d.edge[1])],
-                "segments": [
-                    {"page": s.page, "from": s.start, "to": s.end}
-                    for s in d.segments
-                ],
-                "spine_crossings": list(d.spine_crossings),
-            }
-            for d in be.drawings
-        ],
-    }
-    return json.dumps(payload, indent=2, sort_keys=True)
+    names = json_scalars(g.names)
+    seg = json_object({"from": "%s", "page": "%s", "to": "%s"}, 4)
+    fields = json_scalars([x for d in be.drawings for s in d.segments
+                           for x in (s.start, s.page, s.end)])
+    segs = map(seg.__mod__, zip(*[iter(fields)] * 3))
+    dives = iter(json_scalars(
+        [i for d in be.drawings for i in d.spine_crossings]))
+    edge = json_object({"edge": json_array(("%s", "%s"), 3),
+                        "segments": "%s", "spine_crossings": "%s"}, 2)
+    edges = [edge % (names[d.edge[0]], names[d.edge[1]],
+                     json_array(list(islice(segs, len(d.segments))), 3),
+                     json_array(list(islice(dives, len(d.spine_crossings))),
+                                3))
+             for d in be.drawings]
+    return json_object({"edges": edges,
+                        "spine": [names[v] for v in be.spine]}, 0)
 
 
 def book_from_json(g: OuterplanarStDigraph, text: str) -> BookEmbedding:

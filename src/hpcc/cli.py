@@ -20,7 +20,9 @@ from .book import (InvalidSolution, book_to_json, to_book_embedding,
                    validate_book_embedding)
 from .decompose import StPolygon, decompose
 from .graph import (OuterplanarStDigraph, InternalError, ParseError,
-                    ValidationError, graph_from_json, graph_to_json)
+                    ValidationError, graph_from_json, graph_to_json,
+                    graph_to_json_line, json_array, json_object,
+                    json_scalars)
 from .oracle import (GeneratorParams, InfeasibleParams, InstanceTooLarge,
                      brute_force_optimal, generate)
 from .polygon import CHANNELS, channel_costs
@@ -56,23 +58,23 @@ def _dump(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def _solution_payload(g: OuterplanarStDigraph, sol: CompletionSolution):
-    return {
-        "crossings": sol.crossings,
-        "order": g.names_of(sol.order),
-        "completion_edges": [[g.name(u), g.name(v)]
+def _solution_json(g: OuterplanarStDigraph, sol: CompletionSolution) -> str:
+    names = json_scalars(g.names)
+    pair = json_array(("%s", "%s"), 2)
+    rec = json_object({"completion_edge": json_array(("%s", "%s"), 3),
+                       "crossed_edge": json_array(("%s", "%s"), 3),
+                       "ordinal": "%s"}, 2)
+    ordinals = json_scalars([r.ordinal for r in sol.records])
+    records = [rec % (names[r.completion_edge[0]], names[r.completion_edge[1]],
+                      names[r.crossed_edge[0]], names[r.crossed_edge[1]], o)
+               for r, o in zip(sol.records, ordinals)]
+    return json_object({
+        "completion_edges": [pair % (names[u], names[v])
                              for u, v in sol.completion_edges],
-        "records": [
-            {
-                "completion_edge": [g.name(r.completion_edge[0]),
-                                    g.name(r.completion_edge[1])],
-                "crossed_edge": [g.name(r.crossed_edge[0]),
-                                 g.name(r.crossed_edge[1])],
-                "ordinal": r.ordinal,
-            }
-            for r in sol.records
-        ],
-    }
+        "crossings": json_scalars([sol.crossings])[0],
+        "order": list(map(names.__getitem__, sol.order)),
+        "records": records,
+    }, 0)
 
 
 def _named_edge(g, e):
@@ -129,7 +131,7 @@ def _solve_checked(g: OuterplanarStDigraph) -> CompletionSolution:
 def _cmd_solve(args) -> int:
     g = _read_graph(args)
     sol = _solve_checked(g)
-    _write_text(args.output, _dump(_solution_payload(g, sol)))
+    _write_text(args.output, _solution_json(g, sol))
     if args.svg:
         _write_text(args.svg, render_svg(g, to_book_embedding(g, sol)))
     return 0
@@ -195,11 +197,9 @@ def _cmd_gen(args) -> int:
     if args.count == 1:
         _write_text(args.output, graph_to_json(generate(params)))
         return 0
-    lines = []
-    for i in range(args.count):
-        g = generate(dataclasses.replace(params, seed=params.seed + i))
-        lines.append(json.dumps(json.loads(graph_to_json(g)),
-                                sort_keys=True, separators=(",", ":")))
+    lines = [graph_to_json_line(
+        generate(dataclasses.replace(params, seed=params.seed + i)))
+        for i in range(args.count)]
     _write_text(args.output, "\n".join(lines))
     return 0
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 from enum import Enum
 
 import numpy as np
@@ -508,6 +509,59 @@ def is_linear_extension(g: OuterplanarStDigraph, order) -> bool:
 
 
 # -- JSON input/output -----------------------------------------------------
+#
+# Documents are written exactly as ``json.dumps(doc, indent=2,
+# sort_keys=True)`` writes them, but straight from their fixed schema:
+# that call's indenting encoder is pure Python, while the scalars here go
+# through the C encoder in bulk and every array or object is one join at
+# its depth's indent.
+
+def json_scalars(values) -> list[str]:
+    """``[json.dumps(v) for v in values]`` for str, int and float values.
+
+    One C-encoder call: an encoded scalar never holds a raw newline, so
+    newline-separated output splits back into the items.
+    """
+    kinds = set(map(type, values))
+    if not all(issubclass(k, (str, int, float)) for k in kinds):
+        raise TypeError(f"only str, int and float values are written, "
+                        f"got {sorted(k.__name__ for k in kinds)}")
+    if not values:
+        return []
+    return json.dumps(values, separators=("\n", ": "))[1:-1].split("\n")
+
+
+def _array_parts(items, depth: int) -> list[str]:
+    if not items:
+        return ["[]"]
+    pad = "\n" + "  " * (depth + 1)
+    parts = ["," + pad] * (2 * len(items) + 1)
+    parts[1::2] = items
+    parts[0] = "[" + pad
+    parts[-1] = pad[:-2] + "]"
+    return parts
+
+
+def json_array(items, depth: int) -> str:
+    """Encoded items as a JSON array nested ``depth`` levels deep."""
+    return "".join(_array_parts(items, depth))
+
+
+def json_object(fields: dict, depth: int) -> str:
+    """Encoded values as a JSON object nested ``depth`` levels deep, in the
+    order given, which callers keep sorted by key.  A list value is an
+    array of encoded items, laid out in the object's own join: a big array
+    built as a string of its own would double the document's peak memory.
+    ``"%s"`` values make a template to fill with ``%``."""
+    pad = "\n" + "  " * (depth + 1)
+    parts = []
+    for k, v in fields.items():
+        parts.append(f",{pad}{json.dumps(k)}: ")
+        parts += _array_parts(v, depth + 1) if isinstance(v, list) else [v]
+    parts[0] = "{" + parts[0][1:]
+    parts.append(pad[:-2] + "}")
+    return "".join(parts)
+
 
 def graph_from_json(text: str) -> OuterplanarStDigraph:
     try:
@@ -526,15 +580,33 @@ def graph_from_json(text: str) -> OuterplanarStDigraph:
         raise ParseError("'s' and 't' must be strings")
     if not isinstance(edges, list):
         raise ParseError("'edges' must be an array")
-    for e in edges:
-        if (not isinstance(e, list) or len(e) != 2
-                or not all(isinstance(x, str) for x in e)):
-            raise ParseError(f"edge {e!r} must be a pair of names")
-    return build_graph(left, right, [tuple(e) for e in edges],
-                       s=doc["s"], t=doc["t"])
+    # json.loads builds exact lists and strs, so these C-level passes
+    # decide the same as the loop, which then only names the bad edge
+    if not (set(map(type, edges)) <= {list} and set(map(len, edges)) <= {2}
+            and set(map(type, chain.from_iterable(edges))) <= {str}):
+        for e in edges:
+            if (not isinstance(e, list) or len(e) != 2
+                    or not all(isinstance(x, str) for x in e)):
+                raise ParseError(f"edge {e!r} must be a pair of names")
+    return build_graph(left, right, edges, s=doc["s"], t=doc["t"])
 
 
 def graph_to_json(g: OuterplanarStDigraph) -> str:
+    names = json_scalars(g.names)
+    pair = json_array(("%s", "%s"), 2)
+    edges = map(pair.__mod__, zip(map(names.__getitem__, g.tail.tolist()),
+                                  map(names.__getitem__, g.head.tolist())))
+    return json_object({
+        "edges": list(edges),
+        "left": names[1:g.k + 1],
+        "right": names[:g.k + 1:-1],
+        "s": names[g.s],
+        "t": names[g.t],
+    }, 0)
+
+
+def graph_to_json_line(g: OuterplanarStDigraph) -> str:
+    """The document of :func:`graph_to_json` on one compact line."""
     doc = {
         "left": [g.names[v] for v in g.left_seq],
         "right": [g.names[v] for v in g.right_seq],
@@ -543,4 +615,4 @@ def graph_to_json(g: OuterplanarStDigraph) -> str:
         "edges": [[g.names[int(u)], g.names[int(v)]]
                   for u, v in zip(g.tail, g.head)],
     }
-    return json.dumps(doc, sort_keys=True, indent=2)
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))

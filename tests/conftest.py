@@ -64,3 +64,26 @@ def double_crossing():
              + [("r7", "t"), ("s", "t"), ("s", "r2"), ("s", "r3"), ("s", "r4"),
                 ("r4", "t"), ("r5", "t"), ("r6", "t")])
     return build_graph(["l1"], right, edges, s="s", t="t")
+
+
+@pytest.fixture
+def hamiltonian_path():
+    """Already hamiltonian: no completion edge, no crossing, no dive."""
+    return build_graph(["a"], [], [("s", "a"), ("a", "t"), ("s", "t")],
+                       s="s", t="t")
+
+
+@pytest.fixture
+def awkward_names():
+    """Strong rhombus whose names need JSON escapes: a quote, a backslash,
+    control characters, non-ASCII, U+2028 and a non-BMP character."""
+    s, a, b, t = 's"q', "a\\b", "b\x01\n", "t\u00e9\u2028\U0001f600"
+    return build_graph([a], [b], [(s, a), (a, t), (s, b), (b, t), (s, t)],
+                       s=s, t=t)
+
+
+@pytest.fixture
+def numeric_names():
+    """Strong rhombus named by numbers, which JSON writes unquoted."""
+    return build_graph([2.5], [30], [(0, 2.5), (2.5, 99), (0, 30), (30, 99),
+                                     (0, 99)], s=0, t=99)

@@ -1,12 +1,15 @@
 """Helpers only the tests need, built on the public API.
 
 Face walks, rhombus seed listings and polygon edge lists, plain-Python
-recomputations of the tables ``build_graph`` stores, plus the solver's
-original element-by-element DP and splice.  The array-backed
-solver must reproduce that reference order exactly, tie-breaks included.
+recomputations of the tables ``build_graph`` stores, the solver's
+original element-by-element DP and splice, and the dict payloads of the
+CLI's three bulk documents.  The array-backed solver must reproduce that
+reference order exactly, tie-breaks included, and the direct JSON writers
+must reproduce ``indented(payload)`` byte for byte.
 """
 
 import importlib.util
+import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -31,6 +34,58 @@ def ladder_module():
         sys.modules[name] = mod      # dataclasses resolve their module
         spec.loader.exec_module(mod)
     return sys.modules[name]
+
+
+def indented(payload):
+    """The bytes the CLI wrote for a payload before its direct writers."""
+    return json.dumps(payload, indent=2, sort_keys=True)
+
+
+def graph_payload(g):
+    return {
+        "left": [g.names[v] for v in g.left_seq],
+        "right": [g.names[v] for v in g.right_seq],
+        "s": g.names[g.s],
+        "t": g.names[g.t],
+        "edges": [[g.names[int(u)], g.names[int(v)]]
+                  for u, v in zip(g.tail, g.head)],
+    }
+
+
+def solution_payload(g, sol):
+    return {
+        "crossings": sol.crossings,
+        "order": g.names_of(sol.order),
+        "completion_edges": [[g.name(u), g.name(v)]
+                             for u, v in sol.completion_edges],
+        "records": [
+            {
+                "completion_edge": [g.name(r.completion_edge[0]),
+                                    g.name(r.completion_edge[1])],
+                "crossed_edge": [g.name(r.crossed_edge[0]),
+                                 g.name(r.crossed_edge[1])],
+                "ordinal": r.ordinal,
+            }
+            for r in sol.records
+        ],
+    }
+
+
+def book_payload(g, be):
+    return {
+        "spine": [g.name(v) for v in be.spine],
+        "edges": [
+            {
+                "edge": [g.name(d.edge[0]), g.name(d.edge[1])],
+                "segments": [
+                    {"page": s.page, "from": s.start, "to": s.end}
+                    for s in d.segments
+                ],
+                "spine_crossings": list(d.spine_crossings),
+            }
+            for d in be.drawings
+        ],
+    }
 
 
 def face_vertices(g, face_idx):

@@ -20,6 +20,7 @@ from hpcc.book import (
 )
 from hpcc.graph import ParseError
 from hpcc.solver import CompletionSolution
+from reference import book_payload, indented
 from strategies import instances
 
 
@@ -167,4 +168,30 @@ def test_embedding_matches_solution(g):
     assert validate_book_embedding(be, g) == []
     assert from_book_embedding(g, be) == sol
     js = book_to_json(g, be)
+    assert js == indented(book_payload(g, be))
     assert book_from_json(g, js) == be
+
+
+@pytest.mark.parametrize("name", ["hamiltonian_path", "awkward_names",
+                                  "numeric_names", "double_crossing"])
+def test_json_on_fixed_cases(request, name):
+    g = request.getfixturevalue(name)
+    be = to_book_embedding(g, solve(g))
+    text = book_to_json(g, be)
+    assert text == indented(book_payload(g, be))
+    if name == "hamiltonian_path":
+        assert text.count('"spine_crossings": []') == g.edge_count
+    if name == "double_crossing":
+        assert "3.3333333333333335" in text
+
+
+def test_json_of_a_hand_made_embedding(weak_rhombus):
+    # arbitrary pages and numbers, as book_from_json may return them
+    be = BookEmbedding((0, 1, 3, 2), (
+        EdgeDrawing((0, 1), (Segment("L", 0, 1.0),), ()),
+        EdgeDrawing((0, 3), (Segment("R", 0.0, 2.3333333333333335),
+                             Segment("page\n2", 2.3333333333333335,
+                                     float("inf"))), (2,)),
+        EdgeDrawing((3, 2), (), ())))
+    assert book_to_json(weak_rhombus, be) == \
+        indented(book_payload(weak_rhombus, be))

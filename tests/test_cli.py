@@ -8,10 +8,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
-from hpcc import build_graph, graph_from_json, graph_to_json
-from hpcc.cli import main
-from reference import ladder_module
+from hpcc import (GeneratorParams, build_graph, generate, graph_from_json,
+                  graph_to_json, solve)
+from hpcc.cli import _solution_json, main
+from reference import indented, ladder_module, solution_payload
+from strategies import instances
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -48,6 +51,35 @@ def test_output_is_byte_stable(capsys, sr_file):
     _, first, _ = run(capsys, "solve", "-i", sr_file)
     _, second, _ = run(capsys, "solve", "-i", sr_file)
     assert first == second
+
+
+@settings(max_examples=150, deadline=None)
+@given(instances())
+def test_solution_document_matches_reference(g):
+    sol = solve(g)
+    assert _solution_json(g, sol) == indented(solution_payload(g, sol))
+
+
+@pytest.mark.parametrize("name", ["hamiltonian_path", "awkward_names",
+                                  "numeric_names", "double_crossing"])
+def test_solution_document_on_fixed_cases(request, name):
+    g = request.getfixturevalue(name)
+    sol = solve(g)
+    text = _solution_json(g, sol)
+    assert text == indented(solution_payload(g, sol))
+    if name == "hamiltonian_path":
+        assert '"completion_edges": []' in text
+        assert '"records": []' in text
+
+
+def test_solve_writes_escaped_names(capsys, tmp_path, awkward_names):
+    path = tmp_path / "awkward.json"
+    path.write_text(graph_to_json(awkward_names))
+    code, out, _ = run(capsys, "solve", "-i", str(path))
+    g = graph_from_json(path.read_text())
+    assert code == 0
+    assert out == indented(solution_payload(g, solve(g))) + "\n"
+    assert out.isascii()
 
 
 def test_check(capsys, sr_file):
@@ -128,6 +160,20 @@ def test_gen_count_emits_json_lines(capsys):
     assert len(lines) == 3
     graphs = [graph_from_json(ln) for ln in lines]
     assert len({graph_to_json(g) for g in graphs}) == 3
+
+
+def test_gen_count_lines_are_the_compact_documents(capsys):
+    code, out, _ = run(capsys, "gen", "--n", "9", "--density", "0.7",
+                       "--left-fraction", "0.3", "--seed", "40",
+                       "--count", "5")
+    assert code == 0
+    lines = out.split("\n")
+    assert len(lines) == 6 and lines[-1] == ""
+    for seed, line in enumerate(lines[:-1], 40):
+        g = generate(GeneratorParams(n=9, left_fraction=0.3,
+                                     chord_density=0.7, seed=seed))
+        assert line == json.dumps(json.loads(graph_to_json(g)),
+                                  sort_keys=True, separators=(",", ":"))
 
 
 def test_gen_rejects_bad_params(capsys):

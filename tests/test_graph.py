@@ -24,7 +24,7 @@ from hpcc import (
     topological_order,
 )
 from hpcc.graph import _LEFT, _RIGHT
-from reference import reference_tables
+from reference import graph_payload, indented, reference_tables
 from strategies import instances
 
 PATH_EDGES = [("s", "a"), ("a", "b"), ("b", "t"), ("s", "r1"), ("r1", "t")]
@@ -155,6 +155,42 @@ def test_json_parse_errors(payload):
         graph_from_json(payload)
 
 
+@pytest.mark.parametrize("edges, bad", [
+    ([["s", "t"], ["s"]], "['s']"),
+    ([["s", "t"], ["s", "a", "t"]], "['s', 'a', 't']"),
+    ([["s", "t"], ["s", 1], ["t"]], "['s', 1]"),
+    ([["s", None]], "['s', None]"),
+    ([["s", "t"], "st"], "'st'"),
+    ([{"s": "t"}], "{'s': 't'}"),
+    ([["s", ["t"]]], "['s', ['t']]"),
+    ([[]], "[]"),
+])
+def test_json_names_the_first_bad_edge(edges, bad):
+    doc = {"left": [], "right": [], "s": "s", "t": "t", "edges": edges}
+    with pytest.raises(ParseError) as info:
+        graph_from_json(json.dumps(doc))
+    assert str(info.value) == f"edge {bad} must be a pair of names"
+
+
+@pytest.mark.parametrize("name", ["hamiltonian_path", "awkward_names",
+                                  "numeric_names", "double_crossing"])
+def test_json_on_fixed_cases(request, name):
+    g = request.getfixturevalue(name)
+    text = graph_to_json(g)
+    assert text == indented(graph_payload(g))
+    if name == "numeric_names":
+        assert '"s": 0' in text and "2.5" in text
+    else:
+        assert graph_from_json(text).names == g.names
+
+
+def test_json_writes_only_scalar_names():
+    s, a, t = ("s", 0), ("a", 1), ("t", 2)
+    g = build_graph([a], [], [(s, a), (a, t), (s, t)], s=s, t=t)
+    with pytest.raises(TypeError):
+        graph_to_json(g)
+
+
 @settings(max_examples=120, deadline=None)
 @given(instances())
 def test_generated_instances_have_consistent_indexing(g):
@@ -162,7 +198,9 @@ def test_generated_instances_have_consistent_indexing(g):
     assert sorted(order) == list(range(g.n))
     assert is_linear_extension(g, order)
     assert g.edge_count == len(g.edge_set)
-    again = graph_from_json(graph_to_json(g))
+    text = graph_to_json(g)
+    assert text == indented(graph_payload(g))
+    again = graph_from_json(text)
     assert again.edge_set == g.edge_set
     assert again.names == g.names
 
