@@ -1,0 +1,104 @@
+"""Digest of the CLI's output bytes over a fixed set of instances.
+
+    python3 scripts/cli_digest.py [SRC]
+
+Runs ``check``, ``decompose``, ``solve``, ``embed`` and ``embed --svg``
+through ``hpcc.cli.main`` on every generator instance with n 4..9,
+densities 0/0.3/0.7/1 and seeds 0..89, on the test fixtures and on the
+benchmark's ladders of 10^3 and 10^4 rhombi.  For each command it prints
+one sha256 over every run's output file, exit code and standard error.
+Two trees whose digests agree write the same bytes.  SRC is the directory
+holding the ``hpcc`` package (default: this checkout's ``src``); the
+instances always come from this checkout.  Needs only the standard
+library and hpcc.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import importlib.util
+import io
+import json
+import sys
+import tempfile
+import types
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+COMMANDS = (("check",), ("decompose",), ("solve",), ("embed",),
+            ("embed", "--svg"))
+
+
+def load(name: str, path: Path, **stubs):
+    """Import the file at ``path``, with ``stubs`` standing in for modules."""
+    saved = {k: sys.modules.get(k) for k in stubs}
+    sys.modules.update(stubs)
+    try:
+        spec = importlib.util.spec_from_file_location(name, path)
+        mod = importlib.util.module_from_spec(spec)
+        sys.modules[name] = mod     # dataclasses resolve their module
+        spec.loader.exec_module(mod)
+    finally:
+        for k, v in saved.items():
+            if v is None:
+                sys.modules.pop(k)
+            else:
+                sys.modules[k] = v
+    return mod
+
+
+def instances(hpcc):
+    """(label, instance document text) pairs."""
+    for n in range(4, 10):
+        for density in (0.0, 0.3, 0.7, 1.0):
+            for seed in range(90):
+                g = hpcc.generate(hpcc.GeneratorParams(
+                    n=n, chord_density=density, seed=seed))
+                yield f"gen-{n}-{density}-{seed}", hpcc.graph_to_json(g)
+    # the fixtures are plain functions once pytest.fixture is the identity
+    stub = types.ModuleType("pytest")
+    stub.fixture = lambda fn: fn
+    fixtures = load("digest_fixtures", ROOT / "tests" / "conftest.py",
+                    pytest=stub)
+    for name, fn in sorted(vars(fixtures).items()):
+        if callable(fn) and getattr(fn, "__module__", "") == fixtures.__name__:
+            yield f"fixture-{name}", hpcc.graph_to_json(fn())
+    ladder = load("digest_ladder", ROOT / "perfbench" / "ladder.py")
+    for rhombi in (10**3, 10**4):
+        yield f"ladder-{rhombi}", json.dumps(ladder.ladder(rhombi, 1).doc)
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    sys.path.insert(0, str(Path(argv[0]).resolve() if argv else ROOT / "src"))
+    import hpcc
+    import hpcc.cli
+
+    digests = {cmd: hashlib.sha256() for cmd in COMMANDS}
+    runs = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        src, out, svg = (Path(tmp) / f for f in ("in.json", "out", "out.svg"))
+        for label, text in instances(hpcc):
+            src.write_text(text)
+            for cmd in COMMANDS:
+                args = [cmd[0], "-i", str(src), "-o", str(out)]
+                if len(cmd) > 1:
+                    args += ["--svg", str(svg)]
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err):
+                    code = hpcc.cli.main(args)
+                h = digests[cmd]
+                for path in (out, svg) if len(cmd) > 1 else (out,):
+                    h.update(path.read_bytes() if path.exists() else b"-")
+                    path.unlink(missing_ok=True)
+                h.update(f"\0{label}\0{code}\0{err.getvalue()}\0".encode())
+            runs += 1
+    print(f"instances {runs}, hpcc from {Path(hpcc.__file__).parent}")
+    for cmd, h in digests.items():
+        print(f"{' '.join(cmd):12s} {h.hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

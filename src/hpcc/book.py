@@ -12,18 +12,23 @@ strictly inside its slot.
 from __future__ import annotations
 
 import json
-import math
-from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import islice
 
-from .crossings import NotLinearExtension, solution_crossings
+import numpy as np
+
+from .crossings import (NotLinearExtension, chain_edges, scan_order,
+                        solution_crossings)
 from .graph import (OuterplanarStDigraph, Edge, ParseError, ValidationError,
                     VertexId, _LEFT, json_array, json_object, json_scalars)
 from .solver import CompletionSolution, solution_problems
 
 LEFT_PAGE = "L"
 RIGHT_PAGE = "R"
+# left page for an edge between spine neighbours, by edge class (left,
+# right, two-sided) and the tail's side code (s, left chain, t, right)
+_NEIGHBOUR_LEFT = np.zeros((3, 4), dtype=bool)
+_NEIGHBOUR_LEFT[0] = _NEIGHBOUR_LEFT[2, _LEFT] = True
 
 
 class InvalidSolution(ValidationError):
@@ -34,14 +39,14 @@ class SpineNotLinearExtension(ValidationError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Segment:
     page: str
     start: float
     end: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EdgeDrawing:
     edge: Edge
     segments: tuple[Segment, ...]
@@ -58,51 +63,57 @@ class BookEmbedding:
         return sum(len(d.spine_crossings) for d in self.drawings)
 
 
-def _first_page(g: OuterplanarStDigraph, pos, spine, u: int, v: int,
-                cls: int) -> str:
-    if pos[v] == pos[u] + 1:
-        # one-sided edges keep their side's page, two-sided ones the tail's
-        if cls == 2:
-            return LEFT_PAGE if g.side[u] == _LEFT else RIGHT_PAGE
-        return LEFT_PAGE if cls == 0 else RIGHT_PAGE
-    # rotation at u: the page is the side of the spine line on which the
-    # edge leaves, read off the vertex cycle between the directions of
-    # the spine successor and predecessor of u
-    n = g.n
-    k_out = (spine[pos[u] + 1] - u) % n
-    k_in = (spine[pos[u] - 1] - u) % n if pos[u] > 0 else 0
-    k_e = (v - u) % n
-    return LEFT_PAGE if (k_out - k_e) % n < (k_out - k_in) % n else RIGHT_PAGE
-
-
 def to_book_embedding(g: OuterplanarStDigraph,
                       sol: CompletionSolution) -> BookEmbedding:
+    """The solution's book embedding, built as array passes over the
+    edges and crossings; :class:`InvalidSolution` if the solution has a
+    fault."""
     probs = solution_problems(g, sol)
     if probs:
         raise InvalidSolution("; ".join(probs))
 
-    spine = list(sol.order)
-    pos = {v: i for i, v in enumerate(spine)}
-    per_ce = Counter(r.completion_edge for r in sol.records)
-    dives: dict[Edge, list[float]] = defaultdict(list)
-    for r in sol.records:
-        slot = pos[r.completion_edge[0]]
-        c = slot + (r.ordinal + 1) / (per_ce[r.completion_edge] + 1)
-        dives[r.crossed_edge].append(c)
+    n, tail, head = g.n, g.tail, g.head
+    spine = np.asarray(sol.order, dtype=np.int64)
+    pos = spine.argsort()           # the inverse permutation
+    # per crossing: its completion edge (named by the tail, which starts
+    # at most one gap), the crossed edge's id and the ordinal
+    ce, key, o = np.array(
+        [(r.completion_edge[0], r.crossed_edge[0] * n + r.crossed_edge[1],
+          r.ordinal) for r in sol.records], dtype=np.int64).reshape(-1, 3).T
+    eid = g._edge_keys.searchsorted(key)
+    dive = pos[ce] + (o + 1) / (np.bincount(ce, minlength=n)[ce] + 1)
+    dive = dive[np.lexsort((dive, eid))]
+    per_edge = np.bincount(eid, minlength=len(tail))
+    pu, pv = pos[tail], pos[head]
+    start, end = chain_edges(pu.astype(float), pv.astype(float), per_edge,
+                             dive)
 
-    drawings = []
-    for u, v, cls in zip(g.tail.tolist(), g.head.tolist(),
-                         g.classes.tolist()):
-        coords = sorted(dives.get((u, v), ()))
-        page = _first_page(g, pos, spine, u, v, cls)
-        stops = [float(pos[u])] + coords + [float(pos[v])]
-        segs = []
-        for a, b in zip(stops, stops[1:]):
-            segs.append(Segment(page, a, b))
-            page = RIGHT_PAGE if page == LEFT_PAGE else LEFT_PAGE
-        drawings.append(EdgeDrawing(
-            (u, v), tuple(segs), tuple(int(math.floor(c)) for c in coords)))
-    return BookEmbedding(tuple(spine), tuple(drawings))
+    # an edge between spine neighbours keeps its side's page (a two-sided
+    # one its tail's side); any other edge takes the side of the spine on
+    # which it leaves u, read off the vertex cycle: the left page when,
+    # going down the cycle from u's spine successor, its head comes before
+    # u's spine predecessor (u itself when u opens the spine)
+    ring = np.concatenate((spine[:1], spine))
+    nxt = ring[pu + 2]
+    left = np.where(pv == pu + 1, _NEIGHBOUR_LEFT[g.classes, g.side[tail]],
+                    (nxt - head) % n < (nxt - ring[pu]) % n)
+    # pages alternate along each edge, from its first segment at index at
+    before = per_edge.cumsum() - per_edge
+    at = np.arange(len(tail)) + before
+    left = (left ^ (at & 1)).repeat(per_edge + 1) ^ (np.arange(len(start)) & 1)
+
+    # lists first: a tuple built straight from a map is grown by repeated
+    # resizing, which left the process's memory growing call after call
+    segs = tuple(list(map(Segment, map((RIGHT_PAGE, LEFT_PAGE).__getitem__,
+                                       left.tolist()),
+                          start.tolist(), end.tolist())))
+    slots = tuple(np.floor(dive).astype(np.int64).tolist())
+    at, before = at.tolist() + [len(segs)], before.tolist() + [len(slots)]
+    drawings = list(map(
+        EdgeDrawing, zip(tail.tolist(), head.tolist()),
+        map(segs.__getitem__, map(slice, at, at[1:])),
+        map(slots.__getitem__, map(slice, before, before[1:]))))
+    return BookEmbedding(tuple(sol.order), tuple(drawings))
 
 
 def from_book_embedding(g: OuterplanarStDigraph,
@@ -116,25 +127,32 @@ def from_book_embedding(g: OuterplanarStDigraph,
                               records=records, crossings=total)
 
 
-def _page_planarity(segs: list[Segment]) -> list[str]:
+def _page_planarity(flat, start, end, right) -> list[str]:
+    """Nesting of each page's arcs, as one stack pass over their ends and
+    starts sorted by page, then coordinate: at each coordinate the arcs
+    that end there must be the innermost open ones, then the arcs that
+    start there open, widest first."""
+    m = len(flat)
+    # events 0..m-1 end arc i, m..2m-1 start it; at one coordinate the
+    # ends sort first, then the starts by descending end
+    events = np.lexsort((np.concatenate((np.full(m, -np.inf), -end)),
+                         np.concatenate((end, start)),
+                         np.concatenate((right, right)))).tolist()
+    ends = end.tolist()
+    split = 2 * (m - int(right.sum()))
     probs = []
-    by_coord: dict[float, tuple[list[Segment], list[Segment]]] = {}
-    for s in segs:
-        by_coord.setdefault(s.end, ([], []))[0].append(s)
-        by_coord.setdefault(s.start, ([], []))[1].append(s)
-    stack: list[Segment] = []
-    for c in sorted(by_coord):
-        ending, starting = by_coord[c]
-        for _ in ending:
-            if not stack or stack[-1].end != c:
-                open_ends = [s.end for s in stack[-3:]]
+    for part in (events[:split], events[split:]):
+        stack: list[int] = []
+        for e in part:
+            if e >= m:
+                stack.append(e - m)
+            elif stack and ends[stack[-1]] == ends[e]:
+                stack.pop()
+            else:
+                open_ends = [flat[i].end for i in stack[-3:]]
                 probs.append(f"arcs interleave on a page near coordinate "
-                             f"{c} (open arc ends {open_ends})")
-                return probs
-            stack.pop()
-        stack.extend(sorted(starting, key=lambda s: -s.end))
-    if stack:
-        probs.append("an arc never closes")
+                             f"{flat[e].end} (open arc ends {open_ends})")
+                break
     return probs
 
 
@@ -147,79 +165,119 @@ def validate_book_embedding(be: BookEmbedding,
     contiguously, pages alternate, dive points are fractional, distinct
     and match the declared slots, and neither page self-intersects.
     With the graph it also replays the spine and compares the crossings.
+    The checks run as masks over the drawings' segments and dives,
+    flattened once; the drawings they flag are reported in order.
     """
-    probs = []
     if not be.spine:
         return ["empty spine"]
     if len(set(be.spine)) != len(be.spine):
         return ["spine repeats a vertex"]
-    pos = {v: i for i, v in enumerate(be.spine)}
+    pos = dict(zip(be.spine, range(len(be.spine))))
+    ds = be.drawings
+    flat = [s for d in ds for s in d.segments]
+    slot = [k for d in ds for k in d.spine_crossings]
+    S = len(flat)
+    code = {LEFT_PAGE: 0, RIGHT_PAGE: 1}
+    # per segment, then a padding entry that matches nothing: start, end
+    # and page code (0 and 1 the two pages, then one code per other name)
+    start = np.array([s.start for s in flat] + [np.nan])
+    end = np.array([s.end for s in flat] + [np.nan])
+    page = np.array([code.setdefault(s.page, len(code)) for s in flat] + [-1])
+    # per drawing: its ends' spine positions, its segment and dive counts
+    pu, pv, nseg, ndive = np.array(
+        [(pos.get(d.edge[0], -1), pos.get(d.edge[1], -1), len(d.segments),
+          len(d.spine_crossings)) for d in ds], dtype=np.int64
+    ).reshape(-1, 4).T
+    last = nseg.cumsum() - 1        # the previous one for an empty drawing
+    first = last - nseg + 1
+    dive_first = ndive.cumsum() - ndive
+    # dive k of a drawing lands at the end of its k-th segment
+    at = np.minimum(np.arange(len(slot))
+                    + (first - dive_first).repeat(ndive), S)
+    c = end[at]
+    joint = np.ones(S + 1, dtype=bool)
+    joint[last] = False
+    joint = joint[:S]
 
-    junctions = []
-    for d in be.drawings:
-        u, v = d.edge
-        tag = f"edge {u}->{v}"
-        if u not in pos or v not in pos:
-            probs.append(f"{tag} uses a vertex missing from the spine")
-            continue
-        if not d.segments:
-            probs.append(f"{tag} has no segments")
-            continue
-        if d.segments[0].start != pos[u] or d.segments[-1].end != pos[v]:
-            probs.append(f"{tag} does not run endpoint to endpoint")
-        if len(d.spine_crossings) != len(d.segments) - 1:
-            probs.append(f"{tag} declares {len(d.spine_crossings)} dives "
-                         f"for {len(d.segments)} segments")
-            continue
-        for a, b in zip(d.segments, d.segments[1:]):
-            if a.end != b.start:
-                probs.append(f"{tag} has a gap between segments")
-            if a.page == b.page:
-                probs.append(f"{tag} stays on one page across a dive")
-        for s in d.segments:
-            if s.page not in (LEFT_PAGE, RIGHT_PAGE):
-                probs.append(f"{tag} names unknown page {s.page!r}")
-            if not s.start < s.end:
-                probs.append(f"{tag} has a non-ascending segment")
-        for slot, s in zip(d.spine_crossings, d.segments):
-            c = s.end
-            if float(c).is_integer():
-                probs.append(f"{tag} dives at the integer coordinate {c}")
-            elif math.floor(c) != slot:
-                probs.append(f"{tag} dive {c} is outside slot {slot}")
-            junctions.append(c)
-    if probs:
+    missing = (pu < 0) | (pv < 0)
+    off_ends = (start[first] != pu) | (end[last] != pv)
+    miscount = ndive != nseg - 1
+    gap = joint & (end[:S] != start[1:])
+    same = joint & (page[:S] == page[1:])
+    unknown = page[:S] > 1
+    flat_up = ~(start[:S] < end[:S])
+    integer = np.isfinite(c) & (c == np.floor(c))
+    outside = np.floor(c) != slot
+    probs = []
+    if ((missing | off_ends | miscount).any()
+            or (gap | same | unknown | flat_up).any()
+            or (integer | outside).any()):
+        for d, (u, v) in enumerate(dr.edge for dr in ds):
+            tag = f"edge {u}->{v}"
+            if missing[d]:
+                probs.append(f"{tag} uses a vertex missing from the spine")
+                continue
+            if not nseg[d]:
+                probs.append(f"{tag} has no segments")
+                continue
+            if off_ends[d]:
+                probs.append(f"{tag} does not run endpoint to endpoint")
+            if miscount[d]:
+                probs.append(f"{tag} declares {ndive[d]} dives "
+                             f"for {nseg[d]} segments")
+                continue
+            segs = range(first[d], last[d] + 1)
+            for i in segs:
+                if gap[i]:
+                    probs.append(f"{tag} has a gap between segments")
+                if same[i]:
+                    probs.append(f"{tag} stays on one page across a dive")
+            for i in segs:
+                if unknown[i]:
+                    probs.append(f"{tag} names unknown page {flat[i].page!r}")
+                if flat_up[i]:
+                    probs.append(f"{tag} has a non-ascending segment")
+            for k in range(dive_first[d], dive_first[d] + ndive[d]):
+                if integer[k]:
+                    probs.append(f"{tag} dives at the integer coordinate "
+                                 f"{flat[at[k]].end}")
+                elif outside[k]:
+                    probs.append(f"{tag} dive {flat[at[k]].end} is outside "
+                                 f"slot {slot[k]}")
         return probs
 
-    if len(set(junctions)) != len(junctions):
+    if len(set(c.tolist())) != len(c):
         probs.append("two dives share a coordinate")
-    for page in (LEFT_PAGE, RIGHT_PAGE):
-        segs = [s for d in be.drawings for s in d.segments if s.page == page]
-        probs.extend(_page_planarity(segs))
+    probs += _page_planarity(flat, start[:S], end[:S], page[:S] == 1)
     if probs or g is None:
         return probs
 
     try:
-        ces, records, _ = solution_crossings(g, list(be.spine))
+        scan = scan_order(g, list(be.spine))
     except NotLinearExtension as exc:
         return [f"spine is not a linear extension: {exc}"]
-    drawn = {d.edge for d in be.drawings}
-    if drawn != g.edge_set:
-        probs.append("drawn edges do not match the graph")
-        return probs
-    ce_pos = {ce: pos[ce[0]] for ce in ces}
-    want: dict[Edge, list[float]] = defaultdict(list)
-    per_ce = Counter(r.completion_edge for r in records)
-    for r in records:
-        want[r.crossed_edge].append(
-            ce_pos[r.completion_edge]
-            + (r.ordinal + 1) / (per_ce[r.completion_edge] + 1))
-    for d in be.drawings:
-        have = [s.end for s in d.segments[:-1]]
-        if sorted(want.get(d.edge, [])) != have:
-            probs.append(f"edge {d.edge[0]}->{d.edge[1]} dives do not match "
-                         f"the spine's crossings")
-    return probs
+    edge = [d.edge for d in ds]
+    if set(edge) != g.edge_set:
+        return ["drawn edges do not match the graph"]
+    # a crossing with the completion edge in slot i dives at
+    # i + (o + 1) / (c + 1), c that edge's crossing count
+    row, crossed = scan.pair_ce, scan.pair_eid
+    want = scan.ce_spine[row] + (scan.pair_ordinal + 1) / (
+        np.bincount(row, minlength=len(scan.ce_spine))[row] + 1)
+    want = np.append(want[np.lexsort((want, crossed))], np.nan)
+    n, keys = g.n, g._edge_keys
+    per_edge = np.bincount(crossed, minlength=len(keys))
+    eid = keys.searchsorted(np.array([u * n + v for u, v in edge],
+                                     dtype=np.int64))
+    # each drawing's dives against its edge's crossings, in order
+    at = np.minimum(np.arange(len(c)) + (
+        (per_edge.cumsum() - per_edge)[eid] - dive_first).repeat(ndive),
+        len(want) - 1)
+    off = np.bincount(np.arange(len(ds)).repeat(ndive)[want[at] != c],
+                      minlength=len(ds))
+    bad = (per_edge[eid] != ndive) | (off > 0)
+    return [f"edge {edge[d][0]}->{edge[d][1]} dives do not match the "
+            f"spine's crossings" for d in bad.nonzero()[0].tolist()]
 
 
 def book_to_json(g: OuterplanarStDigraph, be: BookEmbedding) -> str:

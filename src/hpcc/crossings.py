@@ -16,6 +16,7 @@ nothing here re-sorts or re-derives them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -205,6 +206,16 @@ def scan_order(g: OuterplanarStDigraph, order) -> SolutionScan:
     return SolutionScan(ce_tail, ce_head, ce_spine, pr, pe, ps, ordinal)
 
 
+def _records(g: OuterplanarStDigraph, scan: SolutionScan):
+    """The completion edges and one CrossingRecord per crossing pair."""
+    ces = list(zip(scan.ce_tail.tolist(), scan.ce_head.tolist()))
+    return ces, [
+        CrossingRecord(ces[r], (int(g.tail[e]), int(g.head[e])), int(o))
+        for r, e, o in zip(scan.pair_ce.tolist(), scan.pair_eid.tolist(),
+                           scan.pair_ordinal.tolist())
+    ]
+
+
 def solution_crossings(g: OuterplanarStDigraph, order):
     """Completion edges and crossing records induced by a vertex order.
 
@@ -213,13 +224,7 @@ def solution_crossings(g: OuterplanarStDigraph, order):
     ``(completion_edges, records, total)``.
     """
     scan = scan_order(g, order)
-    ces = list(zip(scan.ce_tail.tolist(), scan.ce_head.tolist()))
-    records = [
-        CrossingRecord(ces[r], (int(g.tail[e]), int(g.head[e])), int(o))
-        for r, e, o in zip(scan.pair_ce.tolist(), scan.pair_eid.tolist(),
-                           scan.pair_ordinal.tolist())
-    ]
-    return ces, records, scan.total
+    return (*_records(g, scan), scan.total)
 
 
 def crossings_along_edges(g: OuterplanarStDigraph, scan: SolutionScan):
@@ -247,14 +252,53 @@ def crossings_along_edges(g: OuterplanarStDigraph, scan: SolutionScan):
     return uniq, offsets, order
 
 
-@dataclass
+def chain_edges(first, last, counts, mids):
+    """Edge lists of the paths ``first[r], mids..., last[r]``, row after row,
+    where row ``r`` takes the next ``counts[r]`` entries of ``mids``.
+
+    Returns (tails, heads): row ``r``'s ``counts[r] + 1`` edges start at
+    index ``r + counts[:r].sum()``.
+    """
+    at = np.arange(len(mids)) + np.repeat(np.arange(len(first)), counts)
+    tails = np.repeat(first, counts + 1)
+    heads = np.repeat(last, counts + 1)
+    tails[at + 1] = heads[at] = mids
+    return tails, heads
+
+
+@dataclass(frozen=True, eq=False)
 class HpExtendedGraph:
-    """The solution graph with every crossing subdivided into a new vertex."""
-    names: list[str]
-    n_original: int
-    edges: list[Edge]
-    hamiltonian_order: list[int]
-    crossing_of: dict[int, CrossingRecord]
+    """The solution graph with every crossing subdivided into a new vertex.
+
+    Vertex ``n_original + i`` subdivides the scan's crossing pair ``i``.
+    The arrays are the graph; ``names``, ``edges``, ``hamiltonian_order``
+    and ``crossing_of`` are list views built on first access.
+    """
+    g: OuterplanarStDigraph
+    scan: SolutionScan
+    tail: np.ndarray    # completion chains in spine order, then graph edges
+    head: np.ndarray    # by id, each split at its crossings
+    order: np.ndarray   # the hamiltonian order through the new vertices
+
+    @property
+    def n_original(self) -> int:
+        return self.g.n
+
+    @cached_property
+    def names(self) -> list[str]:
+        return list(self.g.names) + [f"x{i}" for i in range(self.scan.total)]
+
+    @cached_property
+    def edges(self) -> list[Edge]:
+        return list(zip(self.tail.tolist(), self.head.tolist()))
+
+    @cached_property
+    def hamiltonian_order(self) -> list[int]:
+        return self.order.tolist()
+
+    @cached_property
+    def crossing_of(self) -> dict[int, CrossingRecord]:
+        return dict(enumerate(_records(self.g, self.scan)[1], self.g.n))
 
 
 def build_hp_extended(g: OuterplanarStDigraph, order) -> HpExtendedGraph:
@@ -268,55 +312,29 @@ def build_hp_extended(g: OuterplanarStDigraph, order) -> HpExtendedGraph:
     """
     order = list(order)
     scan = scan_order(g, order)
-    n = g.n
-    P = scan.total
-    names = list(g.names) + [f"x{i}" for i in range(P)]
+    n, P = g.n, scan.total
+    per_ce = np.bincount(scan.pair_ce, minlength=len(scan.ce_tail))
+    # spine vertex i moves up by the crossings of the completion edges
+    # below it; a crossing sits its ordinal + 1 above its edge's tail
+    shift = np.zeros(n, dtype=np.int64)
+    shift[scan.ce_spine + 1] = per_ce
+    pos = np.empty(n + P, dtype=np.int64)
+    pos[order] = np.arange(n) + shift.cumsum()
+    pos[n:] = pos[scan.ce_tail[scan.pair_ce]] + scan.pair_ordinal + 1
 
-    ces = list(zip(scan.ce_tail.tolist(), scan.ce_head.tolist()))
-    crossing_of: dict[int, CrossingRecord] = {}
-    by_row: dict[int, list[int]] = {}
-    for i in range(P):
-        r = int(scan.pair_ce[i])
-        e = int(scan.pair_eid[i])
-        crossing_of[n + i] = CrossingRecord(
-            ces[r], (int(g.tail[e]), int(g.head[e])),
-            int(scan.pair_ordinal[i]))
-        by_row.setdefault(r, []).append(n + i)
-
-    edges: list[Edge] = []
-    order_ext: list[int] = []
-    ce_at_spine = {int(s): r for r, s in enumerate(scan.ce_spine.tolist())}
-    for i, v in enumerate(order):
-        order_ext.append(int(v))
-        r = ce_at_spine.get(i)
-        if r is not None:
-            chain = [ces[r][0]] + by_row.get(r, []) + [ces[r][1]]
-            edges.extend(zip(chain, chain[1:]))
-            order_ext.extend(chain[1:-1])
-
-    # graph edges: subdivision points sorted by distance from the tail
-    eids, offsets, rows = crossings_along_edges(g, scan)
-    split: dict[int, list[int]] = {}
-    for i, e in enumerate(eids.tolist()):
-        split[e] = [n + int(r) for r in rows[offsets[i]:offsets[i + 1]]]
-    for e in range(g.edge_count):
-        u, v = int(g.tail[e]), int(g.head[e])
-        mids = split.get(e)
-        if mids:
-            chain = [u] + mids + [v]
-            edges.extend(zip(chain, chain[1:]))
-        else:
-            edges.append((u, v))
-
-    ext = HpExtendedGraph(names, n, edges, order_ext, crossing_of)
-    pos_of = np.empty(n + P, dtype=np.int64)
-    pos_of[np.asarray(order_ext, dtype=np.int64)] = np.arange(n + P)
-    eu = np.fromiter((e[0] for e in edges), dtype=np.int64, count=len(edges))
-    ev = np.fromiter((e[1] for e in edges), dtype=np.int64, count=len(edges))
-    back = pos_of[eu] >= pos_of[ev]
-    if back.any():
-        i = int(np.flatnonzero(back)[0])
+    _, _, rows = crossings_along_edges(g, scan)
+    tail, head = chain_edges(
+        np.concatenate((scan.ce_tail, g.tail)),
+        np.concatenate((scan.ce_head, g.head)),
+        np.concatenate((per_ce, np.bincount(scan.pair_eid,
+                                            minlength=g.edge_count))),
+        np.concatenate((np.arange(P), rows)) + n)
+    back = (pos[tail] >= pos[head]).nonzero()[0]
+    if len(back):
+        u, v = (int(x[back[0]]) for x in (tail, head))
+        name = lambda w: g.names[w] if w < n else f"x{w - n}"
         raise NotLinearExtension(
-            f"extended edge ({names[int(eu[i])]}, {names[int(ev[i])]}) "
-            "runs backwards")
-    return ext
+            f"extended edge ({name(u)}, {name(v)}) runs backwards")
+    hp_order = np.empty(n + P, dtype=np.int64)
+    hp_order[pos] = np.arange(n + P)
+    return HpExtendedGraph(g, scan, tail, head, hp_order)

@@ -118,8 +118,8 @@ class OuterplanarStDigraph:
     """Validated, immutable instance.  Construct via :func:`build_graph`,
     which derives every table passed in here."""
 
-    def __init__(self, names, k, m, tail, head, keys, side, rank, lcoord,
-                 rcoord, classes, chords, lo_out, hi_in, topo):
+    def __init__(self, names, ids, k, m, tail, head, keys, side, rank,
+                 lcoord, rcoord, classes, chords, lo_out, hi_in, topo):
         self.names: list[str] = names
         self.n: int = len(names)
         self.k: int = k
@@ -139,7 +139,7 @@ class OuterplanarStDigraph:
         self.lo_out: np.ndarray = lo_out
         self.hi_in: np.ndarray = hi_in
         self._topo = topo
-        self._ids = {nm: i for i, nm in enumerate(names)}
+        self._ids: dict = ids            # name -> id
         self._edge_keys = keys          # tail * n + head, ascending
         self._cache: dict = {}
 
@@ -339,44 +339,17 @@ def _has_duplicate(values):
     return bool((srt[1:] == srt[:-1]).any())
 
 
-def _edge_endpoint_ids(names, edges):
-    """Tail and head id arrays for name-pair edges.
-
-    Sorted-array binary search keeps huge string-named instances off the
-    Python hash path; exotic name types fall back to a dict.
-    """
-    if edges:
-        try:
-            earr = np.asarray(edges)
-        except ValueError:
-            earr = None
-        name_arr = np.asarray(names)
-        if (earr is not None and earr.ndim == 2 and earr.shape[1] == 2
-                and earr.dtype.kind in "USiuf"
-                and earr.dtype.kind == name_arr.dtype.kind):
-            order = np.argsort(name_arr, kind="stable")
-            snames = name_arr[order]
-            flat = earr.reshape(-1)
-            pos = np.searchsorted(snames, flat)
-            np.clip(pos, 0, snames.size - 1, out=pos)
-            bad = snames[pos] != flat
-            if bad.any():
-                raise UnknownVertex(str(flat[int(np.flatnonzero(bad)[0])]))
-            ids = order[pos]
-            return ids[0::2], ids[1::2]
-    lut = {nm: i for i, nm in enumerate(names)}
-    tail = np.empty(len(edges), dtype=np.int64)
-    head = np.empty(len(edges), dtype=np.int64)
-    for i, e in enumerate(edges):
-        if len(e) != 2:
-            raise ParseError(f"edge {e!r} is not a pair")
-        u, v = e
-        try:
-            tail[i] = lut[u]
-            head[i] = lut[v]
-        except KeyError as exc:
-            raise UnknownVertex(str(exc.args[0])) from None
-    return tail, head
+def _edge_endpoint_ids(ids, edges):
+    """Tail and head id arrays for name-pair edges, looked up in ``ids``."""
+    if set(map(len, edges)) - {2}:
+        bad = next(e for e in edges if len(e) != 2)
+        raise ParseError(f"edge {bad!r} is not a pair")
+    try:
+        flat = np.fromiter(map(ids.__getitem__, chain.from_iterable(edges)),
+                           dtype=np.int64, count=2 * len(edges))
+    except KeyError as exc:
+        raise UnknownVertex(str(exc.args[0])) from None
+    return flat[0::2], flat[1::2]
 
 
 def build_graph(left_seq, right_seq, edges, s=None, t=None):
@@ -402,7 +375,8 @@ def build_graph(left_seq, right_seq, edges, s=None, t=None):
 
     n = k + m + 2
     names = [s] + left_seq + [t] + right_seq[::-1]
-    tail, head = _edge_endpoint_ids(names, edges)
+    ids = {nm: i for i, nm in enumerate(names)}
+    tail, head = _edge_endpoint_ids(ids, edges)
 
     loops = np.flatnonzero(tail == head)
     if loops.size:
@@ -462,9 +436,9 @@ def build_graph(left_seq, right_seq, edges, s=None, t=None):
     _check_plane(k, m, chords)
     lo_out, hi_in = _limit_tables(n, tail, head, cls, rank)
     topo = _toposort(k, m, hi_in)
-    return OuterplanarStDigraph(names, k, m, tail, head, keys, side, rank,
-                                lcoord, rcoord, cls, chords, lo_out, hi_in,
-                                topo)
+    return OuterplanarStDigraph(names, ids, k, m, tail, head, keys, side,
+                                rank, lcoord, rcoord, cls, chords, lo_out,
+                                hi_in, topo)
 
 
 def classify_edge(g: OuterplanarStDigraph, e: Edge) -> EdgeClass:
@@ -578,6 +552,8 @@ def graph_from_json(text: str) -> OuterplanarStDigraph:
         raise ParseError("'left' and 'right' must be arrays")
     if not isinstance(doc["s"], str) or not isinstance(doc["t"], str):
         raise ParseError("'s' and 't' must be strings")
+    if not set(map(type, left + right)) <= {str}:
+        raise ParseError("'left' and 'right' must hold names (strings)")
     if not isinstance(edges, list):
         raise ParseError("'edges' must be an array")
     # json.loads builds exact lists and strs, so these C-level passes

@@ -2,24 +2,34 @@
 
 Face walks, rhombus seed listings and polygon edge lists, plain-Python
 recomputations of the tables ``build_graph`` stores, the solver's
-original element-by-element DP and splice, and the dict payloads of the
+original element-by-element DP and splice, the per-edge HP-extended
+graph, book builder and book validator, and the dict payloads of the
 CLI's three bulk documents.  The array-backed solver must reproduce that
-reference order exactly, tie-breaks included, and the direct JSON writers
-must reproduce ``indented(payload)`` byte for byte.
+reference order exactly, tie-breaks included, the array-backed post-solve
+layers must reproduce their references' results and problem lists, and
+the direct JSON writers must reproduce ``indented(payload)`` byte for
+byte.
 """
 
 import importlib.util
 import json
+import math
 import sys
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from hpcc import (FreeVertex, StPolygon, channel_order, decompose,
+from hpcc import (FreeVertex, StPolygon, channel_order, crossings, decompose,
                   polygon_costs, polygon_subgraph)
+from hpcc.book import (LEFT_PAGE, RIGHT_PAGE, BookEmbedding, EdgeDrawing,
+                       InvalidSolution, Segment)
+from hpcc.crossings import (CrossingRecord, NotLinearExtension, scan_order,
+                            solution_crossings)
 from hpcc.embedding import faces, incidence, median_scan
 from hpcc.graph import _LEFT, _RIGHT, _SNK, _SRC, topo_index
+from hpcc.solver import solution_problems
 
 _L, _R = 0, 1
 LADDER_PY = Path(__file__).resolve().parents[1] / "perfbench" / "ladder.py"
@@ -335,3 +345,210 @@ def reference_solution(g):
         g, [el for el in elements if isinstance(el, StPolygon)])
     best, tags = _plan(g, elements, costs)
     return best, _splice(g, elements, costs, tags)
+
+
+# -- the post-solve layers, one Python pass per edge or crossing ------------
+
+@dataclass
+class HpExtended:
+    names: list
+    n_original: int
+    edges: list
+    hamiltonian_order: list
+    crossing_of: dict
+
+
+def reference_hp_extended(g, order):
+    """The HP-extended graph, chain by chain; raises NotLinearExtension."""
+    order = list(order)
+    scan = scan_order(g, order)
+    n = g.n
+    P = scan.total
+    names = list(g.names) + [f"x{i}" for i in range(P)]
+
+    ces = list(zip(scan.ce_tail.tolist(), scan.ce_head.tolist()))
+    crossing_of = {}
+    by_row = {}
+    for i in range(P):
+        r = int(scan.pair_ce[i])
+        e = int(scan.pair_eid[i])
+        crossing_of[n + i] = CrossingRecord(
+            ces[r], (int(g.tail[e]), int(g.head[e])),
+            int(scan.pair_ordinal[i]))
+        by_row.setdefault(r, []).append(n + i)
+
+    edges = []
+    order_ext = []
+    ce_at_spine = {int(s): r for r, s in enumerate(scan.ce_spine.tolist())}
+    for i, v in enumerate(order):
+        order_ext.append(int(v))
+        r = ce_at_spine.get(i)
+        if r is not None:
+            chain = [ces[r][0]] + by_row.get(r, []) + [ces[r][1]]
+            edges.extend(zip(chain, chain[1:]))
+            order_ext.extend(chain[1:-1])
+
+    # graph edges: subdivision points sorted by distance from the tail
+    eids, offsets, rows = crossings.crossings_along_edges(g, scan)
+    split = {}
+    for i, e in enumerate(eids.tolist()):
+        split[e] = [n + int(r) for r in rows[offsets[i]:offsets[i + 1]]]
+    for e in range(g.edge_count):
+        u, v = int(g.tail[e]), int(g.head[e])
+        mids = split.get(e)
+        if mids:
+            chain = [u] + mids + [v]
+            edges.extend(zip(chain, chain[1:]))
+        else:
+            edges.append((u, v))
+
+    pos_of = {v: i for i, v in enumerate(order_ext)}
+    for u, v in edges:
+        if pos_of[u] >= pos_of[v]:
+            raise NotLinearExtension(
+                f"extended edge ({names[u]}, {names[v]}) runs backwards")
+    return HpExtended(names, n, edges, order_ext, crossing_of)
+
+
+def _first_page(g, pos, spine, u, v, cls):
+    if pos[v] == pos[u] + 1:
+        # one-sided edges keep their side's page, two-sided ones the tail's
+        if cls == 2:
+            return LEFT_PAGE if g.side[u] == _LEFT else RIGHT_PAGE
+        return LEFT_PAGE if cls == 0 else RIGHT_PAGE
+    # rotation at u: the page is the side of the spine line on which the
+    # edge leaves, read off the vertex cycle between the directions of
+    # the spine successor and predecessor of u
+    n = g.n
+    k_out = (spine[pos[u] + 1] - u) % n
+    k_in = (spine[pos[u] - 1] - u) % n if pos[u] > 0 else 0
+    k_e = (v - u) % n
+    return LEFT_PAGE if (k_out - k_e) % n < (k_out - k_in) % n else RIGHT_PAGE
+
+
+def reference_book_embedding(g, sol):
+    """The book embedding, one edge drawing at a time."""
+    probs = solution_problems(g, sol)
+    if probs:
+        raise InvalidSolution("; ".join(probs))
+
+    spine = list(sol.order)
+    pos = {v: i for i, v in enumerate(spine)}
+    per_ce = Counter(r.completion_edge for r in sol.records)
+    dives = defaultdict(list)
+    for r in sol.records:
+        slot = pos[r.completion_edge[0]]
+        c = slot + (r.ordinal + 1) / (per_ce[r.completion_edge] + 1)
+        dives[r.crossed_edge].append(c)
+
+    drawings = []
+    for u, v, cls in zip(g.tail.tolist(), g.head.tolist(),
+                         g.classes.tolist()):
+        coords = sorted(dives.get((u, v), ()))
+        page = _first_page(g, pos, spine, u, v, cls)
+        stops = [float(pos[u])] + coords + [float(pos[v])]
+        segs = []
+        for a, b in zip(stops, stops[1:]):
+            segs.append(Segment(page, a, b))
+            page = RIGHT_PAGE if page == LEFT_PAGE else LEFT_PAGE
+        drawings.append(EdgeDrawing(
+            (u, v), tuple(segs), tuple(int(math.floor(c)) for c in coords)))
+    return BookEmbedding(tuple(spine), tuple(drawings))
+
+
+def _page_planarity(segs):
+    probs = []
+    by_coord = {}
+    for s in segs:
+        by_coord.setdefault(s.end, ([], []))[0].append(s)
+        by_coord.setdefault(s.start, ([], []))[1].append(s)
+    stack = []
+    for c in sorted(by_coord):
+        ending, starting = by_coord[c]
+        for _ in ending:
+            if not stack or stack[-1].end != c:
+                open_ends = [s.end for s in stack[-3:]]
+                probs.append(f"arcs interleave on a page near coordinate "
+                             f"{c} (open arc ends {open_ends})")
+                return probs
+            stack.pop()
+        stack.extend(sorted(starting, key=lambda s: -s.end))
+    if stack:
+        probs.append("an arc never closes")
+    return probs
+
+
+def reference_book_problems(be, g=None):
+    """The book validator's problem list, drawing by drawing."""
+    probs = []
+    if not be.spine:
+        return ["empty spine"]
+    if len(set(be.spine)) != len(be.spine):
+        return ["spine repeats a vertex"]
+    pos = {v: i for i, v in enumerate(be.spine)}
+
+    junctions = []
+    for d in be.drawings:
+        u, v = d.edge
+        tag = f"edge {u}->{v}"
+        if u not in pos or v not in pos:
+            probs.append(f"{tag} uses a vertex missing from the spine")
+            continue
+        if not d.segments:
+            probs.append(f"{tag} has no segments")
+            continue
+        if d.segments[0].start != pos[u] or d.segments[-1].end != pos[v]:
+            probs.append(f"{tag} does not run endpoint to endpoint")
+        if len(d.spine_crossings) != len(d.segments) - 1:
+            probs.append(f"{tag} declares {len(d.spine_crossings)} dives "
+                         f"for {len(d.segments)} segments")
+            continue
+        for a, b in zip(d.segments, d.segments[1:]):
+            if a.end != b.start:
+                probs.append(f"{tag} has a gap between segments")
+            if a.page == b.page:
+                probs.append(f"{tag} stays on one page across a dive")
+        for s in d.segments:
+            if s.page not in (LEFT_PAGE, RIGHT_PAGE):
+                probs.append(f"{tag} names unknown page {s.page!r}")
+            if not s.start < s.end:
+                probs.append(f"{tag} has a non-ascending segment")
+        for slot, s in zip(d.spine_crossings, d.segments):
+            c = s.end
+            if float(c).is_integer():
+                probs.append(f"{tag} dives at the integer coordinate {c}")
+            elif math.floor(c) != slot:
+                probs.append(f"{tag} dive {c} is outside slot {slot}")
+            junctions.append(c)
+    if probs:
+        return probs
+
+    if len(set(junctions)) != len(junctions):
+        probs.append("two dives share a coordinate")
+    for page in (LEFT_PAGE, RIGHT_PAGE):
+        segs = [s for d in be.drawings for s in d.segments if s.page == page]
+        probs.extend(_page_planarity(segs))
+    if probs or g is None:
+        return probs
+
+    try:
+        ces, records, _ = solution_crossings(g, list(be.spine))
+    except NotLinearExtension as exc:
+        return [f"spine is not a linear extension: {exc}"]
+    drawn = {d.edge for d in be.drawings}
+    if drawn != g.edge_set:
+        probs.append("drawn edges do not match the graph")
+        return probs
+    ce_pos = {ce: pos[ce[0]] for ce in ces}
+    want = defaultdict(list)
+    per_ce = Counter(r.completion_edge for r in records)
+    for r in records:
+        want[r.crossed_edge].append(
+            ce_pos[r.completion_edge]
+            + (r.ordinal + 1) / (per_ce[r.completion_edge] + 1))
+    for d in be.drawings:
+        have = [s.end for s in d.segments[:-1]]
+        if sorted(want.get(d.edge, [])) != have:
+            probs.append(f"edge {d.edge[0]}->{d.edge[1]} dives do not match "
+                         f"the spine's crossings")
+    return probs

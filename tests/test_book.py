@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hpcc import build_graph, solve
 from hpcc.book import (
@@ -20,12 +21,24 @@ from hpcc.book import (
 )
 from hpcc.graph import ParseError
 from hpcc.solver import CompletionSolution
-from reference import book_payload, indented
+from reference import (book_payload, indented, reference_book_embedding,
+                       reference_book_problems)
 from strategies import instances
+
+FIXTURES = ["weak_rhombus", "strong_rhombus", "chorded_polygon",
+            "stacked_rhombi", "edge_linked_polygons", "double_crossing",
+            "hamiltonian_path", "awkward_names", "numeric_names"]
 
 
 def drawing_of(be, edge):
     return next(d for d in be.drawings if d.edge == edge)
+
+
+def problems(be, g=None):
+    """The validator's problem list, checked against the reference's."""
+    got = validate_book_embedding(be, g)
+    assert got == reference_book_problems(be, g)
+    return got
 
 
 def test_planar_case_stays_on_its_pages(weak_rhombus):
@@ -85,12 +98,12 @@ class TestValidatorFaults:
 
     def test_empty_spine(self, weak_rhombus):
         be = BookEmbedding((), ())
-        assert validate_book_embedding(be) == ["empty spine"]
+        assert problems(be) == ["empty spine"]
 
     def test_repeated_vertex(self, weak_rhombus):
         be = self.embed(weak_rhombus)
         bad = dataclasses.replace(be, spine=(0, 1, 1, 2))
-        assert validate_book_embedding(bad) == ["spine repeats a vertex"]
+        assert problems(bad) == ["spine repeats a vertex"]
 
     def test_detached_endpoint(self, weak_rhombus):
         be = self.embed(weak_rhombus)
@@ -98,7 +111,7 @@ class TestValidatorFaults:
         bad = dataclasses.replace(
             be, drawings=(stub,) + be.drawings[1:])
         assert any("endpoint to endpoint" in p
-                   for p in validate_book_embedding(bad))
+                   for p in problems(bad))
 
     def test_dive_on_one_page(self, strong_rhombus):
         be = self.embed(strong_rhombus)
@@ -109,7 +122,7 @@ class TestValidatorFaults:
             be, drawings=tuple(flat if x.edge == (0, 2) else x
                                for x in be.drawings))
         assert any("stays on one page" in p
-                   for p in validate_book_embedding(bad))
+                   for p in problems(bad))
 
     def test_integer_dive(self, strong_rhombus):
         be = self.embed(strong_rhombus)
@@ -121,7 +134,7 @@ class TestValidatorFaults:
             be, drawings=tuple(moved if x.edge == (0, 2) else x
                                for x in be.drawings))
         assert any("integer coordinate" in p
-                   for p in validate_book_embedding(bad))
+                   for p in problems(bad))
 
     def test_dive_outside_slot(self, strong_rhombus):
         be = self.embed(strong_rhombus)
@@ -130,20 +143,33 @@ class TestValidatorFaults:
         bad = dataclasses.replace(
             be, drawings=tuple(moved if x.edge == (0, 2) else x
                                for x in be.drawings))
-        assert any("outside slot" in p for p in validate_book_embedding(bad))
+        assert any("outside slot" in p for p in problems(bad))
+
+    def test_infinite_dive(self, strong_rhombus):
+        # the per-drawing reference stops at math.floor(inf) here
+        be = self.embed(strong_rhombus)
+        d = drawing_of(be, (0, 2))
+        moved = dataclasses.replace(d, segments=(
+            Segment("R", 0.0, float("inf")), Segment("L", float("inf"), 3.0)))
+        bad = dataclasses.replace(
+            be, drawings=tuple(moved if x.edge == (0, 2) else x
+                               for x in be.drawings))
+        assert validate_book_embedding(bad) == [
+            "edge 0->2 has a non-ascending segment",
+            "edge 0->2 dive inf is outside slot 1"]
 
     def test_interleaving_arcs(self):
         be = BookEmbedding(
             (0, 1, 2, 3),
             (EdgeDrawing((0, 2), (Segment("L", 0.0, 2.0),), ()),
              EdgeDrawing((1, 3), (Segment("L", 1.0, 3.0),), ())))
-        assert any("interleave" in p for p in validate_book_embedding(be))
+        assert any("interleave" in p for p in problems(be))
 
     def test_missing_edge_against_graph(self, weak_rhombus):
         be = self.embed(weak_rhombus)
         bad = dataclasses.replace(be, drawings=be.drawings[1:])
         assert any("do not match the graph" in p
-                   for p in validate_book_embedding(bad, weak_rhombus))
+                   for p in problems(bad, weak_rhombus))
 
     def test_phantom_dive_against_graph(self, weak_rhombus):
         be = self.embed(weak_rhombus)
@@ -154,9 +180,9 @@ class TestValidatorFaults:
         bad = dataclasses.replace(
             be, drawings=tuple(split if x.edge == (3, 2) else x
                                for x in be.drawings))
-        assert validate_book_embedding(bad) == []
+        assert problems(bad) == []
         assert any("dives do not match" in p
-                   for p in validate_book_embedding(bad, weak_rhombus))
+                   for p in problems(bad, weak_rhombus))
 
 
 @settings(max_examples=150, deadline=None)
@@ -164,8 +190,9 @@ class TestValidatorFaults:
 def test_embedding_matches_solution(g):
     sol = solve(g)
     be = to_book_embedding(g, sol)
+    assert be == reference_book_embedding(g, sol)
     assert be.spine_crossing_count == sol.crossings
-    assert validate_book_embedding(be, g) == []
+    assert problems(be, g) == []
     assert from_book_embedding(g, be) == sol
     js = book_to_json(g, be)
     assert js == indented(book_payload(g, be))
@@ -195,3 +222,34 @@ def test_json_of_a_hand_made_embedding(weak_rhombus):
         EdgeDrawing((3, 2), (), ())))
     assert book_to_json(weak_rhombus, be) == \
         indented(book_payload(weak_rhombus, be))
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_fixtures_match_the_reference(request, name):
+    g = request.getfixturevalue(name)
+    sol = solve(g)
+    be = to_book_embedding(g, sol)
+    assert be == reference_book_embedding(g, sol)
+    assert problems(be, g) == []
+
+
+@settings(max_examples=150, deadline=None)
+@given(instances(), st.integers(0, 99), st.integers(0, 9),
+       st.sampled_from([("end", 0.5), ("end", -1.0), ("start", 0.5),
+                        ("start", -1.0), ("page", None)]))
+def test_faulty_embeddings_match_the_reference(g, i, j, change):
+    # one segment moved or flipped, then the drawings reordered with one
+    # drawn twice; geometry alone and against the graph
+    be = to_book_embedding(g, solve(g))
+    d = be.drawings[i % len(be.drawings)]
+    segs = list(d.segments)
+    j %= len(segs)
+    field, step = change
+    segs[j] = dataclasses.replace(segs[j], **{field: (
+        ("R" if segs[j].page == "L" else "L") if step is None
+        else getattr(segs[j], field) + step)})
+    drawings = tuple(dataclasses.replace(d, segments=tuple(segs))
+                     if x is d else x for x in be.drawings)
+    for bad in (drawings, drawings[::-1] + drawings[:1]):
+        problems(dataclasses.replace(be, drawings=bad))
+        problems(dataclasses.replace(be, drawings=bad), g)

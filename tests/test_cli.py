@@ -190,6 +190,17 @@ def test_unreadable_input(capsys, tmp_path):
     assert "ParseError" in err
 
 
+@pytest.mark.parametrize("left", [[["a"]], [1]])
+def test_chain_items_must_be_names(capsys, tmp_path, left):
+    payload = {"edges": [["s", "t"]], "left": left, "right": [], "s": "s",
+               "t": "t"}
+    path = tmp_path / "bad_chain.json"
+    path.write_text(json.dumps(payload))
+    code, _, err = run(capsys, "check", "-i", str(path))
+    assert code == 2
+    assert err.startswith("ParseError: 'left' and 'right' must hold names")
+
+
 def test_invalid_instance(capsys, tmp_path):
     payload = {"edges": [["s", "a"], ["a", "t"], ["s", "b"], ["b", "t"],
                          ["t", "s"]],

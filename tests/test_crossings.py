@@ -1,9 +1,12 @@
 """Crossing counts for completion edges against the embedded instance."""
 
+from itertools import islice
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from hpcc import crossings
 from hpcc.crossings import (
     NotLinearExtension,
     SameSideCompletionEdge,
@@ -13,7 +16,10 @@ from hpcc.crossings import (
     scan_order,
     solution_crossings,
 )
+from hpcc import solve
 from hpcc.graph import topological_order
+from hpcc.oracle import enumerate_hamiltonian_orders
+from reference import reference_hp_extended
 from strategies import instances
 
 
@@ -102,3 +108,40 @@ def test_scan_of_topological_order(g):
     arcs = set(hp.edges)
     walk = hp.hamiltonian_order
     assert all((u, v) in arcs for u, v in zip(walk, walk[1:]))
+
+
+def hp_fields(hp):
+    return (hp.names, hp.n_original, hp.edges, hp.hamiltonian_order,
+            hp.crossing_of)
+
+
+def head_first(real):
+    """crossings_along_edges with each edge's crossings listed head first."""
+    def listed(g, scan):
+        eids, offsets, rows = real(g, scan)
+        return eids, offsets, np.concatenate(
+            [rows[a:b][::-1] for a, b in zip(offsets[:-1], offsets[1:])]
+            + [rows[:0]])
+    return listed
+
+
+@settings(max_examples=150, deadline=None)
+@given(instances())
+def test_hp_extension_matches_the_reference(g):
+    orders = [solve(g).order, *islice(enumerate_hamiltonian_orders(g), 12)]
+    for order in orders:
+        assert hp_fields(build_hp_extended(g, order)) == \
+            hp_fields(reference_hp_extended(g, order))
+    # listing crossings head first makes any twice-crossed edge run back
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(crossings, "crossings_along_edges",
+                   head_first(crossings.crossings_along_edges))
+        for order in orders:
+            raised = []
+            for build in (build_hp_extended, reference_hp_extended):
+                try:
+                    hp_fields(build(g, order))
+                    raised.append(None)
+                except NotLinearExtension as exc:
+                    raised.append(str(exc))
+            assert raised[0] == raised[1]

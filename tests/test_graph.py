@@ -149,6 +149,9 @@ def test_json_round_trip(weak_rhombus):
     "[]",
     '{"left": ["a"], "right": ["b"]}',
     '{"left": "a", "right": [], "s": "s", "t": "t", "edges": []}',
+    '{"left": [["a"]], "right": [], "s": "s", "t": "t", '
+    '"edges": [["s", "t"]]}',
+    '{"left": [1], "right": [], "s": "s", "t": "t", "edges": [["s", "t"]]}',
 ])
 def test_json_parse_errors(payload):
     with pytest.raises(ParseError):
@@ -182,6 +185,16 @@ def test_json_on_fixed_cases(request, name):
         assert '"s": 0' in text and "2.5" in text
     else:
         assert graph_from_json(text).names == g.names
+
+
+def test_names_of_mixed_kinds_build():
+    # a tuple name among strings is looked up like any other name
+    a = ("a", 1)
+    g = build_graph([a], [], [("s", a), (a, "t"), ("s", "t")], s="s", t="t")
+    assert g.names == ["s", a, "t"] and g.vid(a) == 1
+    with pytest.raises(UnknownVertex):
+        build_graph([a], [], [("s", a), (a, "t"), ("s", ("b", 1))],
+                    s="s", t="t")
 
 
 def test_json_writes_only_scalar_names():

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 
 from hpcc import (GeneratorParams, InternalError, build_graph, decompose,
                   generate, graph_from_json, graph_to_json, solve)
+from hpcc import crossings
 from hpcc.cli import main
 from hpcc.crossings import solution_crossings
 from hpcc.decompose import EDGE, GAP, VERTEX
@@ -103,6 +104,24 @@ class TestProblemReporting:
 def honest(g, order):
     ces, recs, tot = solution_crossings(g, order)
     return CompletionSolution(list(order), ces, recs, tot)
+
+
+def test_backward_subdivision_is_reported(double_crossing, monkeypatch):
+    # (s, t) is crossed twice; listing its crossings head first makes the
+    # subdivided edge run from the later crossing back to the earlier one
+    real = crossings.crossings_along_edges
+
+    def head_first(g, scan):
+        eids, offsets, rows = real(g, scan)
+        return eids, offsets, np.concatenate(
+            [rows[a:b][::-1] for a, b in zip(offsets[:-1], offsets[1:])])
+
+    sol = solve(double_crossing)
+    assert solution_problems(double_crossing, sol) == []
+    monkeypatch.setattr(crossings, "crossings_along_edges", head_first)
+    assert solution_problems(double_crossing, sol) == [
+        "subdividing the crossings fails: extended edge (x2, x1) runs "
+        "backwards"]
 
 
 def test_overcrossed_edge_is_reported():
