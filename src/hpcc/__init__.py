@@ -18,11 +18,9 @@ from .graph import (
     InternalError,
     build_graph,
     classify_edge,
-    edge_classes,
     graph_from_json,
     graph_to_json,
     is_linear_extension,
-    topological_order,
 )
 from .crossings import (
     CrossingRecord,
@@ -30,13 +28,11 @@ from .crossings import (
     NotLinearExtension,
     SameSideCompletionEdge,
     build_hp_extended,
-    edge_crossings,
     solution_crossings,
 )
 from .rhombus import (
     Rhombus,
     RhombusKind,
-    extract_hamiltonian_path,
     find_strong_rhombus,
     find_weak_rhombus,
     is_hamiltonian,
@@ -48,13 +44,11 @@ from .polygon import (
     channel_costs,
     channel_order,
     polygon_costs,
-    polygon_subgraph,
 )
 from .solver import (
     CompletionSolution,
     solution_problems,
     solve,
-    verify_solution,
 )
 from .book import (
     BookEmbedding,
@@ -86,17 +80,16 @@ __all__ = [
     "CycleDetected", "SideNotAPath", "EmbeddingNotPlane", "DuplicateEdge",
     "UnknownVertex", "EdgeNotInGraph", "NotAPermutation", "InternalError",
     "build_graph",
-    "classify_edge", "edge_classes", "graph_from_json", "graph_to_json",
-    "is_linear_extension", "topological_order",
+    "classify_edge", "graph_from_json", "graph_to_json",
+    "is_linear_extension",
     "CrossingRecord", "HpExtendedGraph", "NotLinearExtension",
-    "SameSideCompletionEdge", "build_hp_extended", "edge_crossings",
-    "solution_crossings",
-    "Rhombus", "RhombusKind", "extract_hamiltonian_path",
+    "SameSideCompletionEdge", "build_hp_extended", "solution_crossings",
+    "Rhombus", "RhombusKind",
     "find_strong_rhombus", "find_weak_rhombus", "is_hamiltonian",
     "FreeVertex", "PolygonTable", "StPolygon", "decompose",
     "NotAnStPolygon", "PolygonCosts", "channel_costs",
-    "channel_order", "polygon_costs", "polygon_subgraph",
-    "CompletionSolution", "solution_problems", "solve", "verify_solution",
+    "channel_order", "polygon_costs",
+    "CompletionSolution", "solution_problems", "solve",
     "BookEmbedding", "EdgeDrawing", "InvalidSolution", "Segment",
     "SpineNotLinearExtension", "book_from_json", "book_to_json",
     "from_book_embedding", "to_book_embedding", "validate_book_embedding",

@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import islice
 
 import numpy as np
 
-from .crossings import (NotLinearExtension, chain_edges, scan_order,
-                        solution_crossings)
+from .crossings import NotLinearExtension, chain_edges, int_array, scan_order
 from .graph import (OuterplanarStDigraph, Edge, ParseError, ValidationError,
                     VertexId, _LEFT, json_array, json_object, json_scalars)
 from .solver import CompletionSolution, solution_problems
@@ -53,21 +53,65 @@ class EdgeDrawing:
     spine_crossings: tuple[int, ...]  # slot index of each dive, in order
 
 
-@dataclass(frozen=True)
 class BookEmbedding:
-    spine: tuple[VertexId, ...]
-    drawings: tuple[EdgeDrawing, ...]
+    """A spine and one drawing per edge, held as flat arrays.
+
+    Drawing ``d`` runs from ``tail[d]`` to ``head[d]`` through segments
+    ``seg[d]`` to ``seg[d + 1]`` and dives ``dive[d]`` to ``dive[d + 1]``.
+    Segment ``i`` spans ``start[i]`` to ``end[i]`` on page
+    ``pages[page[i]]``, where ``pages`` opens with ``L`` and ``R``; dive
+    ``k`` lands in spine slot ``slot[k]``.  ``drawings`` is the tuple
+    view, built on first read.
+    """
+
+    def __init__(self, spine: tuple[VertexId, ...],
+                 drawings: tuple[EdgeDrawing, ...]):
+        segs = [s for d in drawings for s in d.segments]
+        code = {LEFT_PAGE: 0, RIGHT_PAGE: 1}
+        page = [code.setdefault(s.page, len(code)) for s in segs]
+        edges = int_array([d.edge for d in drawings])
+        slot = [k for d in drawings for k in d.spine_crossings]
+        self._fill(tuple(spine), *edges.reshape(-1, 2).T,
+                   np.cumsum([0] + [len(d.segments) for d in drawings]),
+                   np.cumsum([0] + [len(d.spine_crossings) for d in drawings]),
+                   np.array([s.start for s in segs], dtype=float),
+                   np.array([s.end for s in segs], dtype=float),
+                   np.array(page, dtype=np.int64), tuple(code),
+                   int_array(slot))
+
+    def _fill(self, *parts) -> BookEmbedding:
+        (self.spine, self.tail, self.head, self.seg, self.dive, self.start,
+         self.end, self.page, self.pages, self.slot) = parts
+        return self
+
+    @cached_property
+    def drawings(self) -> tuple[EdgeDrawing, ...]:
+        # lists first: a tuple built straight from a map is grown by
+        # repeated resizing, which left the process's memory growing
+        segs = tuple(list(map(Segment, map(self.pages.__getitem__,
+                                           self.page.tolist()),
+                              self.start.tolist(), self.end.tolist())))
+        slots = tuple(self.slot.tolist())
+        at, before = self.seg.tolist(), self.dive.tolist()
+        return tuple(list(map(
+            EdgeDrawing, zip(self.tail.tolist(), self.head.tolist()),
+            map(segs.__getitem__, map(slice, at, at[1:])),
+            map(slots.__getitem__, map(slice, before, before[1:])))))
 
     @property
     def spine_crossing_count(self) -> int:
-        return sum(len(d.spine_crossings) for d in self.drawings)
+        return len(self.slot)
+
+    def __eq__(self, other):
+        return isinstance(other, BookEmbedding) and (
+            self.spine, self.drawings) == (other.spine, other.drawings)
 
 
 def to_book_embedding(g: OuterplanarStDigraph,
                       sol: CompletionSolution) -> BookEmbedding:
     """The solution's book embedding, built as array passes over the
-    edges and crossings; :class:`InvalidSolution` if the solution has a
-    fault."""
+    edges and the solution's crossing claims; :class:`InvalidSolution`
+    if the solution has a fault."""
     probs = solution_problems(g, sol)
     if probs:
         raise InvalidSolution("; ".join(probs))
@@ -77,10 +121,8 @@ def to_book_embedding(g: OuterplanarStDigraph,
     pos = spine.argsort()           # the inverse permutation
     # per crossing: its completion edge (named by the tail, which starts
     # at most one gap), the crossed edge's id and the ordinal
-    ce, key, o = np.array(
-        [(r.completion_edge[0], r.crossed_edge[0] * n + r.crossed_edge[1],
-          r.ordinal) for r in sol.records], dtype=np.int64).reshape(-1, 3).T
-    eid = g._edge_keys.searchsorted(key)
+    ce, _, xt, xh, o = sol.rec
+    eid = g._edge_keys.searchsorted(xt * n + xh)
     dive = pos[ce] + (o + 1) / (np.bincount(ce, minlength=n)[ce] + 1)
     dive = dive[np.lexsort((dive, eid))]
     per_edge = np.bincount(eid, minlength=len(tail))
@@ -101,38 +143,28 @@ def to_book_embedding(g: OuterplanarStDigraph,
     before = per_edge.cumsum() - per_edge
     at = np.arange(len(tail)) + before
     left = (left ^ (at & 1)).repeat(per_edge + 1) ^ (np.arange(len(start)) & 1)
-
-    # lists first: a tuple built straight from a map is grown by repeated
-    # resizing, which left the process's memory growing call after call
-    segs = tuple(list(map(Segment, map((RIGHT_PAGE, LEFT_PAGE).__getitem__,
-                                       left.tolist()),
-                          start.tolist(), end.tolist())))
-    slots = tuple(np.floor(dive).astype(np.int64).tolist())
-    at, before = at.tolist() + [len(segs)], before.tolist() + [len(slots)]
-    drawings = list(map(
-        EdgeDrawing, zip(tail.tolist(), head.tolist()),
-        map(segs.__getitem__, map(slice, at, at[1:])),
-        map(slots.__getitem__, map(slice, before, before[1:]))))
-    return BookEmbedding(tuple(sol.order), tuple(drawings))
+    return BookEmbedding.__new__(BookEmbedding)._fill(
+        tuple(sol.order), tail, head, np.append(at, len(start)),
+        np.append(before, len(dive)), start, end, left ^ 1,
+        (LEFT_PAGE, RIGHT_PAGE), np.floor(dive).astype(np.int64))
 
 
 def from_book_embedding(g: OuterplanarStDigraph,
                         be: BookEmbedding) -> CompletionSolution:
     """Recover the completion solution a book embedding encodes."""
     try:
-        ces, records, total = solution_crossings(g, list(be.spine))
+        return CompletionSolution.of_scan(g, list(be.spine),
+                                          scan_order(g, be.spine))
     except NotLinearExtension as exc:
         raise SpineNotLinearExtension(str(exc)) from None
-    return CompletionSolution(order=list(be.spine), completion_edges=ces,
-                              records=records, crossings=total)
 
 
-def _page_planarity(flat, start, end, right) -> list[str]:
+def _page_planarity(start, end, right) -> list[str]:
     """Nesting of each page's arcs, as one stack pass over their ends and
     starts sorted by page, then coordinate: at each coordinate the arcs
     that end there must be the innermost open ones, then the arcs that
     start there open, widest first."""
-    m = len(flat)
+    m = len(start)
     # events 0..m-1 end arc i, m..2m-1 start it; at one coordinate the
     # ends sort first, then the starts by descending end
     events = np.lexsort((np.concatenate((np.full(m, -np.inf), -end)),
@@ -149,9 +181,9 @@ def _page_planarity(flat, start, end, right) -> list[str]:
             elif stack and ends[stack[-1]] == ends[e]:
                 stack.pop()
             else:
-                open_ends = [flat[i].end for i in stack[-3:]]
+                open_ends = [ends[i] for i in stack[-3:]]
                 probs.append(f"arcs interleave on a page near coordinate "
-                             f"{flat[e].end} (open arc ends {open_ends})")
+                             f"{ends[e]} (open arc ends {open_ends})")
                 break
     return probs
 
@@ -165,34 +197,26 @@ def validate_book_embedding(be: BookEmbedding,
     contiguously, pages alternate, dive points are fractional, distinct
     and match the declared slots, and neither page self-intersects.
     With the graph it also replays the spine and compares the crossings.
-    The checks run as masks over the drawings' segments and dives,
-    flattened once; the drawings they flag are reported in order.
+    The checks run as masks over the embedding's arrays; the drawings
+    they flag are reported in order.
     """
     if not be.spine:
         return ["empty spine"]
     if len(set(be.spine)) != len(be.spine):
         return ["spine repeats a vertex"]
-    pos = dict(zip(be.spine, range(len(be.spine))))
-    ds = be.drawings
-    flat = [s for d in ds for s in d.segments]
-    slot = [k for d in ds for k in d.spine_crossings]
-    S = len(flat)
-    code = {LEFT_PAGE: 0, RIGHT_PAGE: 1}
-    # per segment, then a padding entry that matches nothing: start, end
-    # and page code (0 and 1 the two pages, then one code per other name)
-    start = np.array([s.start for s in flat] + [np.nan])
-    end = np.array([s.end for s in flat] + [np.nan])
-    page = np.array([code.setdefault(s.page, len(code)) for s in flat] + [-1])
-    # per drawing: its ends' spine positions, its segment and dive counts
-    pu, pv, nseg, ndive = np.array(
-        [(pos.get(d.edge[0], -1), pos.get(d.edge[1], -1), len(d.segments),
-          len(d.spine_crossings)) for d in ds], dtype=np.int64
-    ).reshape(-1, 4).T
-    last = nseg.cumsum() - 1        # the previous one for an empty drawing
-    first = last - nseg + 1
-    dive_first = ndive.cumsum() - ndive
+    S, D, seg, dive = len(be.start), len(be.tail), be.seg, be.dive
+    nseg, ndive = np.diff(seg), np.diff(dive)
+    # spine position of each drawing's ends, -1 off the spine
+    spine = np.asarray(be.spine, dtype=np.int64)
+    by, ends = spine.argsort(), np.stack((be.tail, be.head))
+    i = np.minimum(spine[by].searchsorted(ends), len(by) - 1)
+    pu, pv = np.where(spine[by][i] == ends, by[i], -1)
+    # per segment, then a padding entry that matches nothing
+    start, end = np.append(be.start, np.nan), np.append(be.end, np.nan)
+    page = np.append(be.page, -1)
+    first, last, dive_first = seg[:-1], seg[1:] - 1, dive[:-1]
     # dive k of a drawing lands at the end of its k-th segment
-    at = np.minimum(np.arange(len(slot))
+    at = np.minimum(np.arange(len(be.slot))
                     + (first - dive_first).repeat(ndive), S)
     c = end[at]
     joint = np.ones(S + 1, dtype=bool)
@@ -207,12 +231,13 @@ def validate_book_embedding(be: BookEmbedding,
     unknown = page[:S] > 1
     flat_up = ~(start[:S] < end[:S])
     integer = np.isfinite(c) & (c == np.floor(c))
-    outside = np.floor(c) != slot
+    outside = np.floor(c) != be.slot
     probs = []
     if ((missing | off_ends | miscount).any()
             or (gap | same | unknown | flat_up).any()
             or (integer | outside).any()):
-        for d, (u, v) in enumerate(dr.edge for dr in ds):
+        ends = end.tolist()     # messages hold plain Python floats
+        for d, (u, v) in enumerate(zip(be.tail.tolist(), be.head.tolist())):
             tag = f"edge {u}->{v}"
             if missing[d]:
                 probs.append(f"{tag} uses a vertex missing from the spine")
@@ -234,21 +259,22 @@ def validate_book_embedding(be: BookEmbedding,
                     probs.append(f"{tag} stays on one page across a dive")
             for i in segs:
                 if unknown[i]:
-                    probs.append(f"{tag} names unknown page {flat[i].page!r}")
+                    probs.append(f"{tag} names unknown page "
+                                 f"{be.pages[page[i]]!r}")
                 if flat_up[i]:
                     probs.append(f"{tag} has a non-ascending segment")
             for k in range(dive_first[d], dive_first[d] + ndive[d]):
                 if integer[k]:
                     probs.append(f"{tag} dives at the integer coordinate "
-                                 f"{flat[at[k]].end}")
+                                 f"{ends[at[k]]}")
                 elif outside[k]:
-                    probs.append(f"{tag} dive {flat[at[k]].end} is outside "
-                                 f"slot {slot[k]}")
+                    probs.append(f"{tag} dive {ends[at[k]]} is outside "
+                                 f"slot {be.slot[k]}")
         return probs
 
     if len(set(c.tolist())) != len(c):
         probs.append("two dives share a coordinate")
-    probs += _page_planarity(flat, start[:S], end[:S], page[:S] == 1)
+    probs += _page_planarity(start[:S], end[:S], page[:S] == 1)
     if probs or g is None:
         return probs
 
@@ -256,8 +282,12 @@ def validate_book_embedding(be: BookEmbedding,
         scan = scan_order(g, list(be.spine))
     except NotLinearExtension as exc:
         return [f"spine is not a linear extension: {exc}"]
-    edge = [d.edge for d in ds]
-    if set(edge) != g.edge_set:
+    # drawn ends are spine vertices; the set must be the graph's edges
+    n, keys = g.n, g._edge_keys
+    key = be.tail * n + be.head
+    eid = np.minimum(keys.searchsorted(key), len(keys) - 1)
+    if not ((keys[eid] == key).all()
+            and np.bincount(eid, minlength=len(keys)).all()):
         return ["drawn edges do not match the graph"]
     # a crossing with the completion edge in slot i dives at
     # i + (o + 1) / (c + 1), c that edge's crossing count
@@ -265,36 +295,34 @@ def validate_book_embedding(be: BookEmbedding,
     want = scan.ce_spine[row] + (scan.pair_ordinal + 1) / (
         np.bincount(row, minlength=len(scan.ce_spine))[row] + 1)
     want = np.append(want[np.lexsort((want, crossed))], np.nan)
-    n, keys = g.n, g._edge_keys
     per_edge = np.bincount(crossed, minlength=len(keys))
-    eid = keys.searchsorted(np.array([u * n + v for u, v in edge],
-                                     dtype=np.int64))
     # each drawing's dives against its edge's crossings, in order
     at = np.minimum(np.arange(len(c)) + (
         (per_edge.cumsum() - per_edge)[eid] - dive_first).repeat(ndive),
         len(want) - 1)
-    off = np.bincount(np.arange(len(ds)).repeat(ndive)[want[at] != c],
-                      minlength=len(ds))
+    off = np.bincount(np.arange(D).repeat(ndive)[want[at] != c],
+                      minlength=D)
     bad = (per_edge[eid] != ndive) | (off > 0)
-    return [f"edge {edge[d][0]}->{edge[d][1]} dives do not match the "
-            f"spine's crossings" for d in bad.nonzero()[0].tolist()]
+    return [f"edge {u}->{v} dives do not match the spine's crossings"
+            for u, v in zip(be.tail[bad].tolist(), be.head[bad].tolist())]
 
 
 def book_to_json(g: OuterplanarStDigraph, be: BookEmbedding) -> str:
     names = json_scalars(g.names)
     seg = json_object({"from": "%s", "page": "%s", "to": "%s"}, 4)
-    fields = json_scalars([x for d in be.drawings for s in d.segments
-                           for x in (s.start, s.page, s.end)])
-    segs = map(seg.__mod__, zip(*[iter(fields)] * 3))
-    dives = iter(json_scalars(
-        [i for d in be.drawings for i in d.spine_crossings]))
+    pages = json_scalars(list(be.pages))
+    # segments are encoded as their drawings take them, never all held
+    segs = map(seg.__mod__, zip(json_scalars(be.start.tolist()),
+                                map(pages.__getitem__, be.page.tolist()),
+                                json_scalars(be.end.tolist())))
+    dives = iter(json_scalars(be.slot.tolist()))
     edge = json_object({"edge": json_array(("%s", "%s"), 3),
                         "segments": "%s", "spine_crossings": "%s"}, 2)
-    edges = [edge % (names[d.edge[0]], names[d.edge[1]],
-                     json_array(list(islice(segs, len(d.segments))), 3),
-                     json_array(list(islice(dives, len(d.spine_crossings))),
-                                3))
-             for d in be.drawings]
+    edges = [edge % (names[u], names[v], json_array(list(islice(segs, s)), 3),
+                     json_array(list(islice(dives, d)), 3))
+             for u, v, s, d in zip(be.tail.tolist(), be.head.tolist(),
+                                   np.diff(be.seg).tolist(),
+                                   np.diff(be.dive).tolist())]
     return json_object({"edges": edges,
                         "spine": [names[v] for v in be.spine]}, 0)
 

@@ -14,7 +14,10 @@ import json
 import math
 import os
 import sys
+from contextlib import nullcontext
 from pathlib import Path
+
+import numpy as np
 
 from .book import (InvalidSolution, book_to_json, to_book_embedding,
                    validate_book_embedding)
@@ -44,10 +47,11 @@ def _read_text(path: str | None) -> str:
 
 
 def _write_text(path: str | None, text: str) -> None:
-    if path in (None, "-"):
-        sys.stdout.write(text + "\n")
-    else:
-        Path(path).write_text(text + "\n")
+    # print writes the text, then the newline: text + "\n" would copy
+    # the whole document
+    with (nullcontext(sys.stdout) if path in (None, "-")
+          else open(path, "w")) as fh:
+        print(text, file=fh)
 
 
 def _read_graph(args) -> OuterplanarStDigraph:
@@ -59,21 +63,19 @@ def _dump(payload) -> str:
 
 
 def _solution_json(g: OuterplanarStDigraph, sol: CompletionSolution) -> str:
-    names = json_scalars(g.names)
+    names = np.array(json_scalars(g.names), dtype=object)
     pair = json_array(("%s", "%s"), 2)
     rec = json_object({"completion_edge": json_array(("%s", "%s"), 3),
                        "crossed_edge": json_array(("%s", "%s"), 3),
                        "ordinal": "%s"}, 2)
-    ordinals = json_scalars([r.ordinal for r in sol.records])
-    records = [rec % (names[r.completion_edge[0]], names[r.completion_edge[1]],
-                      names[r.crossed_edge[0]], names[r.crossed_edge[1]], o)
-               for r, o in zip(sol.records, ordinals)]
+    records = map(rec.__mod__, zip(*names[sol.rec[:4]].tolist(),
+                                   json_scalars(sol.rec[4].tolist())))
     return json_object({
-        "completion_edges": [pair % (names[u], names[v])
-                             for u, v in sol.completion_edges],
+        "completion_edges": list(map(pair.__mod__,
+                                     zip(*names[sol.ce].tolist()))),
         "crossings": json_scalars([sol.crossings])[0],
-        "order": list(map(names.__getitem__, sol.order)),
-        "records": records,
+        "order": names[sol.order].tolist(),
+        "records": list(records),
     }, 0)
 
 

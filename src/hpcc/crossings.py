@@ -20,8 +20,17 @@ from functools import cached_property
 
 import numpy as np
 
-from .graph import (OuterplanarStDigraph, Edge, ValidationError,
+from .graph import (OuterplanarStDigraph, Edge, ValidationError, VertexId,
                     is_linear_extension, NotAPermutation, _LEFT, _RIGHT)
+
+
+def int_array(values) -> np.ndarray:
+    """``values`` as int64; floats and strings, which numpy would truncate
+    or parse, raise TypeError."""
+    arr = np.array(values)
+    if arr.size and arr.dtype.kind not in "iub":
+        raise TypeError(f"integer ids expected, got {arr.dtype} values")
+    return arr.astype(np.int64)
 
 
 class SameSideCompletionEdge(ValidationError):
@@ -54,9 +63,7 @@ def _cover_sweep(a, b, eid, queries, line_end, out_pairs):
     vertex with an s- or t-incident query chord.  Appends (row, edge_id)
     pairs to ``out_pairs``.
     """
-    a = a.tolist()
-    b = b.tolist()
-    eid = eid.tolist()
+    a, b, eid = a.tolist(), b.tolist(), eid.tolist()
     ci, nc = 0, len(a)
     stack = []  # nested open chords, end coordinates decreasing upwards
     for row, q, skip_lo, skip_hi in queries:
@@ -87,16 +94,13 @@ def _batch_crossings(g, f_arr, h_arr):
     lc, rc = g.lcoord, g.rcoord
     C = len(f_arr)
 
-    fl, hl = lc[f_arr], lc[h_arr]
-    fr, hr = rc[f_arr], rc[h_arr]
+    def interior(coord, hi):
+        cf, ch = coord[f_arr], coord[h_arr]
+        return np.where((cf >= 1) & (cf <= hi), cf,
+                        np.where((ch >= 1) & (ch <= hi), ch, -1))
 
-    def interior(cf, ch, hi):
-        qf = (cf >= 1) & (cf <= hi)
-        qh = (ch >= 1) & (ch <= hi)
-        return np.where(qf, cf, np.where(qh, ch, -1))
-
-    ql = interior(fl, hl, k)   # left-interior endpoint rank, or -1
-    qr = interior(fr, hr, m)
+    ql = interior(lc, k)   # left-interior endpoint rank, or -1
+    qr = interior(rc, m)
 
     s_inc = (f_arr == 0) | (h_arr == 0)
     t_inc = (f_arr == g.t) | (h_arr == g.t)
@@ -113,31 +117,27 @@ def _batch_crossings(g, f_arr, h_arr):
             queries = zip(rws.tolist(), qs.tolist(),
                           s_inc[rws].tolist(), t_inc[rws].tolist())
             _cover_sweep(a, b, eid, queries, end, pairs)
+    # (rows, edge ids) chunks, each in the order the pairs were found
+    found = [np.array(pairs, dtype=np.int64).T] if pairs else []
 
     # two-sided separators: two contiguous runs of the monotone chain
     if len(idx.ti):
         x = np.where(ql >= 0, ql, np.where(s_inc, 0, k + 1))
         y = np.where(qr >= 0, qr, np.where(t_inc, m + 1, 0))
-        a_lo = np.searchsorted(idx.tj, y, side="right")
-        a_hi = np.searchsorted(idx.ti, x, side="left")
-        b_lo = np.searchsorted(idx.ti, x, side="right")
-        b_hi = np.searchsorted(idx.tj, y, side="left")
-        for lo, hi in ((a_lo, a_hi), (b_lo, b_hi)):
+        for lo, hi in ((np.searchsorted(idx.tj, y, side="right"),
+                        np.searchsorted(idx.ti, x, side="left")),
+                       (np.searchsorted(idx.ti, x, side="right"),
+                        np.searchsorted(idx.tj, y, side="left"))):
             cnt = np.maximum(hi - lo, 0)
-            tot = int(cnt.sum())
-            if tot:
-                rep_rows = np.repeat(rows, cnt)
-                starts = np.repeat(lo, cnt)
-                offs = np.arange(tot) - np.repeat(
-                    np.concatenate(([0], np.cumsum(cnt)[:-1])), cnt)
-                tids = idx.teid[starts + offs]
-                pairs.extend(zip(rep_rows.tolist(), tids.tolist()))
+            if cnt.any():
+                found.append((np.repeat(rows, cnt), idx.teid[
+                    np.arange(cnt.sum()) + np.repeat(lo - cnt.cumsum() + cnt,
+                                                     cnt)]))
 
-    if not pairs:
+    if not found:
         e = np.empty(0, dtype=np.int64)
         return e, e.copy(), e.copy()
-    pr = np.array([p[0] for p in pairs], dtype=np.int64)
-    pe = np.array([p[1] for p in pairs], dtype=np.int64)
+    pr, pe = np.concatenate(found, axis=1)
     pa = np.minimum(g.tail[pe], g.head[pe])
     pb = np.maximum(g.tail[pe], g.head[pe])
     size = _side_size(n, pa, pb, np.asarray(f_arr)[pr])
@@ -155,18 +155,6 @@ def _check_completion_pairs(g, f_arr, h_arr):
             "joins one chain to itself")
 
 
-def edge_crossings(g: OuterplanarStDigraph, ce: Edge) -> list[Edge]:
-    """Graph edges crossed by the completion edge, in order along it."""
-    f, h = ce
-    if not (0 <= f < g.n and 0 <= h < g.n) or f == h:
-        raise SameSideCompletionEdge(f"not a chord: ({f}, {h})")
-    fa = np.array([f], dtype=np.int64)
-    ha = np.array([h], dtype=np.int64)
-    _check_completion_pairs(g, fa, ha)
-    _, pe, _ = _batch_crossings(g, fa, ha)
-    return [(int(g.tail[e]), int(g.head[e])) for e in pe]
-
-
 @dataclass
 class SolutionScan:
     """Array form of a solution's completion edges and crossings."""
@@ -175,7 +163,6 @@ class SolutionScan:
     ce_spine: np.ndarray     # index i: the ce sits between order[i], order[i+1]
     pair_ce: np.ndarray      # sorted by (ce row, ordinal)
     pair_eid: np.ndarray
-    pair_size: np.ndarray
     pair_ordinal: np.ndarray
 
     @property
@@ -193,27 +180,53 @@ def scan_order(g: OuterplanarStDigraph, order) -> SolutionScan:
         raise NotLinearExtension("order violates an edge direction")
     u, v = arr[:-1], arr[1:]
     miss = ~g.has_edges(u, v)
-    ce_tail, ce_head = u[miss], v[miss]
-    ce_spine = np.flatnonzero(miss)
+    ce_tail, ce_head, ce_spine = u[miss], v[miss], np.flatnonzero(miss)
     _check_completion_pairs(g, ce_tail, ce_head)
-    pr, pe, ps = _batch_crossings(g, ce_tail, ce_head)
-    if len(pr):
-        counts = np.bincount(pr, minlength=len(ce_tail))
-        starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        ordinal = np.arange(len(pr)) - np.repeat(starts, counts)
-    else:
-        ordinal = np.empty(0, dtype=np.int64)
-    return SolutionScan(ce_tail, ce_head, ce_spine, pr, pe, ps, ordinal)
+    pr, pe, _ = _batch_crossings(g, ce_tail, ce_head)
+    # pairs come sorted by row: the ordinal counts from the row's first
+    ordinal = np.arange(len(pr)) - pr.searchsorted(pr)
+    return SolutionScan(ce_tail, ce_head, ce_spine, pr, pe, ordinal)
 
 
-def _records(g: OuterplanarStDigraph, scan: SolutionScan):
-    """The completion edges and one CrossingRecord per crossing pair."""
-    ces = list(zip(scan.ce_tail.tolist(), scan.ce_head.tolist()))
-    return ces, [
-        CrossingRecord(ces[r], (int(g.tail[e]), int(g.head[e])), int(o))
-        for r, e, o in zip(scan.pair_ce.tolist(), scan.pair_eid.tolist(),
-                           scan.pair_ordinal.tolist())
-    ]
+class CompletionSolution:
+    """A vertex order with its claimed completion edges, crossing records
+    and crossing count.  The claims are int64 columns, ``ce`` (tail, head)
+    per completion edge and ``rec`` (completion tail, completion head,
+    crossed tail, crossed head, ordinal) per crossing; ``completion_edges``
+    and ``records`` are list views built on first read."""
+
+    def __init__(self, order: list[VertexId], completion_edges: list[Edge],
+                 records: list[CrossingRecord], crossings: int):
+        self.order, self.crossings = order, crossings
+        self.ce = int_array(completion_edges).reshape(-1, 2).T
+        self.rec = int_array([(*r.completion_edge, *r.crossed_edge, r.ordinal)
+                              for r in records]).reshape(-1, 5).T
+
+    @classmethod
+    def of_scan(cls, g: OuterplanarStDigraph, order,
+                scan: SolutionScan) -> CompletionSolution:
+        """The honest solution of ``order``, from its scan."""
+        sol, row, eid = cls.__new__(cls), scan.pair_ce, scan.pair_eid
+        sol.order, sol.crossings = order, scan.total
+        sol.ce = ce = np.array((scan.ce_tail, scan.ce_head))
+        sol.rec = np.array((ce[0, row], ce[1, row], g.tail[eid], g.head[eid],
+                            scan.pair_ordinal))
+        return sol
+
+    @cached_property
+    def completion_edges(self) -> list[Edge]:
+        return list(zip(*self.ce.tolist()))
+
+    @cached_property
+    def records(self) -> list[CrossingRecord]:
+        cf, ch, xt, xh, o = self.rec.tolist()
+        return list(map(CrossingRecord, zip(cf, ch), zip(xt, xh), o))
+
+    def __eq__(self, other):
+        return isinstance(other, CompletionSolution) and (
+            self.order, self.completion_edges, self.records, self.crossings
+        ) == (other.order, other.completion_edges, other.records,
+              other.crossings)
 
 
 def solution_crossings(g: OuterplanarStDigraph, order):
@@ -223,8 +236,8 @@ def solution_crossings(g: OuterplanarStDigraph, order):
     crossings are listed in geometric order.  Returns
     ``(completion_edges, records, total)``.
     """
-    scan = scan_order(g, order)
-    return (*_records(g, scan), scan.total)
+    sol = CompletionSolution.of_scan(g, order, scan_order(g, order))
+    return sol.completion_edges, sol.records, sol.crossings
 
 
 def crossings_along_edges(g: OuterplanarStDigraph, scan: SolutionScan):
@@ -235,21 +248,15 @@ def crossings_along_edges(g: OuterplanarStDigraph, scan: SolutionScan):
     tail.  Returns (eids, offsets, pair_rows): pair_rows[offsets[i]:
     offsets[i+1]] are indices into the scan's pair arrays for eids[i].
     """
-    P = scan.total
-    if P == 0:
+    if not scan.total:
         z = np.empty(0, dtype=np.int64)
         return z, np.zeros(1, dtype=np.int64), z.copy()
-    cf = scan.ce_tail[scan.pair_ce]
-    ch = scan.ce_head[scan.pair_ce]
-    ca = np.minimum(cf, ch)
-    cb = np.maximum(cf, ch)
-    ta = g.tail[scan.pair_eid]
-    from_tail = _side_size(g.n, ca, cb, ta)
+    cf, ch = scan.ce_tail[scan.pair_ce], scan.ce_head[scan.pair_ce]
+    from_tail = _side_size(g.n, np.minimum(cf, ch), np.maximum(cf, ch),
+                           g.tail[scan.pair_eid])
     order = np.lexsort((from_tail, scan.pair_eid))
-    eids_sorted = scan.pair_eid[order]
-    uniq, counts = np.unique(eids_sorted, return_counts=True)
-    offsets = np.concatenate(([0], np.cumsum(counts)))
-    return uniq, offsets, order
+    uniq, counts = np.unique(scan.pair_eid[order], return_counts=True)
+    return uniq, np.concatenate(([0], np.cumsum(counts))), order
 
 
 def chain_edges(first, last, counts, mids):
@@ -298,7 +305,8 @@ class HpExtendedGraph:
 
     @cached_property
     def crossing_of(self) -> dict[int, CrossingRecord]:
-        return dict(enumerate(_records(self.g, self.scan)[1], self.g.n))
+        records = CompletionSolution.of_scan(self.g, None, self.scan).records
+        return dict(enumerate(records, self.g.n))
 
 
 def build_hp_extended(g: OuterplanarStDigraph, order) -> HpExtendedGraph:

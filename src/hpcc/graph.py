@@ -13,7 +13,7 @@ each is built by one function here and stored on the graph:
 - ``lcoord``/``rcoord`` (:func:`_line_coords`): each vertex's position on
   the left and right chain lines;
 - ``classes`` (:func:`_edge_class_codes`): each edge's class code, which
-  :func:`classify_edge` and :func:`edge_classes` read;
+  :func:`classify_edge` reads;
 - ``chords`` (:func:`_chord_index`): the chord families, sorted once; the
   plane check validates them and the crossing geometry queries them;
 - ``lo_out``/``hi_in`` (:func:`_limit_tables`): each vertex's extreme
@@ -96,7 +96,7 @@ class EdgeClass(Enum):
 
 # side codes used in numpy arrays
 _SRC, _LEFT, _RIGHT, _SNK = 0, 1, 2, 3
-# class codes of edge_classes, in EdgeClass order
+# class codes of g.classes, in EdgeClass order
 _EDGE_CLASSES = tuple(EdgeClass)
 
 
@@ -442,21 +442,12 @@ def build_graph(left_seq, right_seq, edges, s=None, t=None):
 
 
 def classify_edge(g: OuterplanarStDigraph, e: Edge) -> EdgeClass:
-    """The class of one edge, read from :func:`edge_classes`."""
+    """The class of one edge, read from ``g.classes``."""
     u, v = e
     if not (0 <= u < g.n and 0 <= v < g.n) or not g.has_edge(u, v):
         raise EdgeNotInGraph(str(e))
     # edges are stored in key order, so the key's index is the edge id
     return _EDGE_CLASSES[g.classes[np.searchsorted(g._edge_keys, u * g.n + v)]]
-
-
-def edge_classes(g: OuterplanarStDigraph) -> np.ndarray:
-    """Per-edge class codes aligned with g.tail/g.head (0=L, 1=R, 2=two-sided)."""
-    return g.classes
-
-
-def topological_order(g: OuterplanarStDigraph) -> tuple[VertexId, ...]:
-    return g._topo
 
 
 def topo_index(g: OuterplanarStDigraph) -> np.ndarray:

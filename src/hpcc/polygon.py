@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decompose import PolygonTable, StPolygon
-from .graph import (OuterplanarStDigraph, Edge, ValidationError, build_graph)
+from .graph import OuterplanarStDigraph, Edge, ValidationError
 
 CHANNELS = ("1L", "1R", "2L", "2R")
 
@@ -258,14 +258,3 @@ def polygon_costs(g: OuterplanarStDigraph,
             w2L=((lam1 + q2L - 1, rho1), (rhoM, lam1 + q2L)) if sl else None,
             w2R=((rho1 - q2R + 1, lam1), (lamK, rho1 - q2R)) if sr else None))
     return out
-
-
-def polygon_subgraph(g: OuterplanarStDigraph, p: StPolygon):
-    """The polygon as a standalone instance; vertex names carry over."""
-    t = _table(g, [p])
-    _validate(g, t)
-    pe, _ = _local_pairs(g, t)
-    edges = [(g.name(g.tail[e]), g.name(g.head[e])) for e in np.sort(pe)]
-    return build_graph([g.name(v) for v in p.left_vertices],
-                       [g.name(v) for v in p.right_vertices],
-                       edges, s=g.name(p.source), t=g.name(p.sink))

@@ -80,11 +80,3 @@ def find_weak_rhombus(g: OuterplanarStDigraph) -> Rhombus | None:
 
 def is_hamiltonian(g: OuterplanarStDigraph) -> bool:
     return find_strong_rhombus(g) is None and find_weak_rhombus(g) is None
-
-
-def extract_hamiltonian_path(g: OuterplanarStDigraph):
-    """The topological order as a path, or None if some hop is not an edge."""
-    order = np.asarray(g._topo, dtype=np.int64)
-    if bool(g.has_edges(order[:-1], order[1:]).all()):
-        return tuple(int(v) for v in order)
-    return None

@@ -16,16 +16,12 @@ over its elements that takes each polygon's chain runs as ranges.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
-
 import numpy as np
 
-from .crossings import CrossingRecord, build_hp_extended, solution_crossings
+from .crossings import CompletionSolution, build_hp_extended, scan_order
 from .decompose import EDGE, GAP, VERTEX, PolygonTable, decompose
-from .graph import (OuterplanarStDigraph, Edge, InternalError, VertexId,
-                    NotAPermutation, ValidationError, is_linear_extension,
-                    _LEFT)
+from .graph import (OuterplanarStDigraph, InternalError, NotAPermutation,
+                    ValidationError, is_linear_extension, _LEFT)
 from .polygon import channel_costs
 
 _L, _R = 0, 1
@@ -41,14 +37,6 @@ _OPENS_LEFT = (False, True, True, False)   # 1R and 2L
 _PEN = tuple(tuple(tuple(int(o == sc and _OPENS_LEFT[ch] == (sc == _R))
                          for o, ch in zip(_OLD, chs)) for chs in _TERM_CH)
              for sc in (_L, _R))
-
-
-@dataclass(frozen=True)
-class CompletionSolution:
-    order: list[VertexId]
-    completion_edges: list[Edge]
-    records: list[CrossingRecord]
-    crossings: int
 
 
 def _plan(g: OuterplanarStDigraph, t: PolygonTable, cost):
@@ -148,15 +136,14 @@ def solve(g: OuterplanarStDigraph) -> CompletionSolution:
     cost, split = channel_costs(g, t)
     best, ch = _plan(g, t, cost)
     order = _splice(g, t, ch, split[np.arange(len(t)), ch])
-    ces, records, total = solution_crossings(g, order)
-    if total != best:
+    scan = scan_order(g, order)
+    if scan.total != best:
         raise InternalError("solve", f"planned {best} crossings but the "
-                                     f"order realises {total}")
-    return CompletionSolution(order=order, completion_edges=ces,
-                              records=records, crossings=total)
+                                     f"order realises {scan.total}")
+    return CompletionSolution.of_scan(g, order, scan)
 
 
-def _owners(g: OuterplanarStDigraph, t: PolygonTable) -> list[int]:
+def _owners(g: OuterplanarStDigraph, t: PolygonTable) -> np.ndarray:
     """Per vertex, the index of the first element holding it; s and t
     default to the first and the last element."""
     el = t.element
@@ -167,12 +154,21 @@ def _owners(g: OuterplanarStDigraph, t: PolygonTable) -> list[int]:
     own[g.s], own[g.t] = 0, max(len(el) - 1, 0)
     for ends in (t.source, t.sink):
         own[ends] = np.minimum(own[ends], at)
-    return own.tolist()
+    return own
+
+
+def _same_rows(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two blocks of columns hold the same rows, with repeats."""
+    return a.shape == b.shape and bool((a == b).all() or (
+        a[:, np.lexsort(a)] == b[:, np.lexsort(b)]).all())
 
 
 def solution_problems(g: OuterplanarStDigraph,
                       sol: CompletionSolution) -> list[str]:
-    """Everything wrong with a claimed solution, in plain words."""
+    """Everything wrong with a claimed solution, in plain words.
+
+    The claims must hold exactly the rows of a recount from ``sol.order``,
+    which has no repeats, in any order."""
     probs = []
     try:
         if not is_linear_extension(g, sol.order):
@@ -180,46 +176,45 @@ def solution_problems(g: OuterplanarStDigraph,
     except NotAPermutation as exc:
         return [f"order is not a permutation of the vertices: {exc}"]
 
-    ces, records, total = solution_crossings(g, sol.order)
-    if set(sol.completion_edges) != set(ces) or \
-            len(sol.completion_edges) != len(ces):
+    scan = scan_order(g, sol.order)
+    recount = CompletionSolution.of_scan(g, sol.order, scan)
+    if not _same_rows(sol.ce, recount.ce):
         probs.append("completion edges do not match the order's gaps")
-    if set(sol.records) != set(records) or len(sol.records) != len(records):
+    if not _same_rows(sol.rec, recount.rec):
         probs.append("crossing records do not match a recount")
-    if sol.crossings != total:
-        probs.append(f"claims {sol.crossings} crossings, recount says {total}")
+    if sol.crossings != scan.total:
+        probs.append(f"claims {sol.crossings} crossings, "
+                     f"recount says {scan.total}")
 
-    per_edge = Counter(r.crossed_edge for r in records)
-    worst = max(per_edge.values(), default=0)
+    per_edge = np.bincount(scan.pair_eid, minlength=g.edge_count)
+    worst = int(per_edge.max(initial=0))
     if worst > 2:
         probs.append(f"an edge is crossed {worst} times, 2 is the most "
                      f"an optimal drawing ever needs")
 
+    # a crossed edge is its head's upper limit edge when its tail is the
+    # limit's tail; sinks are distinct, so each vertex has at most one
     t = decompose(g).table
-    up = np.flatnonzero(t.upper >= 0)
-    limit_of = dict(zip(zip(t.upper[up].tolist(), t.sink[up].tolist()),
-                        np.flatnonzero(t.element >= 0)[up].tolist()))
-    hits: dict[Edge, list[Edge]] = {}
-    for r in records:
-        if r.crossed_edge in limit_of:
-            hits.setdefault(r.crossed_edge, []).append(r.completion_edge)
-    own = _owners(g, t) if hits else []
-    for lim, ce_list in hits.items():
-        i = limit_of[lim]
-        if len(ce_list) > 1:
-            probs.append(f"limit edge {lim} is crossed {len(ce_list)} times")
-            continue
-        f, h = ce_list[0]
-        if not (own[h] <= i < own[f]):
-            probs.append(f"the crossing of limit edge {lim} does not come "
-                         f"from the element above it")
+    limit_tail = np.full(g.n, -1)
+    limit_tail[t.sink] = t.upper                # -1: no upper limit
+    _, _, xt, xh, _ = recount.rec
+    hit = np.flatnonzero(limit_tail[xh] == xt)
+    if len(hit):
+        eid, first = np.unique(scan.pair_eid[hit], return_index=True)
+        above = np.empty(g.n, dtype=np.int64)   # element index per sink
+        above[t.sink] = np.flatnonzero(t.element >= 0)
+        row, i, own = scan.pair_ce[hit], above[xh[hit]], _owners(g, t)
+        wrong = (own[scan.ce_head[row]] > i) | (i >= own[scan.ce_tail[row]])
+        bad = np.flatnonzero((per_edge[eid] > 1) | wrong[first])
+        # in order of each limit edge's first crossing
+        for e in eid[bad[np.argsort(first[bad])]].tolist():
+            edge, times = (int(g.tail[e]), int(g.head[e])), int(per_edge[e])
+            probs.append(f"limit edge {edge} is crossed {times} times"
+                         if times > 1 else f"the crossing of limit edge "
+                         f"{edge} does not come from the element above it")
 
     try:
         build_hp_extended(g, sol.order)
     except ValidationError as exc:
         probs.append(f"subdividing the crossings fails: {exc}")
     return probs
-
-
-def verify_solution(g: OuterplanarStDigraph, sol: CompletionSolution) -> bool:
-    return not solution_problems(g, sol)

@@ -1,12 +1,16 @@
 """Helpers only the tests need, built on the public API.
 
-Face walks, rhombus seed listings and polygon edge lists, plain-Python
+Face walks, rhombus seed listings, the stored topological order and edge
+classes, the topological order as a path,
+polygon subgraphs and polygon edge lists, plain-Python
 recomputations of the tables ``build_graph`` stores, the solver's
-original element-by-element DP and splice, the per-edge HP-extended
+original element-by-element DP and splice, the crossings of one
+completion edge, the set-based verifier, the per-edge HP-extended
 graph, book builder and book validator, and the dict payloads of the
 CLI's three bulk documents.  The array-backed solver must reproduce that
-reference order exactly, tie-breaks included, the array-backed post-solve
-layers must reproduce their references' results and problem lists, and
+reference order exactly, tie-breaks included, the array-backed verifier
+and post-solve layers must reproduce their references' results and
+problem lists, and
 the direct JSON writers must reproduce ``indented(payload)`` byte for
 byte.
 """
@@ -21,15 +25,19 @@ from pathlib import Path
 
 import numpy as np
 
-from hpcc import (FreeVertex, StPolygon, channel_order, crossings, decompose,
-                  polygon_costs, polygon_subgraph)
+from hpcc import (FreeVertex, StPolygon, build_graph, channel_order,
+                  crossings, decompose, polygon_costs)
 from hpcc.book import (LEFT_PAGE, RIGHT_PAGE, BookEmbedding, EdgeDrawing,
                        InvalidSolution, Segment)
-from hpcc.crossings import (CrossingRecord, NotLinearExtension, scan_order,
-                            solution_crossings)
+from hpcc.crossings import (CrossingRecord, NotLinearExtension,
+                            SameSideCompletionEdge, _batch_crossings,
+                            _check_completion_pairs, build_hp_extended,
+                            scan_order, solution_crossings)
 from hpcc.embedding import faces, incidence, median_scan
-from hpcc.graph import _LEFT, _RIGHT, _SNK, _SRC, topo_index
-from hpcc.solver import solution_problems
+from hpcc.graph import (_LEFT, _RIGHT, _SNK, _SRC, NotAPermutation,
+                        ValidationError, is_linear_extension, topo_index)
+from hpcc.polygon import _local_pairs, _table, _validate
+from hpcc.solver import _owners, solution_problems
 
 _L, _R = 0, 1
 LADDER_PY = Path(__file__).resolve().parents[1] / "perfbench" / "ladder.py"
@@ -148,6 +156,35 @@ def weak_polygon_seeds(g):
             out.append(((src, *mids, snk), limits[(src, snk)]))
     out.sort(key=lambda seed: (ti[seed[0][0]], ti[seed[0][-1]]))
     return out
+
+
+def topological_order(g):
+    """The canonical topological order ``build_graph`` stores."""
+    return g._topo
+
+
+def edge_classes(g):
+    """Class code per edge, aligned with g.tail/g.head."""
+    return g.classes
+
+
+def extract_hamiltonian_path(g):
+    """The topological order as a path, or None if some hop is not an edge."""
+    order = np.asarray(g._topo, dtype=np.int64)
+    if bool(g.has_edges(order[:-1], order[1:]).all()):
+        return tuple(int(v) for v in order)
+    return None
+
+
+def polygon_subgraph(g, p):
+    """The polygon as a standalone instance; vertex names carry over."""
+    t = _table(g, [p])
+    _validate(g, t)
+    pe, _ = _local_pairs(g, t)
+    edges = [(g.name(g.tail[e]), g.name(g.head[e])) for e in np.sort(pe)]
+    return build_graph([g.name(v) for v in p.left_vertices],
+                       [g.name(v) for v in p.right_vertices],
+                       edges, s=g.name(p.source), t=g.name(p.sink))
 
 
 def local_edges(g, p):
@@ -347,6 +384,74 @@ def reference_solution(g):
     return best, _splice(g, elements, costs, tags)
 
 
+# -- single completion edges and the set-based verifier --------------------
+
+def edge_crossings(g, ce):
+    """Graph edges crossed by the completion edge, in order along it."""
+    f, h = ce
+    if not (0 <= f < g.n and 0 <= h < g.n) or f == h:
+        raise SameSideCompletionEdge(f"not a chord: ({f}, {h})")
+    fa = np.array([f], dtype=np.int64)
+    ha = np.array([h], dtype=np.int64)
+    _check_completion_pairs(g, fa, ha)
+    _, pe, _ = _batch_crossings(g, fa, ha)
+    return [(int(g.tail[e]), int(g.head[e])) for e in pe]
+
+
+def reference_solution_problems(g, sol):
+    """The verifier's problem list, comparing claims as sets of records."""
+    probs = []
+    try:
+        if not is_linear_extension(g, sol.order):
+            return ["order reverses at least one edge"]
+    except NotAPermutation as exc:
+        return [f"order is not a permutation of the vertices: {exc}"]
+
+    ces, records, total = solution_crossings(g, sol.order)
+    if set(sol.completion_edges) != set(ces) or \
+            len(sol.completion_edges) != len(ces):
+        probs.append("completion edges do not match the order's gaps")
+    if set(sol.records) != set(records) or len(sol.records) != len(records):
+        probs.append("crossing records do not match a recount")
+    if sol.crossings != total:
+        probs.append(f"claims {sol.crossings} crossings, recount says {total}")
+
+    per_edge = Counter(r.crossed_edge for r in records)
+    worst = max(per_edge.values(), default=0)
+    if worst > 2:
+        probs.append(f"an edge is crossed {worst} times, 2 is the most "
+                     f"an optimal drawing ever needs")
+
+    t = decompose(g).table
+    up = np.flatnonzero(t.upper >= 0)
+    limit_of = dict(zip(zip(t.upper[up].tolist(), t.sink[up].tolist()),
+                        np.flatnonzero(t.element >= 0)[up].tolist()))
+    hits = {}
+    for r in records:
+        if r.crossed_edge in limit_of:
+            hits.setdefault(r.crossed_edge, []).append(r.completion_edge)
+    own = _owners(g, t).tolist() if hits else []
+    for lim, ce_list in hits.items():
+        i = limit_of[lim]
+        if len(ce_list) > 1:
+            probs.append(f"limit edge {lim} is crossed {len(ce_list)} times")
+            continue
+        f, h = ce_list[0]
+        if not (own[h] <= i < own[f]):
+            probs.append(f"the crossing of limit edge {lim} does not come "
+                         f"from the element above it")
+
+    try:
+        build_hp_extended(g, sol.order)
+    except ValidationError as exc:
+        probs.append(f"subdividing the crossings fails: {exc}")
+    return probs
+
+
+def verify_solution(g, sol):
+    return not solution_problems(g, sol)
+
+
 # -- the post-solve layers, one Python pass per edge or crossing ------------
 
 @dataclass
@@ -428,6 +533,11 @@ def _first_page(g, pos, spine, u, v, cls):
 
 def reference_book_embedding(g, sol):
     """The book embedding, one edge drawing at a time."""
+    return BookEmbedding(*reference_drawings(g, sol))
+
+
+def reference_drawings(g, sol):
+    """The book embedding's spine and drawings as plain tuples."""
     probs = solution_problems(g, sol)
     if probs:
         raise InvalidSolution("; ".join(probs))
@@ -453,7 +563,7 @@ def reference_book_embedding(g, sol):
             page = RIGHT_PAGE if page == LEFT_PAGE else LEFT_PAGE
         drawings.append(EdgeDrawing(
             (u, v), tuple(segs), tuple(int(math.floor(c)) for c in coords)))
-    return BookEmbedding(tuple(spine), tuple(drawings))
+    return tuple(spine), tuple(drawings)
 
 
 def _page_planarity(segs):

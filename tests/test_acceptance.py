@@ -22,10 +22,10 @@ from hpcc.book import (
 from hpcc.decompose import FreeVertex, StPolygon, decompose
 from hpcc.graph import graph_from_json
 from hpcc.oracle import brute_force_optimal, enumerate_hamiltonian_orders
-from hpcc.polygon import channel_order, polygon_costs, polygon_subgraph
+from hpcc.polygon import channel_order, polygon_costs
 from hpcc.rhombus import find_strong_rhombus, find_weak_rhombus, is_hamiltonian
 from hpcc.solver import solution_problems
-from reference import median_candidates, weak_polygon_seeds
+from reference import median_candidates, polygon_subgraph, weak_polygon_seeds
 
 DENSITIES = (0.0, 0.3, 0.7, 1.0)
 SEEDS_PER_CELL = 417     # 6 sizes x 4 densities x 417 = 10,008 instances
@@ -173,7 +173,7 @@ def test_criterion_2_hamiltonicity_three_ways(corpus, capsys):
 def test_criterion_3_solutions_verify(corpus, capsys):
     bad = corpus.verifier_failures
     _verdict(capsys, 3, not bad,
-             f"verify_solution clean on {corpus.count} optima, "
+             f"solution_problems clean on {corpus.count} optima, "
              f"{len(bad)} violations")
 
 

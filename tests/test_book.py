@@ -22,7 +22,7 @@ from hpcc.book import (
 from hpcc.graph import ParseError
 from hpcc.solver import CompletionSolution
 from reference import (book_payload, indented, reference_book_embedding,
-                       reference_book_problems)
+                       reference_book_problems, reference_drawings)
 from strategies import instances
 
 FIXTURES = ["weak_rhombus", "strong_rhombus", "chorded_polygon",
@@ -35,10 +35,18 @@ def drawing_of(be, edge):
 
 
 def problems(be, g=None):
-    """The validator's problem list, checked against the reference's."""
+    """The validator's problem list, checked against the reference's; the
+    messages hold plain Python numbers."""
     got = validate_book_embedding(be, g)
     assert got == reference_book_problems(be, g)
+    assert not any("np." in p for p in got)
     return got
+
+
+def redrawn(be, old, new):
+    """``be`` with drawing ``old`` replaced, through the public constructor."""
+    return BookEmbedding(be.spine, tuple(new if x == old else x
+                                         for x in be.drawings))
 
 
 def test_planar_case_stays_on_its_pages(weak_rhombus):
@@ -78,7 +86,7 @@ def test_rejects_broken_solution(strong_rhombus):
 
 def test_rejects_bad_spine(strong_rhombus):
     be = to_book_embedding(strong_rhombus, solve(strong_rhombus))
-    flipped = dataclasses.replace(be, spine=(0, 2, 1, 3))
+    flipped = BookEmbedding((0, 2, 1, 3), be.drawings)
     with pytest.raises(SpineNotLinearExtension):
         from_book_embedding(strong_rhombus, flipped)
 
@@ -102,14 +110,13 @@ class TestValidatorFaults:
 
     def test_repeated_vertex(self, weak_rhombus):
         be = self.embed(weak_rhombus)
-        bad = dataclasses.replace(be, spine=(0, 1, 1, 2))
+        bad = BookEmbedding((0, 1, 1, 2), be.drawings)
         assert problems(bad) == ["spine repeats a vertex"]
 
     def test_detached_endpoint(self, weak_rhombus):
         be = self.embed(weak_rhombus)
         stub = EdgeDrawing((0, 1), (Segment("L", 0.0, 2.0),), ())
-        bad = dataclasses.replace(
-            be, drawings=(stub,) + be.drawings[1:])
+        bad = BookEmbedding(be.spine, (stub,) + be.drawings[1:])
         assert any("endpoint to endpoint" in p
                    for p in problems(bad))
 
@@ -118,9 +125,7 @@ class TestValidatorFaults:
         d = drawing_of(be, (0, 2))
         flat = dataclasses.replace(
             d, segments=(Segment("R", 0.0, 1.5), Segment("R", 1.5, 3.0)))
-        bad = dataclasses.replace(
-            be, drawings=tuple(flat if x.edge == (0, 2) else x
-                               for x in be.drawings))
+        bad = redrawn(be, d, flat)
         assert any("stays on one page" in p
                    for p in problems(bad))
 
@@ -130,9 +135,7 @@ class TestValidatorFaults:
         moved = dataclasses.replace(
             d, segments=(Segment("R", 0.0, 2.0), Segment("L", 2.0, 3.0)),
             spine_crossings=(2,))
-        bad = dataclasses.replace(
-            be, drawings=tuple(moved if x.edge == (0, 2) else x
-                               for x in be.drawings))
+        bad = redrawn(be, d, moved)
         assert any("integer coordinate" in p
                    for p in problems(bad))
 
@@ -140,9 +143,7 @@ class TestValidatorFaults:
         be = self.embed(strong_rhombus)
         d = drawing_of(be, (0, 2))
         moved = dataclasses.replace(d, spine_crossings=(2,))
-        bad = dataclasses.replace(
-            be, drawings=tuple(moved if x.edge == (0, 2) else x
-                               for x in be.drawings))
+        bad = redrawn(be, d, moved)
         assert any("outside slot" in p for p in problems(bad))
 
     def test_infinite_dive(self, strong_rhombus):
@@ -151,9 +152,7 @@ class TestValidatorFaults:
         d = drawing_of(be, (0, 2))
         moved = dataclasses.replace(d, segments=(
             Segment("R", 0.0, float("inf")), Segment("L", float("inf"), 3.0)))
-        bad = dataclasses.replace(
-            be, drawings=tuple(moved if x.edge == (0, 2) else x
-                               for x in be.drawings))
+        bad = redrawn(be, d, moved)
         assert validate_book_embedding(bad) == [
             "edge 0->2 has a non-ascending segment",
             "edge 0->2 dive inf is outside slot 1"]
@@ -167,7 +166,7 @@ class TestValidatorFaults:
 
     def test_missing_edge_against_graph(self, weak_rhombus):
         be = self.embed(weak_rhombus)
-        bad = dataclasses.replace(be, drawings=be.drawings[1:])
+        bad = BookEmbedding(be.spine, be.drawings[1:])
         assert any("do not match the graph" in p
                    for p in problems(bad, weak_rhombus))
 
@@ -177,9 +176,7 @@ class TestValidatorFaults:
         split = dataclasses.replace(
             d, segments=(Segment("R", 2.0, 2.5), Segment("L", 2.5, 3.0)),
             spine_crossings=(2,))
-        bad = dataclasses.replace(
-            be, drawings=tuple(split if x.edge == (3, 2) else x
-                               for x in be.drawings))
+        bad = redrawn(be, d, split)
         assert problems(bad) == []
         assert any("dives do not match" in p
                    for p in problems(bad, weak_rhombus))
@@ -191,6 +188,7 @@ def test_embedding_matches_solution(g):
     sol = solve(g)
     be = to_book_embedding(g, sol)
     assert be == reference_book_embedding(g, sol)
+    assert (be.spine, be.drawings) == reference_drawings(g, sol)
     assert be.spine_crossing_count == sol.crossings
     assert problems(be, g) == []
     assert from_book_embedding(g, be) == sol
@@ -212,6 +210,15 @@ def test_json_on_fixed_cases(request, name):
         assert "3.3333333333333335" in text
 
 
+def test_non_integer_ends_and_slots_are_refused():
+    # numpy alone would read 0.5 as 0 and "2" as 2
+    for d in (EdgeDrawing((0.5, 1), (Segment("L", 0.0, 1.0),), ()),
+              EdgeDrawing((0, 1), (Segment("L", 0.0, 0.5),
+                                   Segment("R", 0.5, 1.0)), ("2",))):
+        with pytest.raises(TypeError):
+            BookEmbedding((0, 1), (d,))
+
+
 def test_json_of_a_hand_made_embedding(weak_rhombus):
     # arbitrary pages and numbers, as book_from_json may return them
     be = BookEmbedding((0, 1, 3, 2), (
@@ -230,6 +237,7 @@ def test_fixtures_match_the_reference(request, name):
     sol = solve(g)
     be = to_book_embedding(g, sol)
     assert be == reference_book_embedding(g, sol)
+    assert (be.spine, be.drawings) == reference_drawings(g, sol)
     assert problems(be, g) == []
 
 
@@ -251,5 +259,5 @@ def test_faulty_embeddings_match_the_reference(g, i, j, change):
     drawings = tuple(dataclasses.replace(d, segments=tuple(segs))
                      if x is d else x for x in be.drawings)
     for bad in (drawings, drawings[::-1] + drawings[:1]):
-        problems(dataclasses.replace(be, drawings=bad))
-        problems(dataclasses.replace(be, drawings=bad), g)
+        problems(BookEmbedding(be.spine, bad))
+        problems(BookEmbedding(be.spine, bad), g)

@@ -12,7 +12,10 @@ from hypothesis import given, settings
 
 from hpcc import (GeneratorParams, build_graph, generate, graph_from_json,
                   graph_to_json, solve)
-from hpcc.cli import _solution_json, main
+from hpcc.book import BookEmbedding
+from hpcc.cli import _solution_json, _write_text, main
+from hpcc.crossings import HpExtendedGraph
+from hpcc.solver import CompletionSolution
 from reference import indented, ladder_module, solution_payload
 from strategies import instances
 
@@ -131,6 +134,35 @@ def test_embed_and_render(capsys, sr_file, tmp_path):
                      str(tmp_path / "sol.json"), "--svg", str(svg))
     assert code == 0
     assert svg.read_text().lstrip().startswith("<svg")
+
+
+@pytest.mark.parametrize("text", ["", "{}", "a\nb\n"])
+def test_written_text_ends_in_one_newline(capsys, tmp_path, text):
+    path = tmp_path / "out.txt"
+    _write_text(str(path), text)
+    _write_text("-", text)
+    assert path.read_text() == capsys.readouterr().out == text + "\n"
+
+
+def test_solve_and_embed_build_no_list_view(tmp_path, monkeypatch):
+    # the solution's and the book's arrays carry the CLI from input to
+    # output; any list or tuple view read on the way raises here
+    def refuse(self):
+        raise AssertionError("a lazy view was built")
+
+    for cls, views in ((CompletionSolution, ("completion_edges", "records")),
+                       (BookEmbedding, ("drawings",)),
+                       (HpExtendedGraph, ("names", "edges",
+                                          "hamiltonian_order",
+                                          "crossing_of"))):
+        for view in views:
+            monkeypatch.setattr(cls, view, property(refuse))
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(ladder_module().ladder(40, 3).doc))
+    for cmd in ("solve", "embed"):
+        out = tmp_path / f"{cmd}.json"
+        assert main([cmd, "-i", str(path), "-o", str(out)]) == 0
+        assert json.loads(out.read_text())
 
 
 def test_oracle_and_compare(capsys, sr_file):

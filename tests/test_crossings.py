@@ -12,14 +12,13 @@ from hpcc.crossings import (
     SameSideCompletionEdge,
     build_hp_extended,
     crossings_along_edges,
-    edge_crossings,
     scan_order,
     solution_crossings,
 )
 from hpcc import solve
-from hpcc.graph import topological_order
 from hpcc.oracle import enumerate_hamiltonian_orders
-from reference import reference_hp_extended
+from reference import (edge_crossings, reference_hp_extended,
+                       topological_order)
 from strategies import instances
 
 

@@ -17,14 +17,13 @@ from hpcc import (
     UnknownVertex,
     build_graph,
     classify_edge,
-    edge_classes,
     graph_from_json,
     graph_to_json,
     is_linear_extension,
-    topological_order,
 )
 from hpcc.graph import _LEFT, _RIGHT
-from reference import graph_payload, indented, reference_tables
+from reference import (edge_classes, graph_payload, indented,
+                       reference_tables, topological_order)
 from strategies import instances
 
 PATH_EDGES = [("s", "a"), ("a", "b"), ("b", "t"), ("s", "r1"), ("r1", "t")]

@@ -5,16 +5,14 @@ import math
 import pytest
 from hypothesis import given, settings
 
-from hpcc.crossings import edge_crossings
 from hpcc.decompose import StPolygon, decompose
 from hpcc.oracle import brute_force_optimal
 from hpcc.polygon import (
     NotAnStPolygon,
     channel_order,
     polygon_costs,
-    polygon_subgraph,
 )
-from reference import local_edges
+from reference import edge_crossings, local_edges, polygon_subgraph
 from strategies import instances
 
 

@@ -6,11 +6,11 @@ from hpcc import build_graph
 from hpcc.rhombus import (
     Rhombus,
     RhombusKind,
-    extract_hamiltonian_path,
     find_strong_rhombus,
     find_weak_rhombus,
     is_hamiltonian,
 )
+from reference import extract_hamiltonian_path
 from strategies import instances
 
 

@@ -4,20 +4,24 @@ import dataclasses
 import importlib
 import json
 from collections import Counter
+from itertools import islice
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hpcc import (GeneratorParams, InternalError, build_graph, decompose,
                   generate, graph_from_json, graph_to_json, solve)
 from hpcc import crossings
 from hpcc.cli import main
-from hpcc.crossings import solution_crossings
+from hpcc.crossings import CrossingRecord, solution_crossings
 from hpcc.decompose import EDGE, GAP, VERTEX
 from hpcc.graph import is_linear_extension
-from hpcc.solver import CompletionSolution, solution_problems, verify_solution
-from reference import ladder_module, reference_solution
+from hpcc.oracle import enumerate_hamiltonian_orders
+from hpcc.solver import CompletionSolution, solution_problems
+from reference import (ladder_module, reference_solution,
+                       reference_solution_problems, verify_solution)
 from strategies import instances
 
 KIND_NAMES = {GAP: "gap", VERTEX: "vertex", EDGE: "edge"}
@@ -95,15 +99,73 @@ class TestProblemReporting:
         assert any("records do not match a recount" in p
                    for p in solution_problems(strong_rhombus, bad))
 
+    def test_non_integer_claims_are_refused(self, strong_rhombus):
+        # numpy alone would read (1.5, 3) and ("1", "3") as (1, 3)
+        sol = solve(strong_rhombus)
+        for ces in ([(1.5, 3)], [("1", "3")]):
+            with pytest.raises(TypeError):
+                CompletionSolution(sol.order, ces, sol.records, sol.crossings)
+
     def test_wrong_total(self, strong_rhombus):
         bad = self.tampered(strong_rhombus, crossings=7)
         assert any("claims 7 crossings, recount says 1" in p
                    for p in solution_problems(strong_rhombus, bad))
 
 
+TAMPERS = ("drop", "duplicate", "permute", "reordinal")
+
+
+def tamper(claims, how, i, j):
+    """``claims`` with one record or edge dropped, one repeated, two
+    swapped, or (for records) one ordinal moved by ``j - 4``."""
+    claims = list(claims)
+    if not claims:
+        return claims
+    i %= len(claims)
+    if how == "drop":
+        del claims[i]
+    elif how == "duplicate":
+        claims.insert(j % (len(claims) + 1), claims[i])
+    elif how == "permute":
+        j %= len(claims)
+        claims[i], claims[j] = claims[j], claims[i]
+    elif isinstance(claims[i], CrossingRecord):
+        claims[i] = dataclasses.replace(claims[i],
+                                        ordinal=claims[i].ordinal + j - 4)
+    return claims
+
+
+@settings(max_examples=200, deadline=None)
+@given(instances(max_n=14), st.sampled_from(TAMPERS + ("none",)),
+       st.sampled_from(TAMPERS + ("none",)), st.integers(0, 99),
+       st.integers(0, 9), st.integers(-1, 1))
+def test_array_verifier_matches_the_set_based_one(g, on_edges, on_records,
+                                                   i, j, extra):
+    sol = solve(g)
+    bad = CompletionSolution(sol.order,
+                             tamper(sol.completion_edges, on_edges, i, j),
+                             tamper(sol.records, on_records, j, i),
+                             sol.crossings + extra)
+    probs = solution_problems(g, bad)
+    assert probs == reference_solution_problems(g, bad)
+    clean = (Counter(bad.completion_edges) == Counter(sol.completion_edges)
+             and Counter(bad.records) == Counter(sol.records) and not extra)
+    assert (probs == []) == clean
+
+
 def honest(g, order):
     ces, recs, tot = solution_crossings(g, order)
     return CompletionSolution(list(order), ces, recs, tot)
+
+
+@settings(max_examples=200, deadline=None)
+@given(instances(min_n=8, max_n=14), st.integers(0, 200))
+def test_array_verifier_matches_on_any_order(g, skip):
+    # honest claims for some hamiltonian order, optimal or not: the limit
+    # edge and per-edge rules fire in many combinations
+    order = list(islice(enumerate_hamiltonian_orders(g), skip + 1))[-1]
+    sol = honest(g, order)
+    assert solution_problems(g, sol) == reference_solution_problems(g, sol)
 
 
 def test_backward_subdivision_is_reported(double_crossing, monkeypatch):
@@ -152,6 +214,15 @@ class TestLimitEdgeRules:
         assert any("limit edge (1, 7) is crossed 2 times" in p
                    for p in solution_problems(g, sol))
 
+    def test_limit_problems_in_order_of_first_crossing(self):
+        # (9, 2) is crossed first along the order, (8, 5) has the lower id
+        g = generate(GeneratorParams(n=12, chord_density=0.7, seed=231))
+        sol = honest(g, (0, 11, 10, 9, 8, 1, 7, 2, 3, 4, 5, 6))
+        assert solution_problems(g, sol) == \
+            reference_solution_problems(g, sol) == [
+                "limit edge (9, 2) is crossed 2 times",
+                "limit edge (8, 5) is crossed 2 times"]
+
     def test_crossing_from_the_wrong_element(self):
         g = self.graph()
         sol = honest(g, (0, 1, 10, 9, 8, 2, 7, 3, 4, 6, 5))
@@ -169,6 +240,9 @@ def test_solver_output_is_always_clean(g):
     per_edge = Counter(r.crossed_edge for r in sol.records)
     assert all(c <= 2 for c in per_edge.values())
     assert solution_problems(g, sol) == []
+    # the list views rebuild the same claim arrays
+    assert honest(g, sol.order) == sol == CompletionSolution(
+        sol.order, sol.completion_edges, sol.records, sol.crossings)
 
 
 def test_no_elements_means_the_bare_edge():
