@@ -130,22 +130,26 @@ def _solve_checked(g: OuterplanarStDigraph) -> CompletionSolution:
     return sol
 
 
+def _book_checked(g: OuterplanarStDigraph, sol: CompletionSolution):
+    be = to_book_embedding(g, sol)
+    probs = validate_book_embedding(be, g)
+    if probs:
+        raise InternalError("book", "; ".join(probs))
+    return be
+
+
 def _cmd_solve(args) -> int:
     g = _read_graph(args)
     sol = _solve_checked(g)
     _write_text(args.output, _solution_json(g, sol))
     if args.svg:
-        _write_text(args.svg, render_svg(g, to_book_embedding(g, sol)))
+        _write_text(args.svg, render_svg(g, _book_checked(g, sol)))
     return 0
 
 
 def _cmd_embed(args) -> int:
     g = _read_graph(args)
-    sol = _solve_checked(g)
-    be = to_book_embedding(g, sol)
-    probs = validate_book_embedding(be, g)
-    if probs:
-        raise InternalError("book", "; ".join(probs))
+    be = _book_checked(g, _solve_checked(g))
     _write_text(args.output, book_to_json(g, be))
     if args.svg:
         _write_text(args.svg, render_svg(g, be))
@@ -154,8 +158,8 @@ def _cmd_embed(args) -> int:
 
 def _cmd_render(args) -> int:
     g = _read_graph(args)
-    sol = _solve_checked(g)
-    _write_text(args.output, render_svg(g, to_book_embedding(g, sol)))
+    _write_text(args.output,
+                render_svg(g, _book_checked(g, _solve_checked(g))))
     return 0
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .embedding import median_scan
 from .graph import (OuterplanarStDigraph, Edge, InternalError, VertexId,
-                    topo_index, _LEFT, _RIGHT)
+                    _LEFT, _RIGHT)
 from .rhombus import _weak_face_mask
 
 # junction kinds: how a polygon meets the previous one; GAP also covers the
@@ -120,7 +120,7 @@ def _build_table(g: OuterplanarStDigraph) -> PolygonTable:
     snk = np.concatenate([g.head[scan.edges], f.snk_of[wi]]).astype(np.int64)
     # weak faces have no (source, sink) edge, medians are one
     median = np.arange(len(src)) < len(scan.edges)
-    ti = topo_index(g)
+    ti = g.topo_pos
     by_src = np.argsort(ti[src], kind="stable")
     src, snk, median = src[by_src], snk[by_src], median[by_src]
 
@@ -128,10 +128,11 @@ def _build_table(g: OuterplanarStDigraph) -> PolygonTable:
     s_left, t_left = g.side[src] == _LEFT, g.side[snk] == _LEFT
     # rows: left chain, right chain
     chain = np.array([[_LEFT], [_RIGHT]])
-    lo = np.where(at_s, 1, np.where(g.side[src] == chain, g.rank[src] + 1,
+    coord = np.array([g.lcoord, g.rcoord])
+    lo = np.where(at_s, 1, np.where(g.side[src] == chain, coord[:, src] + 1,
                                     g.lo_out[src]))
     hi = np.where(at_t, [[g.k], [g.m]], np.where(
-        g.side[snk] == chain, g.rank[snk] - 1, g.hi_in[snk]))
+        g.side[snk] == chain, coord[:, snk] - 1, g.hi_in[snk]))
     if (lo <= 0).any():
         raise InternalError("decompose", "polygon source has no limit edge")
     if (hi < 0).any():
@@ -146,12 +147,13 @@ def _build_table(g: OuterplanarStDigraph) -> PolygonTable:
     # chain vertex of the next, and source of the one after.
     ends = np.concatenate([src, snk])
     free = []
-    for lo, hi, top, side in ((llo, lhi, g.k, _LEFT), (rlo, rhi, g.m, _RIGHT)):
+    for lo, hi, top, side, line in ((llo, lhi, g.k, _LEFT, g.lcoord),
+                                    (rlo, rhi, g.m, _RIGHT, g.rcoord)):
         cov = np.cumsum(np.bincount(lo, minlength=top + 2)
                         - np.bincount(hi + 1, minlength=top + 2))[1:top + 1]
         if cov.max(initial=0) > 1:
             raise InternalError("decompose", "polygon chains overlap")
-        cov += np.bincount(g.rank[ends[g.side[ends] == side]],
+        cov += np.bincount(line[ends[g.side[ends] == side]],
                            minlength=top + 1)[1:]
         free.append(np.flatnonzero(cov == 0) + 1)
     free = np.concatenate([free[0], g.n - free[1]])

@@ -21,7 +21,6 @@ class Incidence:
     base: np.ndarray       # per slot: vertex the half-edge leaves
     other: np.ndarray      # per slot: vertex it points at
     out: np.ndarray        # per slot: True if the G-edge is directed base->other
-    eid: np.ndarray        # per slot: edge index into g.tail/g.head
     indptr: np.ndarray
     rot_next: np.ndarray
     rot_prev: np.ndarray
@@ -39,11 +38,10 @@ def incidence(g: OuterplanarStDigraph) -> Incidence:
     other = np.concatenate([g.head, g.tail]).astype(dt)
     out = np.zeros(2 * E, dtype=bool)
     out[:E] = True
-    eid = np.concatenate([np.arange(E, dtype=dt)] * 2)
 
     key = (other.astype(np.int64) - base) % n
     order = np.lexsort((key, base)).astype(dt)
-    base, other, out, eid = base[order], other[order], out[order], eid[order]
+    base, other, out = base[order], other[order], out[order]
 
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(base, minlength=n), out=indptr[1:])
@@ -64,7 +62,7 @@ def incidence(g: OuterplanarStDigraph) -> Incidence:
     twin[slot_at_tail] = slot_at_head
     twin[slot_at_head] = slot_at_tail
 
-    inc = Incidence(base, other, out, eid, indptr, rot_next, rot_prev,
+    inc = Incidence(base, other, out, indptr, rot_next, rot_prev,
                     twin, slot_at_tail, slot_at_head)
     g._cache["incidence"] = inc
     return inc
@@ -79,8 +77,6 @@ class Faces:
     face_next: np.ndarray
     src_of: np.ndarray     # unique source corner vertex of interior faces
     snk_of: np.ndarray
-    src_count: np.ndarray
-    snk_count: np.ndarray
     left_count: np.ndarray    # face vertices on the left chain, corners included
     right_count: np.ndarray
     src_nb1: np.ndarray    # the two face neighbours of the source corner
@@ -118,8 +114,6 @@ def faces(g: OuterplanarStDigraph) -> Faces:
     snk_of = np.full(count, -1, dtype=np.int64)
     src_of[of_slot[src_corner]] = corner_v[src_corner]
     snk_of[of_slot[snk_corner]] = corner_v[snk_corner]
-    src_count = np.bincount(of_slot[src_corner], minlength=count)
-    snk_count = np.bincount(of_slot[snk_corner], minlength=count)
 
     left_count = np.bincount(of_slot[g.side[corner_v] == _LEFT],
                              minlength=count)
@@ -132,7 +126,7 @@ def faces(g: OuterplanarStDigraph) -> Faces:
     src_nb2[of_slot[src_corner]] = inc.other[nxt[src_corner]]
 
     f = Faces(count, of_slot, outer, first_slot, face_next, src_of, snk_of,
-              src_count, snk_count, left_count, right_count, src_nb1, src_nb2)
+              left_count, right_count, src_nb1, src_nb2)
     g._cache["faces"] = f
     return f
 

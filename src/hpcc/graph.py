@@ -19,6 +19,8 @@ each is built by one function here and stored on the graph:
 - ``lo_out``/``hi_in`` (:func:`_limit_tables`): each vertex's extreme
   two-sided neighbours, which gate the topological merge and bound every
   st-polygon of the decomposition;
+- ``topo_pos`` (:func:`_toposort`): each vertex's position in the canonical
+  topological order;
 - the sorted edge keys behind :meth:`OuterplanarStDigraph.has_edge`.
 """
 
@@ -118,8 +120,8 @@ class OuterplanarStDigraph:
     """Validated, immutable instance.  Construct via :func:`build_graph`,
     which derives every table passed in here."""
 
-    def __init__(self, names, ids, k, m, tail, head, keys, side, rank,
-                 lcoord, rcoord, classes, chords, lo_out, hi_in, topo):
+    def __init__(self, names, ids, k, m, tail, head, keys, side,
+                 lcoord, rcoord, classes, chords, lo_out, hi_in, topo_pos):
         self.names: list[str] = names
         self.n: int = len(names)
         self.k: int = k
@@ -129,7 +131,6 @@ class OuterplanarStDigraph:
         self.tail: np.ndarray = tail    # edges sorted by (tail, head)
         self.head: np.ndarray = head
         self.side: np.ndarray = side
-        self.rank: np.ndarray = rank
         # left line: s=0, l_i=i, t=k+1; right line: s=0, r_j=j, t=m+1;
         # -1 off the line
         self.lcoord: np.ndarray = lcoord
@@ -138,7 +139,7 @@ class OuterplanarStDigraph:
         self.chords: ChordIndex = chords
         self.lo_out: np.ndarray = lo_out
         self.hi_in: np.ndarray = hi_in
-        self._topo = topo
+        self.topo_pos: np.ndarray = topo_pos
         self._ids: dict = ids            # name -> id
         self._edge_keys = keys          # tail * n + head, ascending
         self._cache: dict = {}
@@ -277,7 +278,7 @@ def _check_plane(k, m, c: ChordIndex):
                 raise EmbeddingNotPlane("two-sided chord under a covering chord")
 
 
-def _limit_tables(n, tail, head, cls, rank):
+def _limit_tables(n, tail, head, cls, lcoord, rcoord):
     """Per-vertex extreme two-sided neighbours, as opposite-chain ranks.
 
     lo_out[v] = rank of v's lowest out-neighbour on the other chain,
@@ -288,14 +289,16 @@ def _limit_tables(n, tail, head, cls, rank):
     hi_in = np.full(n, -1, dtype=np.int64)
     two = cls == 2
     u, v = tail[two], head[two]
-    np.minimum.at(lo_out, u, rank[v])
-    np.maximum.at(hi_in, v, rank[u])
+    # a chain vertex is off the other line (-1): the maximum is its own
+    np.minimum.at(lo_out, u, np.maximum(lcoord[v], rcoord[v]))
+    np.maximum.at(hi_in, v, np.maximum(lcoord[u], rcoord[u]))
     lo_out[lo_out == n] = 0
     return lo_out, hi_in
 
 
 def _toposort(k, m, hi_in):
-    """Deterministic merge of the two chains, lowest rank first, left on ties.
+    """Each vertex's position in the deterministic merge of the two chains,
+    lowest rank first, left on ties.
 
     Readiness of a chain head is gated by the highest-ranked two-sided
     in-neighbour of it or of any vertex below it on its chain (a prefix
@@ -323,20 +326,9 @@ def _toposort(k, m, hi_in):
         else:
             raise CycleDetected("two-sided edges force a cycle")
     append(k + 1)
-    return tuple(order)
-
-
-def _has_duplicate(values):
-    try:
-        arr = np.asarray(values)
-    except ValueError:
-        arr = None
-    if arr is None or arr.ndim != 1 or arr.dtype.kind not in "USiuf":
-        return len(set(values)) != len(values)
-    if arr.size < 2:
-        return False
-    srt = np.sort(arr)
-    return bool((srt[1:] == srt[:-1]).any())
+    pos = np.empty(n, dtype=np.int64)
+    pos[order] = np.arange(n)
+    return pos
 
 
 def _edge_endpoint_ids(ids, edges):
@@ -365,7 +357,7 @@ def build_graph(left_seq, right_seq, edges, s=None, t=None):
     k, m = len(left_seq), len(right_seq)
 
     side_names = left_seq + right_seq
-    if _has_duplicate(side_names):
+    if len(set(side_names)) != len(side_names):
         raise SideNotAPath("repeated vertex in side sequences")
 
     if s is None or t is None or s == t:
@@ -406,10 +398,6 @@ def build_graph(left_seq, right_seq, edges, s=None, t=None):
     side[1:k + 1] = _LEFT
     side[k + 1] = _SNK
     side[k + 2:] = _RIGHT
-    rank = np.zeros(n, dtype=np.int64)
-    rank[1:k + 1] = np.arange(1, k + 1)
-    rank[k + 1] = n  # sink sentinel, above every chain rank
-    rank[k + 2:] = np.arange(m, 0, -1)
 
     # required boundary path along each side
     wu = np.concatenate((np.arange(k + 1), [0], np.arange(n - 1, k + 1, -1)))
@@ -434,11 +422,11 @@ def build_graph(left_seq, right_seq, edges, s=None, t=None):
 
     chords = _chord_index(tail, head, cls, lcoord, rcoord)
     _check_plane(k, m, chords)
-    lo_out, hi_in = _limit_tables(n, tail, head, cls, rank)
-    topo = _toposort(k, m, hi_in)
+    lo_out, hi_in = _limit_tables(n, tail, head, cls, lcoord, rcoord)
+    topo_pos = _toposort(k, m, hi_in)
     return OuterplanarStDigraph(names, ids, k, m, tail, head, keys, side,
-                                rank, lcoord, rcoord, cls, chords, lo_out,
-                                hi_in, topo)
+                                lcoord, rcoord, cls, chords, lo_out, hi_in,
+                                topo_pos)
 
 
 def classify_edge(g: OuterplanarStDigraph, e: Edge) -> EdgeClass:
@@ -450,21 +438,11 @@ def classify_edge(g: OuterplanarStDigraph, e: Edge) -> EdgeClass:
     return _EDGE_CLASSES[g.classes[np.searchsorted(g._edge_keys, u * g.n + v)]]
 
 
-def topo_index(g: OuterplanarStDigraph) -> np.ndarray:
-    """Position of each vertex in the canonical topological order."""
-    if "topo_index" not in g._cache:
-        idx = np.empty(g.n, dtype=np.int64)
-        idx[np.fromiter(g._topo, dtype=np.int64, count=g.n)] = np.arange(g.n)
-        g._cache["topo_index"] = idx
-    return g._cache["topo_index"]
-
-
 def is_linear_extension(g: OuterplanarStDigraph, order) -> bool:
-    order = list(order)
-    if len(order) != g.n:
-        raise NotAPermutation(f"length {len(order)}, expected {g.n}")
-    pos = np.full(g.n, -1, dtype=np.int64)
     arr = np.asarray(order, dtype=np.int64)
+    if len(arr) != g.n:
+        raise NotAPermutation(f"length {len(arr)}, expected {g.n}")
+    pos = np.full(g.n, -1, dtype=np.int64)
     if arr.min(initial=0) < 0 or arr.max(initial=0) >= g.n:
         raise NotAPermutation("vertex id out of range")
     pos[arr] = np.arange(g.n)

@@ -16,7 +16,7 @@ from enum import Enum
 import numpy as np
 
 from .embedding import faces, median_scan
-from .graph import OuterplanarStDigraph, VertexId, topo_index, _LEFT, _RIGHT
+from .graph import OuterplanarStDigraph, VertexId, _LEFT, _RIGHT
 
 
 class RhombusKind(Enum):
@@ -37,7 +37,7 @@ def find_strong_rhombus(g: OuterplanarStDigraph) -> Rhombus | None:
     scan = median_scan(g)
     if len(scan.edges) == 0:
         return None
-    ti = topo_index(g)
+    ti = g.topo_pos
     u = g.tail[scan.edges]
     v = g.head[scan.edges]
     best = np.lexsort((ti[v], ti[u]))[0]
@@ -69,7 +69,7 @@ def find_weak_rhombus(g: OuterplanarStDigraph) -> Rhombus | None:
     f, weak = _weak_face_mask(g)
     if not weak.any():
         return None
-    ti = topo_index(g)
+    ti = g.topo_pos
     cand = np.flatnonzero(weak)
     best = cand[np.lexsort((ti[f.snk_of[cand]], ti[f.src_of[cand]]))[0]]
     src = int(f.src_of[best])

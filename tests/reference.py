@@ -35,7 +35,7 @@ from hpcc.crossings import (CrossingRecord, NotLinearExtension,
                             scan_order, solution_crossings)
 from hpcc.embedding import faces, incidence, median_scan
 from hpcc.graph import (_LEFT, _RIGHT, _SNK, _SRC, NotAPermutation,
-                        ValidationError, is_linear_extension, topo_index)
+                        ValidationError, is_linear_extension)
 from hpcc.polygon import _local_pairs, _table, _validate
 from hpcc.solver import _owners, solution_problems
 
@@ -129,7 +129,7 @@ def interior_faces_as_sets(g):
 def median_candidates(g):
     """Median edges with their fan witnesses, bottom-up."""
     scan = median_scan(g)
-    ti = topo_index(g)
+    ti = g.topo_pos
     u, v = g.tail[scan.edges], g.head[scan.edges]
     order = np.lexsort((ti[v], ti[u]))
     return [((int(u[i]), int(v[i])),
@@ -142,7 +142,7 @@ def weak_polygon_seeds(g):
     bottom-up, as (source, chain vertices by side and rank, sink) with the
     limits of the polygon each one seeds."""
     f = faces(g)
-    ti = topo_index(g)
+    ti = g.topo_pos
     limits = {(p.source, p.sink): (p.lower_limit, p.upper_limit)
               for p in decompose(g) if isinstance(p, StPolygon)}
     out = []
@@ -151,7 +151,8 @@ def weak_polygon_seeds(g):
         if i == f.outer or src < 0 or snk < 0 or g.has_edge(src, snk):
             continue
         mids = sorted((v for v in face_vertices(g, i) if v not in (src, snk)),
-                      key=lambda v: (int(g.side[v]), int(g.rank[v])))
+                      key=lambda v: (int(g.side[v]),
+                                     max(g.lcoord[v], g.rcoord[v])))
         if len({int(g.side[v]) for v in mids}) == 2:
             out.append(((src, *mids, snk), limits[(src, snk)]))
     out.sort(key=lambda seed: (ti[seed[0][0]], ti[seed[0][-1]]))
@@ -159,8 +160,9 @@ def weak_polygon_seeds(g):
 
 
 def topological_order(g):
-    """The canonical topological order ``build_graph`` stores."""
-    return g._topo
+    """The canonical topological order, from the positions ``build_graph``
+    stores."""
+    return tuple(np.argsort(g.topo_pos).tolist())
 
 
 def edge_classes(g):
@@ -170,7 +172,7 @@ def edge_classes(g):
 
 def extract_hamiltonian_path(g):
     """The topological order as a path, or None if some hop is not an edge."""
-    order = np.asarray(g._topo, dtype=np.int64)
+    order = np.argsort(g.topo_pos)
     if bool(g.has_edges(order[:-1], order[1:]).all()):
         return tuple(int(v) for v in order)
     return None
@@ -207,6 +209,7 @@ class Tables:
     right: list
     two: list
     topo: list
+    topo_pos: list  # topo's inverse: each vertex's position in it
 
 
 def reference_tables(g):
@@ -259,12 +262,16 @@ def reference_tables(g):
         else:
             topo.append(right[j])
             j += 1
+    topo.append(t)
+    topo_pos = [0] * n
+    for i, v in enumerate(topo):
+        topo_pos[v] = i
     return Tables(lcoord, rcoord, classes,
                   [lo.get(v, 0) for v in range(n)],
                   [hi.get(v, -1) for v in range(n)],
                   sorted(chords[0], key=lambda c: (c[0], -c[1])),
                   sorted(chords[1], key=lambda c: (c[0], -c[1])),
-                  sorted(chords[2]), topo + [t])
+                  sorted(chords[2]), topo, topo_pos)
 
 
 # -- the original per-element DP and splice --------------------------------

@@ -136,6 +136,18 @@ def test_embed_and_render(capsys, sr_file, tmp_path):
     assert svg.read_text().lstrip().startswith("<svg")
 
 
+def test_every_drawn_book_is_validated(capsys, sr_file, tmp_path,
+                                       monkeypatch):
+    monkeypatch.setattr("hpcc.cli.validate_book_embedding",
+                        lambda be, g: ["planted problem"])
+    for argv in (["render", "-i", sr_file],
+                 ["solve", "-i", sr_file, "-o", str(tmp_path / "sol.json"),
+                  "--svg", str(tmp_path / "out.svg")]):
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert "self-check failed in stage book: planted problem" in err
+
+
 @pytest.mark.parametrize("text", ["", "{}", "a\nb\n"])
 def test_written_text_ends_in_one_newline(capsys, tmp_path, text):
     path = tmp_path / "out.txt"

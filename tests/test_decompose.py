@@ -5,7 +5,6 @@ from hypothesis import given, settings
 
 from hpcc import GeneratorParams, build_graph, generate, solve
 from hpcc.decompose import FreeVertex, StPolygon, decompose
-from hpcc.graph import topo_index
 from reference import median_candidates, weak_polygon_seeds
 from strategies import instances
 
@@ -84,7 +83,7 @@ def _covered(g, elements):
 @given(instances())
 def test_partition_and_ordering(g):
     els = decompose(g)
-    ti = topo_index(g)
+    ti = g.topo_pos
     reps = [ti[el.representative] for el in els]
     assert reps == sorted(reps)
     # chains and free vertices tile the interior; a vertex they skip must be

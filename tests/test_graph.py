@@ -38,8 +38,8 @@ def test_vertex_ids_are_cycle_positions():
     assert g.n == 6 and g.k == 2 and g.m == 2
     assert g.edge_count == 6
     a, r2 = g.vid("a"), g.vid("r2")
-    assert g.side[a] == _LEFT and g.rank[a] == 1
-    assert g.side[r2] == _RIGHT and g.rank[r2] == 2
+    assert g.side[a] == _LEFT and g.lcoord[a] == 1
+    assert g.side[r2] == _RIGHT and g.rcoord[r2] == 2
 
 
 def test_minimal_two_vertex_instance():
@@ -63,6 +63,9 @@ def test_minimal_two_vertex_instance():
     (SideNotAPath, ["a", "b"], ["r1"],
      [("s", "a"), ("a", "t"), ("s", "b"), ("b", "t"), ("s", "r1"), ("r1", "t")]),
     (ParseError, ["a", "b"], ["r1"], PATH_EDGES + [("a",)]),
+    (SideNotAPath, ["a", "b"], ["a"], PATH_EDGES),
+    (SideNotAPath, [1, 1], ["r1"], PATH_EDGES),
+    (TypeError, [["a"], "b"], ["r1"], PATH_EDGES),
 ])
 def test_rejects_malformed_input(exc, left, right, edges):
     with pytest.raises(exc):
@@ -234,3 +237,4 @@ def test_stored_tables_match_plain_recomputation(g):
     assert list(zip(c.ra.tolist(), c.rb.tolist(), c.reid.tolist())) == ref.right
     assert list(zip(c.ti.tolist(), c.tj.tolist(), c.teid.tolist())) == ref.two
     assert list(topological_order(g)) == ref.topo
+    assert g.topo_pos.tolist() == ref.topo_pos
