@@ -4,9 +4,12 @@
 
 Runs ``check``, ``decompose``, ``solve``, ``embed`` and ``embed --svg``
 through ``hpcc.cli.main`` on every generator instance with n 4..9,
-densities 0/0.3/0.7/1 and seeds 0..89, on the test fixtures and on the
-benchmark's ladders of 10^3 and 10^4 rhombi.  For each command it prints
-one sha256 over every run's output file, exit code and standard error.
+densities 0/0.3/0.7/1 and seeds 0..89, on generator instances of the
+benchmark's one-polygon shape (density 0.3) with n 10^3, 10^4 and 10^5,
+on the test fixtures, on the benchmark's ladders of 10^3 and 10^4
+rhombi, and on one malformed document per fault the reader names.  For
+each command it prints one sha256 over every run's output file, exit code
+and standard error.
 Two trees whose digests agree write the same bytes.  SRC is the directory
 holding the ``hpcc`` package (default: this checkout's ``src``); the
 instances always come from this checkout.  Needs only the standard
@@ -28,6 +31,19 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 COMMANDS = (("check",), ("decompose",), ("solve",), ("embed",),
             ("embed", "--svg"))
+PATH = [["s", "a"], ["a", "b"], ["b", "t"], ["s", "r1"], ["r1", "t"]]
+# (label, left, right, s, t, edges): one document per fault the reader names
+MALFORMED = (
+    ("repeated-side-name", ["a", "a"], ["r1"], "s", "t", PATH),
+    ("s-inside-a-chain", ["a", "b"], ["s"], "s", "t", PATH),
+    ("t-inside-a-chain", ["t", "b"], ["r1"], "s", "t", PATH),
+    ("s-equals-t", ["a", "b"], ["r1"], "s", "s", PATH),
+    ("unknown-vertex", ["a", "b"], ["r1"], "s", "t", PATH + [["a", "zz"]]),
+    ("non-pair-edge", ["a", "b"], ["r1"], "s", "t", PATH + [["a"]]),
+    ("two-sided-cycle", ["a"], ["r1", "r2"], "s", "t",
+     [["s", "a"], ["a", "t"], ["s", "r1"], ["r1", "r2"], ["r2", "t"],
+      ["r2", "a"], ["a", "r1"]]),
+)
 
 
 def load(name: str, path: Path, **stubs):
@@ -56,6 +72,9 @@ def instances(hpcc):
                 g = hpcc.generate(hpcc.GeneratorParams(
                     n=n, chord_density=density, seed=seed))
                 yield f"gen-{n}-{density}-{seed}", hpcc.graph_to_json(g)
+    for n in (10**3, 10**4, 10**5):
+        g = hpcc.generate(hpcc.GeneratorParams(n=n, chord_density=0.3))
+        yield f"gen-{n}-0.3-0", hpcc.graph_to_json(g)
     # the fixtures are plain functions once pytest.fixture is the identity
     stub = types.ModuleType("pytest")
     stub.fixture = lambda fn: fn
@@ -67,6 +86,9 @@ def instances(hpcc):
     ladder = load("digest_ladder", ROOT / "perfbench" / "ladder.py")
     for rhombi in (10**3, 10**4):
         yield f"ladder-{rhombi}", json.dumps(ladder.ladder(rhombi, 1).doc)
+    for label, left, right, s, t, edges in MALFORMED:
+        yield f"malformed-{label}", json.dumps(
+            {"left": left, "right": right, "s": s, "t": t, "edges": edges})
 
 
 def main(argv=None) -> int:

@@ -327,6 +327,14 @@ def book_to_json(g: OuterplanarStDigraph, be: BookEmbedding) -> str:
                         "spine": [names[v] for v in be.spine]}, 0)
 
 
+def _exact(value, kinds: tuple, what: str):
+    """``value`` if JSON decoded it as one of ``kinds``: no bool passes for
+    a number, and no float or string is cut down to an integer slot."""
+    if type(value) not in kinds:
+        raise TypeError(f"{what} expected, got {value!r}")
+    return value
+
+
 def book_from_json(g: OuterplanarStDigraph, text: str) -> BookEmbedding:
     try:
         payload = json.loads(text)
@@ -339,11 +347,14 @@ def book_from_json(g: OuterplanarStDigraph, text: str) -> BookEmbedding:
         drawings = []
         for entry in payload["edges"]:
             segs = tuple(
-                Segment(str(s["page"]), float(s["from"]), float(s["to"]))
+                Segment(str(s["page"]),
+                        float(_exact(s["from"], (int, float), "number")),
+                        float(_exact(s["to"], (int, float), "number")))
                 for s in entry["segments"])
             drawings.append(EdgeDrawing(
                 (g.vid(entry["edge"][0]), g.vid(entry["edge"][1])),
-                segs, tuple(int(i) for i in entry["spine_crossings"])))
+                segs, tuple(_exact(i, (int,), "integer slot")
+                            for i in entry["spine_crossings"])))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed book embedding: {exc}") from None
     return BookEmbedding(spine, tuple(drawings))

@@ -3,8 +3,9 @@
 Every edge appears as two half-edge rows (one per endpoint).  Rows are
 grouped by their base vertex and sorted by clockwise angle, which on the
 cycle layout is simply ``(other - base) mod n``.  Faces are orbits of the
-permutation ``rot_next . twin``; the orbit through the source's first slot
-walks the whole boundary cycle and is the outer face.
+permutation ``rot_next . twin``; the outer face walks the whole boundary
+cycle, and its slots are exactly those whose ``other`` is ``base + 1``
+(mod n).
 """
 
 from __future__ import annotations
@@ -34,14 +35,13 @@ def incidence(g: OuterplanarStDigraph) -> Incidence:
         return g._cache["incidence"]
     n, E = g.n, g.edge_count
     dt = np.int32 if 2 * E < 2**31 else np.int64
-    base = np.concatenate([g.tail, g.head]).astype(dt)
-    other = np.concatenate([g.head, g.tail]).astype(dt)
-    out = np.zeros(2 * E, dtype=bool)
-    out[:E] = True
-
-    key = (other.astype(np.int64) - base) % n
-    order = np.lexsort((key, base)).astype(dt)
-    base, other, out = base[order], other[order], out[order]
+    base = np.concatenate([g.tail, g.head])
+    other = np.concatenate([g.head, g.tail])
+    # one key per slot, (base, angle); keys are distinct, as no edge is
+    # given twice or in both directions
+    order = (base * n + (other - base) % n).argsort().astype(dt)
+    base, other = base[order].astype(dt), other[order].astype(dt)
+    out = order < E     # the first E rows are the tail slots
 
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(base, minlength=n), out=indptr[1:])
@@ -87,11 +87,16 @@ def faces(g: OuterplanarStDigraph) -> Faces:
     if "faces" in g._cache:
         return g._cache["faces"]
     inc = incidence(g)
-    nslots = len(inc.base)
+    nslots, dt = len(inc.base), inc.base.dtype
     face_next = inc.rot_next[inc.twin]
 
-    # smallest slot id reachable along each orbit, by pointer doubling
-    lab = np.arange(nslots, dtype=inc.base.dtype)
+    # the outer face walks the boundary cycle: exactly the slots that step
+    # one up it, labelled with the first of them outright.  The doubling
+    # then finds the smallest slot of each interior orbit
+    on_outer = inc.other == (inc.base + 1) % g.n
+    outer_slot = int(on_outer.argmax())
+    lab = np.arange(nslots, dtype=dt)
+    lab[on_outer] = outer_slot
     hop = face_next
     while True:
         new = np.minimum(lab, lab[hop])
@@ -100,10 +105,13 @@ def faces(g: OuterplanarStDigraph) -> Faces:
         lab = new
         hop = hop[hop]
 
-    first_slot, of_slot = np.unique(lab, return_inverse=True)
-    of_slot = of_slot.astype(np.int32)
+    # faces are numbered by their smallest slot, ascending
+    first = lab == np.arange(nslots)
+    number = np.cumsum(first, dtype=np.int32) - 1
+    of_slot = number[lab]
+    outer = int(number[outer_slot])
+    first_slot = np.flatnonzero(first).astype(dt)
     count = len(first_slot)
-    outer = int(of_slot[inc.indptr[0]])
 
     nxt = face_next
     src_corner = (~inc.out) & inc.out[nxt]

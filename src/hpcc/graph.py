@@ -26,6 +26,7 @@ each is built by one function here and stored on the graph:
 
 from __future__ import annotations
 
+import gc
 import json
 from dataclasses import dataclass
 from itertools import chain
@@ -303,31 +304,27 @@ def _toposort(k, m, hi_in):
     Readiness of a chain head is gated by the highest-ranked two-sided
     in-neighbour of it or of any vertex below it on its chain (a prefix
     maximum of ``hi_in``); a stuck merge means a cycle through two-sided
-    edges.
+    edges.  The merge is solved in closed form: ``J[i - 1]`` is the right
+    rank due next when left rank ``i`` is placed.  It is at least one past
+    that vertex's gate; short of that, the right chain runs ahead while its
+    head is ready and its rank is below ``i``; and it never falls back.
     """
     n = k + m + 2
-    # index = chain rank; right rank j is id n - j
-    rl = np.maximum.accumulate(hi_in[:k + 1]).tolist()
-    rr = np.maximum.accumulate(
-        np.concatenate(([-1], hi_in[:k + 1:-1]))).tolist()
-
-    order = [0]
-    append = order.append
-    i, j = 1, 1
-    while i <= k or j <= m:
-        left_ok = i <= k and rl[i] < j
-        right_ok = j <= m and rr[j] < i
-        if left_ok and (not right_ok or i <= j):
-            append(i)
-            i += 1
-        elif right_ok:
-            append(n - j)
-            j += 1
-        else:
-            raise CycleDetected("two-sided edges force a cycle")
-    append(k + 1)
+    # prefix maxima by chain rank from rank 1, as s has no in-edges; right
+    # rank j is id n - j
+    rl = np.maximum.accumulate(hi_in[1:k + 1])
+    rr = np.maximum.accumulate(hi_in[:k + 1:-1])
+    i = np.arange(1, k + 1)
+    stuck = rr.searchsorted(i) + 1      # lowest right rank not ready for i
+    J = np.maximum.accumulate(np.maximum(rl + 1, np.minimum(stuck, i)))
+    # a right vertex placed before left i but not ready for it: stuck
+    if (J > stuck).any():
+        raise CycleDetected("two-sided edges force a cycle")
+    j = np.arange(1, m + 1)
     pos = np.empty(n, dtype=np.int64)
-    pos[order] = np.arange(n)
+    pos[0], pos[k + 1] = 0, n - 1
+    pos[1:k + 1] = i + J - 1
+    pos[:k + 1:-1] = j + J.searchsorted(j, "right")
     return pos
 
 
@@ -356,18 +353,22 @@ def build_graph(left_seq, right_seq, edges, s=None, t=None):
     edges = list(edges)
     k, m = len(left_seq), len(right_seq)
 
-    side_names = left_seq + right_seq
-    if len(set(side_names)) != len(side_names):
-        raise SideNotAPath("repeated vertex in side sequences")
-
-    if s is None or t is None or s == t:
-        raise ParseError("s and t must both be given and distinct")
-    if s in side_names or t in side_names:
-        raise SideNotAPath("s/t may not appear inside a side sequence")
-
     n = k + m + 2
     names = [s] + left_seq + [t] + right_seq[::-1]
-    ids = {nm: i for i, nm in enumerate(names)}
+    try:
+        ids = dict(zip(names, range(n)))
+    except TypeError:       # an unhashable name: a fault below still comes first
+        ids = {}
+    if len(ids) < n or s is None or t is None:
+        # some name repeats or is missing: find which, in this order
+        side_names = left_seq + right_seq
+        if len(set(side_names)) != len(side_names):
+            raise SideNotAPath("repeated vertex in side sequences")
+        if s is None or t is None or s == t:
+            raise ParseError("s and t must both be given and distinct")
+        if s in side_names or t in side_names:
+            raise SideNotAPath("s/t may not appear inside a side sequence")
+        ids = dict(zip(names, range(n)))    # none did: raises the TypeError
     tail, head = _edge_endpoint_ids(ids, edges)
 
     loops = np.flatnonzero(tail == head)
@@ -507,6 +508,24 @@ def json_object(fields: dict, depth: int) -> str:
 
 
 def graph_from_json(text: str) -> OuterplanarStDigraph:
+    """Parse and build an instance document.
+
+    The cyclic garbage collector is paused from the parse until the parsed
+    document is dropped: the document is lists of strings with no cycles,
+    which reference counting frees, but the collector's passes over the
+    freshly tracked edge lists would cost twice the parse itself.  The
+    caller's collector state is restored on every exit.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _parse_graph(text)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _parse_graph(text: str) -> OuterplanarStDigraph:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

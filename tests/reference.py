@@ -3,7 +3,8 @@
 Face walks, rhombus seed listings, the stored topological order and edge
 classes, the topological order as a path,
 polygon subgraphs and polygon edge lists, plain-Python
-recomputations of the tables ``build_graph`` stores, the solver's
+recomputations of the tables ``build_graph`` stores and of its
+topological merge, the solver's
 original element-by-element DP and splice, the crossings of one
 completion edge, the set-based verifier, the per-edge HP-extended
 graph, book builder and book validator, and the dict payloads of the
@@ -118,6 +119,23 @@ def face_vertices(g, face_idx):
         if slot == start:
             break
     return tuple(out)
+
+
+def reference_face_labels(g):
+    """Face number per slot from a plain walk of each orbit of
+    ``rot_next . twin``: faces are numbered in the order of their smallest
+    slots."""
+    inc = incidence(g)
+    rot_next, twin = inc.rot_next.tolist(), inc.twin.tolist()
+    label, count = [-1] * len(twin), 0
+    for start in range(len(twin)):
+        if label[start] < 0:
+            slot = start
+            while label[slot] < 0:
+                label[slot] = count
+                slot = rot_next[twin[slot]]
+            count += 1
+    return label
 
 
 def interior_faces_as_sets(g):
@@ -272,6 +290,32 @@ def reference_tables(g):
                   sorted(chords[0], key=lambda c: (c[0], -c[1])),
                   sorted(chords[1], key=lambda c: (c[0], -c[1])),
                   sorted(chords[2]), topo, topo_pos)
+
+
+def reference_toposort(k, m, hi_in):
+    """Topological positions by the plain merge loop over the chain heads,
+    lowest rank first, left on ties; None where the merge gets stuck."""
+    n = k + m + 2
+    rl = np.maximum.accumulate(hi_in[:k + 1]).tolist()
+    rr = np.maximum.accumulate(
+        np.concatenate(([-1], hi_in[:k + 1:-1]))).tolist()
+    order, i, j = [0], 1, 1
+    while i <= k or j <= m:
+        left_ok = i <= k and rl[i] < j
+        right_ok = j <= m and rr[j] < i
+        if left_ok and (not right_ok or i <= j):
+            order.append(i)
+            i += 1
+        elif right_ok:
+            order.append(n - j)
+            j += 1
+        else:
+            return None
+    order.append(k + 1)
+    pos = [0] * n
+    for p, v in enumerate(order):
+        pos[v] = p
+    return pos
 
 
 # -- the original per-element DP and splice --------------------------------

@@ -1,12 +1,13 @@
 """Two-page drawings along a spine, with dives where edges get crossed."""
 
 import dataclasses
+import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hpcc import build_graph, solve
+from hpcc import GeneratorParams, build_graph, generate, solve
 from hpcc.book import (
     BookEmbedding,
     EdgeDrawing,
@@ -98,6 +99,27 @@ def test_json_rejects_garbage(strong_rhombus):
         book_from_json(strong_rhombus, "[]")
     with pytest.raises(ParseError):
         book_from_json(strong_rhombus, '{"spine": ["s"]}')
+
+
+@pytest.mark.parametrize("field, value", [
+    ("spine_crossings", [3.9]),
+    ("spine_crossings", ["3"]),
+    ("spine_crossings", [True]),
+    ("from", "3.3333333333333335"),
+    ("from", True),
+    ("to", None),
+])
+def test_json_refuses_coerced_values(field, value):
+    # read as slot 3 or as a float, these left the validator nothing to find
+    g = generate(GeneratorParams(n=8, chord_density=0.7, seed=3))
+    doc = json.loads(book_to_json(g, to_book_embedding(g, solve(g))))
+    entry = next(e for e in doc["edges"] if e["spine_crossings"])
+    if field == "spine_crossings":
+        entry[field] = value
+    else:
+        entry["segments"][1][field] = value
+    with pytest.raises(ParseError, match="malformed book embedding"):
+        book_from_json(g, json.dumps(doc))
 
 
 class TestValidatorFaults:

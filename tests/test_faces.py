@@ -1,10 +1,13 @@
 """Face enumeration and median detection on the embedded boundary cycle."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 
-from hpcc.embedding import faces, median_scan
-from reference import face_vertices, interior_faces_as_sets
+from hpcc import GeneratorParams, build_graph, generate
+from hpcc.embedding import faces, incidence, median_scan
+from reference import (face_vertices, interior_faces_as_sets,
+                       reference_face_labels)
 from strategies import instances
 
 
@@ -66,3 +69,35 @@ def test_euler_formula_and_slot_partition(g):
             if slot == start:
                 break
     assert seen.all()
+
+
+def check_face_labels(g):
+    f, inc = faces(g), incidence(g)
+    label = reference_face_labels(g)
+    assert f.of_slot.tolist() == label
+    assert f.count == max(label) + 1
+    assert f.first_slot.tolist() == [label.index(i) for i in range(f.count)]
+    # the outer face is exactly the slots that step one up the cycle
+    steps_up = inc.other == (inc.base + 1) % g.n
+    assert np.array_equal(f.of_slot == f.outer, steps_up)
+    assert f.of_slot[inc.indptr[0]] == f.outer
+
+
+@settings(max_examples=150, deadline=None)
+@given(instances(min_n=2, max_n=14))
+def test_face_labels_match_an_orbit_walk(g):
+    check_face_labels(g)
+
+
+@pytest.mark.parametrize("g", [
+    build_graph([], [], [("s", "t")], s="s", t="t"),
+    # k = 0 and m = 0: one chain is empty, its side is the edge (s, t)
+    generate(GeneratorParams(n=9, left_fraction=0.0, chord_density=1.0,
+                             seed=1)),
+    generate(GeneratorParams(n=9, left_fraction=1.0, chord_density=1.0,
+                             seed=1)),
+    build_graph([], ["r1", "r2"], [("s", "t"), ("s", "r1"), ("r1", "r2"),
+                                   ("r2", "t"), ("s", "r2")], s="s", t="t"),
+], ids=["n=2", "k=0", "m=0", "k=0-chord"])
+def test_face_labels_on_edge_cases(g):
+    check_face_labels(g)

@@ -1,9 +1,12 @@
 """Construction, validation, and serialization of embedded instances."""
 
+import gc
 import json
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hpcc import (
     CycleDetected,
@@ -21,12 +24,17 @@ from hpcc import (
     graph_to_json,
     is_linear_extension,
 )
-from hpcc.graph import _LEFT, _RIGHT
+from hpcc.graph import _LEFT, _RIGHT, _toposort
 from reference import (edge_classes, graph_payload, indented,
-                       reference_tables, topological_order)
+                       reference_tables, reference_toposort,
+                       topological_order)
 from strategies import instances
 
 PATH_EDGES = [("s", "a"), ("a", "b"), ("b", "t"), ("s", "r1"), ("r1", "t")]
+# plane, one source and one sink, but r2 -> a -> r1 -> r2 is a cycle
+TWO_SIDED_CYCLE = (["a"], ["r1", "r2"],
+                   [("s", "a"), ("a", "t"), ("s", "r1"), ("r1", "r2"),
+                    ("r2", "t"), ("r2", "a"), ("a", "r1")])
 
 
 def test_vertex_ids_are_cycle_positions():
@@ -66,10 +74,62 @@ def test_minimal_two_vertex_instance():
     (SideNotAPath, ["a", "b"], ["a"], PATH_EDGES),
     (SideNotAPath, [1, 1], ["r1"], PATH_EDGES),
     (TypeError, [["a"], "b"], ["r1"], PATH_EDGES),
+    (CycleDetected, *TWO_SIDED_CYCLE),
 ])
 def test_rejects_malformed_input(exc, left, right, edges):
     with pytest.raises(exc):
         build_graph(left, right, edges, s="s", t="t")
+
+
+@st.composite
+def hi_in_tables(draw):
+    """(k, m, hi_in): each chain vertex's highest two-sided in-neighbour as
+    a rank on the other chain, or -1; s and t have none."""
+    k = draw(st.integers(0, 8))
+    m = draw(st.integers(0, 8))
+    left = draw(st.lists(st.integers(-1, m), min_size=k, max_size=k))
+    right = draw(st.lists(st.integers(-1, k), min_size=m, max_size=m))
+    return k, m, np.array([-1, *left, -1, *right], dtype=np.int64)
+
+
+@settings(max_examples=600, deadline=None)
+@given(hi_in_tables())
+@example((1, 2, np.array([-1, 2, -1, -1, 1])))     # TWO_SIDED_CYCLE's table
+@example((2, 2, np.array([-1, -1, 1, -1, 2, -1])))   # gated both ways, acyclic
+def test_toposort_matches_the_merge_loop(table):
+    k, m, hi_in = table
+    want = reference_toposort(k, m, hi_in)
+    if want is None:
+        with pytest.raises(CycleDetected):
+            _toposort(k, m, hi_in)
+    else:
+        assert _toposort(k, m, hi_in).tolist() == want
+
+
+def _doc(left, right, edges):
+    return json.dumps({"left": left, "right": right, "s": "s", "t": "t",
+                       "edges": edges})
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("text, exc", [
+    (_doc(["a", "b"], ["r1"], PATH_EDGES), None),
+    ("not json", ParseError),
+    (_doc(["a", "a"], ["r1"], PATH_EDGES), SideNotAPath),
+    (_doc(*TWO_SIDED_CYCLE), CycleDetected),
+], ids=["ok", "bad-json", "side-not-a-path", "cycle"])
+def test_reading_restores_the_collector_state(enabled, text, exc):
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if exc is None:
+            graph_from_json(text)
+        else:
+            with pytest.raises(exc):
+                graph_from_json(text)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def test_s_and_t_must_be_distinct():
