@@ -3,7 +3,6 @@ outerplanar st-digraphs, and the matching two-page book embeddings."""
 
 from .graph import (
     OuterplanarStDigraph,
-    EdgeClass,
     ParseError,
     ValidationError,
     MultipleSources,
@@ -13,11 +12,9 @@ from .graph import (
     EmbeddingNotPlane,
     DuplicateEdge,
     UnknownVertex,
-    EdgeNotInGraph,
     NotAPermutation,
     InternalError,
     build_graph,
-    classify_edge,
     graph_from_json,
     graph_to_json,
     is_linear_extension,
@@ -38,13 +35,7 @@ from .rhombus import (
     is_hamiltonian,
 )
 from .decompose import FreeVertex, PolygonTable, StPolygon, decompose
-from .polygon import (
-    NotAnStPolygon,
-    PolygonCosts,
-    channel_costs,
-    channel_order,
-    polygon_costs,
-)
+from .polygon import NotAnStPolygon, polygon_costs
 from .solver import (
     CompletionSolution,
     solution_problems,
@@ -75,20 +66,18 @@ from .render import render_svg
 __version__ = "0.1.0"
 
 __all__ = [
-    "OuterplanarStDigraph", "EdgeClass",
+    "OuterplanarStDigraph",
     "ParseError", "ValidationError", "MultipleSources", "MultipleSinks",
     "CycleDetected", "SideNotAPath", "EmbeddingNotPlane", "DuplicateEdge",
-    "UnknownVertex", "EdgeNotInGraph", "NotAPermutation", "InternalError",
-    "build_graph",
-    "classify_edge", "graph_from_json", "graph_to_json",
+    "UnknownVertex", "NotAPermutation", "InternalError",
+    "build_graph", "graph_from_json", "graph_to_json",
     "is_linear_extension",
     "CrossingRecord", "HpExtendedGraph", "NotLinearExtension",
     "SameSideCompletionEdge", "build_hp_extended", "solution_crossings",
     "Rhombus", "RhombusKind",
     "find_strong_rhombus", "find_weak_rhombus", "is_hamiltonian",
     "FreeVertex", "PolygonTable", "StPolygon", "decompose",
-    "NotAnStPolygon", "PolygonCosts", "channel_costs",
-    "channel_order", "polygon_costs",
+    "NotAnStPolygon", "polygon_costs",
     "CompletionSolution", "solution_problems", "solve",
     "BookEmbedding", "EdgeDrawing", "InvalidSolution", "Segment",
     "SpineNotLinearExtension", "book_from_json", "book_to_json",

@@ -28,7 +28,7 @@ from .graph import (OuterplanarStDigraph, InternalError, ParseError,
                     json_scalars)
 from .oracle import (GeneratorParams, InfeasibleParams, InstanceTooLarge,
                      brute_force_optimal, generate)
-from .polygon import CHANNELS, channel_costs
+from .polygon import CHANNELS, polygon_costs
 from .render import render_svg
 from .rhombus import is_hamiltonian
 from .solver import CompletionSolution, solution_problems, solve
@@ -99,7 +99,7 @@ def _cmd_check(args) -> int:
 def _cmd_decompose(args) -> int:
     g = _read_graph(args)
     elements = decompose(g)
-    costs = iter(channel_costs(g, elements.table)[0].tolist())
+    costs = iter(polygon_costs(g, elements.table)[0].tolist())
     out = []
     for el in elements:
         if isinstance(el, StPolygon):
@@ -200,6 +200,8 @@ def _cmd_compare(args) -> int:
 def _cmd_gen(args) -> int:
     params = GeneratorParams(n=args.n, left_fraction=args.left_fraction,
                              chord_density=args.density, seed=args.seed)
+    if args.count < 1:
+        raise InfeasibleParams(f"count={args.count} is below the minimum of 1")
     if args.count == 1:
         _write_text(args.output, graph_to_json(generate(params)))
         return 0

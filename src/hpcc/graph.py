@@ -12,8 +12,7 @@ each is built by one function here and stored on the graph:
 
 - ``lcoord``/``rcoord`` (:func:`_line_coords`): each vertex's position on
   the left and right chain lines;
-- ``classes`` (:func:`_edge_class_codes`): each edge's class code, which
-  :func:`classify_edge` reads;
+- ``classes`` (:func:`_edge_class_codes`): each edge's class code;
 - ``chords`` (:func:`_chord_index`): the chord families, sorted once; the
   plane check validates them and the crossing geometry queries them;
 - ``lo_out``/``hi_in`` (:func:`_limit_tables`): each vertex's extreme
@@ -30,7 +29,6 @@ import gc
 import json
 from dataclasses import dataclass
 from itertools import chain
-from enum import Enum
 
 import numpy as np
 
@@ -74,10 +72,6 @@ class UnknownVertex(ValidationError):
     pass
 
 
-class EdgeNotInGraph(ValidationError):
-    pass
-
-
 class NotAPermutation(ValidationError):
     pass
 
@@ -91,16 +85,8 @@ class InternalError(RuntimeError):
         self.stage = stage
 
 
-class EdgeClass(Enum):
-    ONE_SIDED_LEFT = "OneSidedLeft"
-    ONE_SIDED_RIGHT = "OneSidedRight"
-    TWO_SIDED = "TwoSided"
-
-
 # side codes used in numpy arrays
 _SRC, _LEFT, _RIGHT, _SNK = 0, 1, 2, 3
-# class codes of g.classes, in EdgeClass order
-_EDGE_CLASSES = tuple(EdgeClass)
 
 
 @dataclass
@@ -428,15 +414,6 @@ def build_graph(left_seq, right_seq, edges, s=None, t=None):
     return OuterplanarStDigraph(names, ids, k, m, tail, head, keys, side,
                                 lcoord, rcoord, cls, chords, lo_out, hi_in,
                                 topo_pos)
-
-
-def classify_edge(g: OuterplanarStDigraph, e: Edge) -> EdgeClass:
-    """The class of one edge, read from ``g.classes``."""
-    u, v = e
-    if not (0 <= u < g.n and 0 <= v < g.n) or not g.has_edge(u, v):
-        raise EdgeNotInGraph(str(e))
-    # edges are stored in key order, so the key's index is the edge id
-    return _EDGE_CLASSES[g.classes[np.searchsorted(g._edge_keys, u * g.n + v)]]
 
 
 def is_linear_extension(g: OuterplanarStDigraph, order) -> bool:

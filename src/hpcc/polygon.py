@@ -10,19 +10,17 @@ fixed.  For a fixed chord, the set of sweep ordinals it crosses is one
 contiguous interval (or its complement), so every chord contributes a
 constant number of difference-array events and all polygons of a
 :class:`PolygonTable` are costed together in four vectorized passes
-(:func:`channel_costs`).  :class:`PolygonCosts` and :func:`channel_order`
-are per-polygon views of the same numbers for the public API.
+(:func:`polygon_costs`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .decompose import PolygonTable, StPolygon
-from .graph import OuterplanarStDigraph, Edge, ValidationError
+from .decompose import PolygonTable
+from .graph import OuterplanarStDigraph, ValidationError
 
 CHANNELS = ("1L", "1R", "2L", "2R")
 
@@ -33,91 +31,25 @@ class NotAnStPolygon(ValidationError):
     """The polygon does not describe an st-polygon of this graph."""
 
 
-@dataclass(frozen=True)
-class PolygonCosts:
-    polygon: StPolygon
-    c1L: int
-    c1R: int
-    c2L: int | float        # inf when the left run cannot be split
-    c2R: int | float
-    q2L: int | None         # split point realising c2L (lefts before the jump)
-    q2R: int | None
-    w1L: tuple[Edge, ...]
-    w1R: tuple[Edge, ...]
-    w2L: tuple[Edge, ...] | None
-    w2R: tuple[Edge, ...] | None
-
-    def cost(self, tag: str) -> int | float:
-        return getattr(self, "c" + tag)
-
-    def jumps(self, tag: str) -> tuple[Edge, ...]:
-        w = getattr(self, "w" + tag)
-        if w is None:
-            raise ValueError(f"channel {tag} is not available here")
-        return w
-
-    def split(self, tag: str) -> int | None:
-        return getattr(self, "q" + tag) if tag in ("2L", "2R") else None
-
-    def order(self, tag: str) -> list[int]:
-        return channel_order(self.polygon, tag, self.split(tag))
-
-    @property
-    def left_best(self) -> tuple[int | float, str]:
-        return (self.c1L, "1L") if self.c1L <= self.c2L else (self.c2L, "2L")
-
-    @property
-    def right_best(self) -> tuple[int | float, str]:
-        return (self.c1R, "1R") if self.c1R <= self.c2R else (self.c2R, "2R")
-
-
-def channel_order(p: StPolygon, tag: str, q: int | None = None) -> list[int]:
-    """Vertex order a channel assigns to the polygon, source to sink."""
-    lefts, rights = p.left_vertices, p.right_vertices
-    if tag in ("2L", "2R"):
-        run = lefts if tag == "2L" else rights
-        if q is None or not 1 <= q < len(run):
-            raise ValueError(f"channel {tag} needs a split in 1..{len(run) - 1}")
-    if tag == "1L":
-        mid = rights + lefts
-    elif tag == "1R":
-        mid = lefts + rights
-    elif tag == "2L":
-        mid = lefts[:q] + rights + lefts[q:]
-    elif tag == "2R":
-        mid = rights[:q] + lefts + rights[q:]
-    else:
-        raise ValueError(f"unknown channel {tag!r}")
-    return [p.source] + mid + [p.sink]
-
-
-def _table(g: OuterplanarStDigraph, polys: list[StPolygon]) -> PolygonTable:
-    """Table over any polygon list, in its order; junctions all GAP."""
-    for p in polys:
-        if p.n != g.n:
-            raise NotAnStPolygon(f"polygon built for n={p.n}, graph has n={g.n}")
-    rows = np.array([(p.source, p.sink, p.left_lo, p.left_hi, p.right_lo,
-                      p.right_hi, p.median is not None,
-                      -1 if p.lower_limit is None else p.lower_limit[1],
-                      -1 if p.upper_limit is None else p.upper_limit[0])
-                     for p in polys], dtype=np.int64).reshape(-1, 9).T
-    return PolygonTable(g.n, *rows[:6], rows[6] == 1, *rows[7:],
-                        np.zeros(len(polys), np.int64), np.arange(len(polys)))
-
-
 def _validate(g: OuterplanarStDigraph, t: PolygonTable) -> None:
-    ok = ((1 <= t.left_lo) & (t.left_lo <= t.left_hi) & (t.left_hi <= g.k)
+    if t.n != g.n:
+        raise NotAnStPolygon(f"polygons built for n={t.n}, graph has n={g.n}")
+    s, k, pos = t.source, t.sink, g.topo_pos.take
+    ok = ((np.minimum(s, k) >= 0) & (np.maximum(s, k) < g.n)
+          & (pos(s, mode="clip") < pos(k, mode="clip"))
+          & (1 <= t.left_lo) & (t.left_lo <= t.left_hi) & (t.left_hi <= g.k)
           & (1 <= t.right_lo) & (t.right_lo <= t.right_hi)
           & (t.right_hi <= g.m))
     if not ok.all():
         p = int(np.flatnonzero(~ok)[0])
-        raise NotAnStPolygon(f"polygon at {t.source[p]} needs nonempty runs "
-                             f"on both chains")
-    bad = np.flatnonzero(g.has_edges(t.source, t.sink) != t.median)
+        raise NotAnStPolygon(f"polygon {s[p]}->{k[p]} needs a "
+                             f"source below its sink among the graph's "
+                             f"vertices and nonempty runs on both chains")
+    bad = np.flatnonzero(g.has_edges(s, k) != t.median)
     if len(bad):
-        s, k = int(t.source[bad[0]]), int(t.sink[bad[0]])
-        raise NotAnStPolygon(f"polygon at {s} disagrees with the graph about "
-                             f"the edge {s}->{k}")
+        u, v = int(s[bad[0]]), int(k[bad[0]])
+        raise NotAnStPolygon(f"polygon at {u} disagrees with the graph about "
+                             f"the edge {u}->{v}")
 
 
 def _local_pairs(g: OuterplanarStDigraph, t: PolygonTable):
@@ -192,12 +124,13 @@ def _segment_best(c_first, c_second, off, width, count):
     return cost, split
 
 
-def channel_costs(g: OuterplanarStDigraph, t: PolygonTable):
+def polygon_costs(g: OuterplanarStDigraph, t: PolygonTable):
     """Channel prices of every polygon of the table, as (cost, split).
 
     ``cost[p, c]`` prices channel ``CHANNELS[c]`` (inf where the run cannot
     be split); ``split[p, c]`` is the split realising it (lefts for 2L,
-    rights for 2R, before the jump), 0 for the one-jump channels.
+    rights for 2R, before the jump), 0 for the one-jump channels and
+    where the run cannot be split.
     """
     P = len(t)
     if not P:
@@ -236,25 +169,3 @@ def channel_costs(g: OuterplanarStDigraph, t: PolygonTable):
                     axis=1).astype(np.float64)
     cost[:, 2:][cost[:, 2:] < 0] = math.inf
     return cost, np.column_stack([np.zeros((P, 2), np.int64), q2L, q2R])
-
-
-def polygon_costs(g: OuterplanarStDigraph,
-                  polys: list[StPolygon]) -> list[PolygonCosts]:
-    """All four channel costs for every polygon, with jump witnesses."""
-    if not polys:
-        return []
-    costs, splits = channel_costs(g, _table(g, polys))
-    out = []
-    for p, c, (_, _, q2L, q2R) in zip(polys, costs.tolist(), splits.tolist()):
-        lam1, lamK = p.left_lo, p.left_hi
-        rho1, rhoM = g.n - p.right_lo, g.n - p.right_hi
-        sl, sr = c[2] != math.inf, c[3] != math.inf   # splittable runs
-        out.append(PolygonCosts(
-            polygon=p, c1L=int(c[0]), c1R=int(c[1]),
-            c2L=int(c[2]) if sl else math.inf,
-            c2R=int(c[3]) if sr else math.inf,
-            q2L=q2L if sl else None, q2R=q2R if sr else None,
-            w1L=((rhoM, lam1),), w1R=((lamK, rho1),),
-            w2L=((lam1 + q2L - 1, rho1), (rhoM, lam1 + q2L)) if sl else None,
-            w2R=((rho1 - q2R + 1, lam1), (lamK, rho1 - q2R)) if sr else None))
-    return out

@@ -3,7 +3,8 @@
 The spine runs bottom to top with the source at the bottom; left-page
 arcs bulge left, right-page arcs bulge right, and every dive through the
 spine gets a tick.  Output is deterministic: coordinates are fixed
-functions of the embedding and printed with two decimals.
+functions of the embedding and printed with two decimals; vertex names
+are escaped as XML text.
 """
 
 from __future__ import annotations
@@ -14,6 +15,13 @@ from .graph import OuterplanarStDigraph
 _STEP = 48.0
 _MARGIN = 42.0
 _PAGE_COLOR = {True: "#2166ac", False: "#b2182b"}
+
+
+def _xml_text(name) -> str:
+    """The name as XML character data; what ``html.escape(quote=False)``
+    gives, without importing ``html`` and its entity table."""
+    return str(name).replace("&", "&amp;").replace("<", "&lt;") \
+        .replace(">", "&gt;")
 
 
 def _bulge(span: float) -> float:
@@ -69,6 +77,6 @@ def render_svg(g: OuterplanarStDigraph, be: BookEmbedding) -> str:
                    f'fill="#111"/>')
         out.append(f'<text x="{x + 9:.2f}" y="{y(i) + 4:.2f}" '
                    f'font-size="12" font-family="sans-serif" '
-                   f'fill="#111">{g.name(v)}</text>')
+                   f'fill="#111">{_xml_text(g.name(v))}</text>')
     out.append("</svg>")
     return "\n".join(out)

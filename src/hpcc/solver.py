@@ -22,7 +22,7 @@ from .crossings import CompletionSolution, build_hp_extended, scan_order
 from .decompose import EDGE, GAP, VERTEX, PolygonTable, decompose
 from .graph import (OuterplanarStDigraph, InternalError, NotAPermutation,
                     ValidationError, is_linear_extension, _LEFT)
-from .polygon import channel_costs
+from .polygon import polygon_costs
 
 _L, _R = 0, 1
 # channel codes index polygon.CHANNELS: 0 1L, 1 1R, 2 2L, 3 2R.  A
@@ -133,7 +133,7 @@ def _splice(g: OuterplanarStDigraph, t: PolygonTable, ch, split):
 def solve(g: OuterplanarStDigraph) -> CompletionSolution:
     """Optimal completion; the recount at the end guards the plan."""
     t = decompose(g).table
-    cost, split = channel_costs(g, t)
+    cost, split = polygon_costs(g, t)
     best, ch = _plan(g, t, cost)
     order = _splice(g, t, ch, split[np.arange(len(t)), ch])
     scan = scan_order(g, order)

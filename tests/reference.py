@@ -1,7 +1,8 @@
 """Helpers only the tests need, built on the public API.
 
 Face walks, rhombus seed listings, the stored topological order and edge
-classes, the topological order as a path,
+classes, the topological order as a path, channel orders and their
+jumps, one-row polygon tables,
 polygon subgraphs and polygon edge lists, plain-Python
 recomputations of the tables ``build_graph`` stores and of its
 topological merge, the solver's
@@ -26,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from hpcc import (FreeVertex, StPolygon, build_graph, channel_order,
+from hpcc import (FreeVertex, PolygonTable, StPolygon, build_graph,
                   crossings, decompose, polygon_costs)
 from hpcc.book import (LEFT_PAGE, RIGHT_PAGE, BookEmbedding, EdgeDrawing,
                        InvalidSolution, Segment)
@@ -37,7 +38,8 @@ from hpcc.crossings import (CrossingRecord, NotLinearExtension,
 from hpcc.embedding import faces, incidence, median_scan
 from hpcc.graph import (_LEFT, _RIGHT, _SNK, _SRC, NotAPermutation,
                         ValidationError, is_linear_extension)
-from hpcc.polygon import _local_pairs, _table, _validate
+from hpcc.decompose import GAP
+from hpcc.polygon import CHANNELS, _local_pairs, _validate
 from hpcc.solver import _owners, solution_problems
 
 _L, _R = 0, 1
@@ -196,9 +198,50 @@ def extract_hamiltonian_path(g):
     return None
 
 
+def channel_order(p, tag, q=None):
+    """Vertex order a channel assigns to the polygon, source to sink; q is
+    the split of a two-jump channel (lefts for 2L, rights for 2R, before
+    the jump)."""
+    lefts, rights = p.left_vertices, p.right_vertices
+    if tag in ("2L", "2R"):
+        run = lefts if tag == "2L" else rights
+        if q is None or not 1 <= q < len(run):
+            raise ValueError(f"channel {tag} needs a split in "
+                             f"1..{len(run) - 1}")
+    if tag == "1L":
+        mid = rights + lefts
+    elif tag == "1R":
+        mid = lefts + rights
+    elif tag == "2L":
+        mid = lefts[:q] + rights + lefts[q:]
+    elif tag == "2R":
+        mid = rights[:q] + lefts + rights[q:]
+    else:
+        raise ValueError(f"unknown channel {tag!r}")
+    return [p.source] + mid + [p.sink]
+
+
+def channel_gaps(g, p, tag, q=None):
+    """The channel order's hops that are not edges: its jumps."""
+    order = channel_order(p, tag, q)
+    return [(u, v) for u, v in zip(order, order[1:]) if not g.has_edge(u, v)]
+
+
+def polygon_table(p):
+    """A one-row PolygonTable holding the polygon, junction GAP."""
+    def col(x):
+        return np.array([x], dtype=np.int64)
+    return PolygonTable(
+        p.n, col(p.source), col(p.sink), col(p.left_lo), col(p.left_hi),
+        col(p.right_lo), col(p.right_hi), np.array([p.median is not None]),
+        col(-1 if p.lower_limit is None else p.lower_limit[1]),
+        col(-1 if p.upper_limit is None else p.upper_limit[0]),
+        col(GAP), col(0))
+
+
 def polygon_subgraph(g, p):
     """The polygon as a standalone instance; vertex names carry over."""
-    t = _table(g, [p])
+    t = polygon_table(p)
     _validate(g, t)
     pe, _ = _local_pairs(g, t)
     edges = [(g.name(g.tail[e]), g.name(g.head[e])) for e in np.sort(pe)]
@@ -329,21 +372,22 @@ def _junction(prev, nxt):
     return "gap"
 
 
-def _shared_edge_terms(cL, cR, pc, sink_on_left):
+def _shared_edge_terms(cL, cR, row, sink_on_left):
+    c1L, c1R, c2L, c2R = row
     if sink_on_left:
-        terms_l = ((cL + pc.c1L + 1, _L, "1L"), (cR + pc.c1L, _R, "1L"),
-                   (cL + pc.c2L, _L, "2L"), (cR + pc.c2L, _R, "2L"))
-        terms_r = ((cL + pc.c1R, _L, "1R"), (cR + pc.c1R, _R, "1R"),
-                   (cL + pc.c2R + 1, _L, "2R"), (cR + pc.c2R, _R, "2R"))
+        terms_l = ((cL + c1L + 1, _L, "1L"), (cR + c1L, _R, "1L"),
+                   (cL + c2L, _L, "2L"), (cR + c2L, _R, "2L"))
+        terms_r = ((cL + c1R, _L, "1R"), (cR + c1R, _R, "1R"),
+                   (cL + c2R + 1, _L, "2R"), (cR + c2R, _R, "2R"))
     else:
-        terms_l = ((cL + pc.c1L, _L, "1L"), (cR + pc.c1L, _R, "1L"),
-                   (cL + pc.c2L, _L, "2L"), (cR + pc.c2L + 1, _R, "2L"))
-        terms_r = ((cL + pc.c1R, _L, "1R"), (cR + pc.c1R + 1, _R, "1R"),
-                   (cL + pc.c2R, _L, "2R"), (cR + pc.c2R, _R, "2R"))
+        terms_l = ((cL + c1L, _L, "1L"), (cR + c1L, _R, "1L"),
+                   (cL + c2L, _L, "2L"), (cR + c2L + 1, _R, "2L"))
+        terms_r = ((cL + c1R, _L, "1R"), (cR + c1R + 1, _R, "1R"),
+                   (cL + c2R, _L, "2R"), (cR + c2R, _R, "2R"))
     return min(terms_l, key=lambda t: t[0]), min(terms_r, key=lambda t: t[0])
 
 
-def _plan(g, elements, costs):
+def _plan(g, elements, cost):
     back = []
     cL = cR = None
     prev = None
@@ -357,15 +401,16 @@ def _plan(g, elements, costs):
             nL = nR = base
             row = (bprev, None, bprev, None)
         else:
-            pc = costs[ci]
+            c1L, c1R, c2L, c2R = c = cost[ci].tolist()
             ci += 1
             if prev is not None and _junction(prev, el) == "edge":
                 on_left = 1 <= prev.sink <= g.k      # left chain ids
                 (nL, pL, tL), (nR, pR, tR) = \
-                    _shared_edge_terms(cL, cR, pc, on_left)
+                    _shared_edge_terms(cL, cR, c, on_left)
                 row = (pL, tL, pR, tR)
             else:
-                (vL, tL), (vR, tR) = pc.left_best, pc.right_best
+                vL, tL = (c1L, "1L") if c1L <= c2L else (c2L, "2L")
+                vR, tR = (c1R, "1R") if c1R <= c2R else (c2R, "2R")
                 nL, nR = base + vL, base + vR
                 row = (bprev, tL, bprev, tR)
         back.append(row)
@@ -380,10 +425,10 @@ def _plan(g, elements, costs):
         pL, tL, pR, tR = back[i]
         tags[i] = tR if cell == _R else tL
         cell = pR if cell == _R else pL
-    return best, tags
+    return int(best), tags
 
 
-def _splice(g, elements, costs, tags):
+def _splice(g, elements, split, tags):
     order = []
     prev = None
     ci = 0
@@ -391,9 +436,9 @@ def _splice(g, elements, costs, tags):
         if isinstance(el, FreeVertex):
             local = [el.vertex]
         else:
-            pc = costs[ci]
+            local = channel_order(el, tag,
+                                  int(split[ci, CHANNELS.index(tag)]))
             ci += 1
-            local = channel_order(el, tag, pc.split(tag))
         if not order:
             order = local
         else:
@@ -429,10 +474,9 @@ def _splice(g, elements, costs, tags):
 def reference_solution(g):
     """(planned crossings, order) from the element-by-element solver."""
     elements = decompose(g)
-    costs = polygon_costs(
-        g, [el for el in elements if isinstance(el, StPolygon)])
-    best, tags = _plan(g, elements, costs)
-    return best, _splice(g, elements, costs, tags)
+    cost, split = polygon_costs(g, elements.table)
+    best, tags = _plan(g, elements, cost)
+    return best, _splice(g, elements, split, tags)
 
 
 # -- single completion edges and the set-based verifier --------------------

@@ -22,10 +22,11 @@ from hpcc.book import (
 from hpcc.decompose import FreeVertex, StPolygon, decompose
 from hpcc.graph import graph_from_json
 from hpcc.oracle import brute_force_optimal, enumerate_hamiltonian_orders
-from hpcc.polygon import channel_order, polygon_costs
+from hpcc.polygon import polygon_costs
 from hpcc.rhombus import find_strong_rhombus, find_weak_rhombus, is_hamiltonian
 from hpcc.solver import solution_problems
-from reference import median_candidates, polygon_subgraph, weak_polygon_seeds
+from reference import (channel_gaps, channel_order, median_candidates,
+                       polygon_subgraph, weak_polygon_seeds)
 
 DENSITIES = (0.0, 0.3, 0.7, 1.0)
 SEEDS_PER_CELL = 417     # 6 sizes x 4 densities x 417 = 10,008 instances
@@ -181,9 +182,9 @@ def test_criterion_4_channels_are_optimal(corpus, capsys):
     beaten = []
     for js in corpus.polygon_pool:
         sub = graph_from_json(js)
-        (p,) = decompose(sub)
-        (pc,) = polygon_costs(sub, [p])
-        channels = min(pc.c1L, pc.c1R, pc.c2L, pc.c2R)
+        (_,) = elements = decompose(sub)
+        cost, _ = polygon_costs(sub, elements.table)
+        channels = cost[0].min()
         best, _ = brute_force_optimal(sub)
         if best != channels:
             beaten.append(corpus.polygon_pool[js])
@@ -199,11 +200,12 @@ def test_criterion_5_fixed_fixtures(capsys, weak_rhombus, strong_rhombus,
                 (weak_rhombus, strong_rhombus, stacked_rhombi,
                  chorded_polygon))
     sol = solve(chorded_polygon)
-    (p,) = decompose(chorded_polygon)
-    (pc,) = polygon_costs(chorded_polygon, [p])
+    (p,) = elements = decompose(chorded_polygon)
+    cost, _ = polygon_costs(chorded_polygon, elements.table)
     via_1l = (sol.order == channel_order(p, "1L")
-              and tuple(sol.completion_edges) == pc.w1L
-              and pc.c1L == sol.crossings == 1)
+              and list(sol.completion_edges)
+              == channel_gaps(chorded_polygon, p, "1L")
+              and cost[0, 0] == sol.crossings == 1)
     ok = got == (0, 1, 2, 1) and via_1l
     _verdict(capsys, 5, ok,
              f"crossings {got} vs expected (0, 1, 2, 1); "

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from xml.dom import minidom
 
 import pytest
 from hypothesis import given, settings
@@ -136,6 +137,23 @@ def test_embed_and_render(capsys, sr_file, tmp_path):
     assert svg.read_text().lstrip().startswith("<svg")
 
 
+def test_svg_escapes_vertex_names(capsys, tmp_path):
+    g = build_graph(["a<b"], ["r&1"], [("s", "a<b"), ("a<b", "t"),
+                                       ("s", "r&1"), ("r&1", "t")],
+                    s="s", t="t")
+    path = tmp_path / "in.json"
+    path.write_text(graph_to_json(g))
+    svg = tmp_path / "out.svg"
+    code, rendered, _ = run(capsys, "render", "-i", str(path))
+    assert code == 0
+    assert run(capsys, "embed", "-i", str(path), "-o",
+               str(tmp_path / "book.json"), "--svg", str(svg))[0] == 0
+    for text in (rendered, svg.read_text()):
+        doc = minidom.parseString(text)
+        labels = [t.firstChild.data for t in doc.getElementsByTagName("text")]
+        assert {"a<b", "r&1"} <= set(labels)
+
+
 def test_every_drawn_book_is_validated(capsys, sr_file, tmp_path,
                                        monkeypatch):
     monkeypatch.setattr("hpcc.cli.validate_book_embedding",
@@ -221,9 +239,11 @@ def test_gen_count_lines_are_the_compact_documents(capsys):
 
 
 def test_gen_rejects_bad_params(capsys):
-    code, _, err = run(capsys, "gen", "--n", "1")
-    assert code == 3
-    assert "InfeasibleParams" in err
+    for bad in (["--n", "1"], ["--n", "6", "--count", "0"],
+                ["--n", "6", "--count", "-2"]):
+        code, out, err = run(capsys, "gen", *bad)
+        assert (code, out) == (3, "")
+        assert "InfeasibleParams" in err
 
 
 def test_unreadable_input(capsys, tmp_path):

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from hpcc import (
     CycleDetected,
     DuplicateEdge,
-    EdgeClass,
     EmbeddingNotPlane,
     MultipleSinks,
     MultipleSources,
@@ -19,7 +18,6 @@ from hpcc import (
     SideNotAPath,
     UnknownVertex,
     build_graph,
-    classify_edge,
     graph_from_json,
     graph_to_json,
     is_linear_extension,
@@ -30,6 +28,8 @@ from reference import (edge_classes, graph_payload, indented,
                        topological_order)
 from strategies import instances
 
+# class codes of g.classes
+ONE_SIDED_LEFT, ONE_SIDED_RIGHT, TWO_SIDED = 0, 1, 2
 PATH_EDGES = [("s", "a"), ("a", "b"), ("b", "t"), ("s", "r1"), ("r1", "t")]
 # plane, one source and one sink, but r2 -> a -> r1 -> r2 is a cycle
 TWO_SIDED_CYCLE = (["a"], ["r1", "r2"],
@@ -170,13 +170,19 @@ def test_rejects_one_sided_chord_covering_two_sided_endpoint():
                     s="s", t="t")
 
 
+def edge_class(g, u, v):
+    """The class code g.classes stores for the edge (u, v)."""
+    assert g.has_edge(u, v)
+    return int(g.classes[np.searchsorted(g._edge_keys, u * g.n + v)])
+
+
 def test_edge_classes(strong_rhombus, stacked_rhombi):
     g = strong_rhombus
-    assert classify_edge(g, (g.s, g.t)) is EdgeClass.ONE_SIDED_LEFT
-    assert classify_edge(g, (0, 1)) is EdgeClass.ONE_SIDED_LEFT
-    assert classify_edge(g, (0, 3)) is EdgeClass.ONE_SIDED_RIGHT
+    assert edge_class(g, g.s, g.t) == ONE_SIDED_LEFT
+    assert edge_class(g, 0, 1) == ONE_SIDED_LEFT
+    assert edge_class(g, 0, 3) == ONE_SIDED_RIGHT
     h = stacked_rhombi
-    assert classify_edge(h, (h.vid("b"), h.vid("m"))) is EdgeClass.TWO_SIDED
+    assert edge_class(h, h.vid("b"), h.vid("m")) == TWO_SIDED
 
 
 def test_topological_order_merges_sides():
@@ -287,9 +293,8 @@ def test_stored_tables_match_plain_recomputation(g):
     assert g.lcoord.tolist() == ref.lcoord
     assert g.rcoord.tolist() == ref.rcoord
     assert edge_classes(g).tolist() == ref.classes
-    assert [classify_edge(g, (u, v))
-            for u, v in zip(g.tail.tolist(), g.head.tolist())] == \
-        [list(EdgeClass)[c] for c in ref.classes]
+    assert [edge_class(g, u, v)
+            for u, v in zip(g.tail.tolist(), g.head.tolist())] == ref.classes
     assert g.lo_out.tolist() == ref.lo_out
     assert g.hi_in.tolist() == ref.hi_in
     c = g.chords

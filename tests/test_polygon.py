@@ -1,32 +1,36 @@
 """Channel costs for a single st-polygon."""
 
+import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
 from hpcc.decompose import StPolygon, decompose
-from hpcc.oracle import brute_force_optimal
-from hpcc.polygon import (
-    NotAnStPolygon,
-    channel_order,
-    polygon_costs,
-)
-from reference import edge_crossings, local_edges, polygon_subgraph
+from hpcc.oracle import GeneratorParams, brute_force_optimal, generate
+from hpcc.polygon import CHANNELS, NotAnStPolygon, polygon_costs
+from reference import (channel_gaps, channel_order, edge_crossings,
+                       local_edges, polygon_subgraph)
 from strategies import instances
+
+L1, R1, L2, R2 = range(4)     # cost columns, in CHANNELS order
 
 
 def test_chorded_polygon_costs(chorded_polygon):
-    (p,) = decompose(chorded_polygon)
-    (pc,) = polygon_costs(chorded_polygon, [p])
-    assert (pc.c1L, pc.c1R, pc.c2L, pc.c2R) == (1, 2, 3, math.inf)
-    assert pc.q2L == 1 and pc.q2R is None
-    assert pc.w1L == ((4, 1),)
-    assert pc.w1R == ((2, 4),)
-    assert pc.w2L == ((1, 4), (4, 2))
-    assert pc.w2R is None
-    assert pc.left_best == (1, "1L")
-    assert pc.right_best == (2, "1R")
+    g = chorded_polygon
+    (p,) = elements = decompose(g)
+    cost, split = polygon_costs(g, elements.table)
+    assert tuple(cost[0]) == (1, 2, 3, math.inf)
+    assert split[0, L2] == 1 and split[0, R2] == 0
+    assert channel_gaps(g, p, "1L") == [(4, 1)]
+    assert channel_gaps(g, p, "1R") == [(2, 4)]
+    assert channel_gaps(g, p, "2L", split[0, L2]) == [(1, 4), (4, 2)]
+    with pytest.raises(ValueError):
+        channel_gaps(g, p, "2R", split[0, R2])
+    # the best left channel is 1L at 1, the best right one 1R at 2
+    assert cost[0, L1] == 1 < cost[0, L2]
+    assert cost[0, R1] == 2 < cost[0, R2]
 
 
 def test_channel_orders(chorded_polygon):
@@ -43,13 +47,15 @@ def test_channel_orders(chorded_polygon):
 
 
 def test_unavailable_channel_has_no_jumps(stacked_rhombi):
-    p1, p2 = decompose(stacked_rhombi)
-    c1, c2 = polygon_costs(stacked_rhombi, [p1, p2])
-    assert (c1.c1L, c1.c1R) == (1, 1)
-    assert c1.c2L == c1.c2R == math.inf
+    g = stacked_rhombi
+    p1, p2 = elements = decompose(g)
+    cost, split = polygon_costs(g, elements.table)
+    assert (cost[0, L1], cost[0, R1]) == (1, 1)
+    assert cost[0, L2] == cost[0, R2] == math.inf
     with pytest.raises(ValueError):
-        c1.jumps("2L")
-    assert c2.w1L == ((5, 3),) and c2.w1R == ((3, 5),)
+        channel_gaps(g, p1, "2L", split[0, L2])
+    assert channel_gaps(g, p2, "1L") == [(5, 3)]
+    assert channel_gaps(g, p2, "1R") == [(3, 5)]
 
 
 def test_subgraph_extraction(stacked_rhombi):
@@ -66,33 +72,46 @@ def test_local_edges_cover_the_polygon(chorded_polygon):
         (0, 1), (0, 3), (0, 4), (1, 2), (1, 3), (2, 3), (4, 3)]
 
 
-def test_rejects_foreign_or_degenerate_polygons(chorded_polygon):
-    bad_n = StPolygon(source=0, sink=3, left_lo=1, left_hi=2, right_lo=1,
-                      right_hi=1, n=99, median=None, lower_limit=None,
-                      upper_limit=None)
-    with pytest.raises(NotAnStPolygon):
-        polygon_costs(chorded_polygon, [bad_n])
-    empty = StPolygon(source=0, sink=1, left_lo=1, left_hi=0, right_lo=1,
-                      right_hi=0, n=5, median=None, lower_limit=None,
-                      upper_limit=None)
-    with pytest.raises(NotAnStPolygon):
-        polygon_costs(chorded_polygon, [empty])
+BAD_ROWS = [
+    dict(n=99),
+    dict(left_lo=[1], left_hi=[0]),
+    dict(right_lo=[2], right_hi=[1]),
+    dict(median=[False]),
+    # no edge joins these ends, so the median flag agrees with the graph
+    dict(median=[False], source=[-1]),
+    dict(median=[False], source=[10]),
+    dict(median=[False], sink=[99]),
+    dict(median=[False], sink=[-9]),
+    dict(median=[False], source=[2], sink=[1]),    # source above sink
+]
+
+
+def test_rejects_foreign_or_degenerate_polygons():
+    g = generate(GeneratorParams(n=8, chord_density=0.7, seed=3))
+    t = decompose(g).table
+    assert len(t) == 1 and t.median[0]
+    polygon_costs(g, t)
+    for bad in BAD_ROWS:
+        bad = {k: v if k == "n" else np.array(v) for k, v in bad.items()}
+        with pytest.raises(NotAnStPolygon):
+            polygon_costs(g, dataclasses.replace(t, **bad))
 
 
 @settings(max_examples=120, deadline=None)
 @given(instances())
 def test_witness_jumps_reproduce_each_cost(g):
-    polys = [p for p in decompose(g) if isinstance(p, StPolygon)]
-    for pc in polygon_costs(g, polys):
-        for tag in ("1L", "1R", "2L", "2R"):
-            cost = pc.cost(tag)
-            if cost == math.inf:
-                assert getattr(pc, "w" + tag) is None
+    elements = decompose(g)
+    polys = [p for p in elements if isinstance(p, StPolygon)]
+    cost, split = polygon_costs(g, elements.table)
+    for i, p in enumerate(polys):
+        for c, tag in enumerate(CHANNELS):
+            if cost[i, c] == math.inf:
+                assert split[i, c] == 0
+                with pytest.raises(ValueError):
+                    channel_order(p, tag, split[i, c])
                 continue
-            jumps = pc.jumps(tag)
-            assert cost == sum(len(edge_crossings(g, ce)) for ce in jumps)
             # the jumps are exactly the channel order's non-edges
-            order = pc.order(tag)
-            gaps = [(u, v) for u, v in zip(order, order[1:])
-                    if not g.has_edge(u, v)]
-            assert list(jumps) == gaps
+            jumps = channel_gaps(g, p, tag, split[i, c] or None)
+            assert len(jumps) == int(tag[0])
+            assert cost[i, c] == sum(len(edge_crossings(g, ce))
+                                     for ce in jumps)

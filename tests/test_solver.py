@@ -19,6 +19,7 @@ from hpcc.crossings import CrossingRecord, solution_crossings
 from hpcc.decompose import EDGE, GAP, VERTEX
 from hpcc.graph import is_linear_extension
 from hpcc.oracle import enumerate_hamiltonian_orders
+from hpcc.polygon import polygon_costs
 from hpcc.solver import CompletionSolution, solution_problems
 from reference import (ladder_module, reference_solution,
                        reference_solution_problems, verify_solution)
@@ -288,11 +289,18 @@ def test_embed_builds_the_polygon_table_once(monkeypatch, tmp_path):
     built, real = [], mod._build_table
     monkeypatch.setattr(mod, "_build_table",
                         lambda g: built.append(g) or real(g))
+    priced, price = [], polygon_costs
+    for name in ("hpcc.solver", "hpcc.cli"):
+        monkeypatch.setattr(importlib.import_module(name), "polygon_costs",
+                            lambda g, t: priced.append(g) or price(g, t))
     path = tmp_path / "in.json"
     path.write_text(json.dumps(ladder_module().ladder(30, 7).doc))
-    assert main(["embed", "-i", str(path),
-                 "-o", str(tmp_path / "out.json")]) == 0
-    assert len(built) == 1
+    for command in ("embed", "solve"):
+        built.clear()
+        priced.clear()
+        assert main([command, "-i", str(path),
+                     "-o", str(tmp_path / "out.json")]) == 0
+        assert (len(built), len(priced)) == (1, 1), command
 
 
 def test_embed_builds_each_graph_table_once(monkeypatch, tmp_path):
