@@ -7,7 +7,9 @@ through ``hpcc.cli.main`` on every generator instance with n 4..9,
 densities 0/0.3/0.7/1 and seeds 0..89, on generator instances of the
 benchmark's one-polygon shape (density 0.3) with n 10^3, 10^4 and 10^5,
 on the test fixtures, on the benchmark's ladders of 10^3 and 10^4
-rhombi, and on one malformed document per fault the reader names.  For
+rhombi, and on one malformed document per fault the reader names, plus
+bad edges (a string, three names, a non-string endpoint, and a bad edge
+beside a repeated side name) that pin which fault is named first.  For
 each command it prints one sha256 over every run's output file, exit code
 and standard error.
 Two trees whose digests agree write the same bytes.  SRC is the directory
@@ -43,6 +45,15 @@ MALFORMED = (
     ("two-sided-cycle", ["a"], ["r1", "r2"], "s", "t",
      [["s", "a"], ["a", "t"], ["s", "r1"], ["r1", "r2"], ["r2", "t"],
       ["r2", "a"], ["a", "r1"]]),
+    # the reader's precedence among edge faults and the faults above
+    ("string-edge", ["a", "b"], ["r1"], "s", "t", PATH + ["ab"]),
+    ("three-name-edge", ["a", "b"], ["r1"], "s", "t",
+     PATH + [["s", "a", "b"]]),
+    ("number-endpoint", ["a", "b"], ["r1"], "s", "t", PATH + [["a", 5]]),
+    ("null-endpoint", ["a", "b"], ["r1"], "s", "t", PATH + [[None, "b"]]),
+    ("list-endpoint", ["a", "b"], ["r1"], "s", "t", PATH + [["a", ["b"]]]),
+    ("bad-edge-and-repeated-side-name", ["a", "a"], ["r1"], "s", "t",
+     PATH + [["a", 5]]),
 )
 
 

@@ -14,13 +14,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
 
 import numpy as np
 
 from .crossings import NotLinearExtension, chain_edges, int_array, scan_order
-from .graph import (OuterplanarStDigraph, Edge, ParseError, ValidationError,
-                    VertexId, _LEFT, json_array, json_object, json_scalars)
+from .graph import (OuterplanarStDigraph, Edge, Nested, ParseError,
+                    ValidationError, VertexId, _LEFT, json_object, json_rows,
+                    json_scalars)
 from .solver import CompletionSolution, solution_problems
 
 LEFT_PAGE = "L"
@@ -309,22 +309,22 @@ def validate_book_embedding(be: BookEmbedding,
 
 def book_to_json(g: OuterplanarStDigraph, be: BookEmbedding) -> str:
     names = json_scalars(g.names)
-    seg = json_object({"from": "%s", "page": "%s", "to": "%s"}, 4)
+    # each distinct coordinate is encoded once (by bit pattern: -0.0 stays)
+    S = len(be.start)
+    bits, at = np.unique(np.concatenate((be.start, be.end)).view(np.int64),
+                         return_inverse=True)
+    coord = json_scalars(bits.view(float).tolist())[at]
     pages = json_scalars(list(be.pages))
-    # segments are encoded as their drawings take them, never all held
-    segs = map(seg.__mod__, zip(json_scalars(be.start.tolist()),
-                                map(pages.__getitem__, be.page.tolist()),
-                                json_scalars(be.end.tolist())))
-    dives = iter(json_scalars(be.slot.tolist()))
-    edge = json_object({"edge": json_array(("%s", "%s"), 3),
-                        "segments": "%s", "spine_crossings": "%s"}, 2)
-    edges = [edge % (names[u], names[v], json_array(list(islice(segs, s)), 3),
-                     json_array(list(islice(dives, d)), 3))
-             for u, v, s, d in zip(be.tail.tolist(), be.head.tolist(),
-                                   np.diff(be.seg).tolist(),
-                                   np.diff(be.dive).tolist())]
-    return json_object({"edges": edges,
-                        "spine": [names[v] for v in be.spine]}, 0)
+    return json_object({
+        "edges": json_rows({
+            "edge": (names[be.tail], names[be.head]),
+            "segments": Nested(be.seg, {"from": coord[:S],
+                                        "page": pages[be.page],
+                                        "to": coord[S:]}),
+            "spine_crossings": Nested(be.dive, json_scalars(be.slot.tolist())),
+        }, 1),
+        "spine": json_rows(names[np.asarray(be.spine, dtype=np.int64)], 1),
+    }, 0)
 
 
 def _exact(value, kinds: tuple, what: str):

@@ -17,15 +17,12 @@ import sys
 from contextlib import nullcontext
 from pathlib import Path
 
-import numpy as np
-
 from .book import (InvalidSolution, book_to_json, to_book_embedding,
                    validate_book_embedding)
 from .decompose import StPolygon, decompose
 from .graph import (OuterplanarStDigraph, InternalError, ParseError,
                     ValidationError, graph_from_json, graph_to_json,
-                    graph_to_json_line, json_array, json_object,
-                    json_scalars)
+                    json_object, json_rows, json_scalars)
 from .oracle import (GeneratorParams, InfeasibleParams, InstanceTooLarge,
                      brute_force_optimal, generate)
 from .polygon import CHANNELS, polygon_costs
@@ -63,19 +60,15 @@ def _dump(payload) -> str:
 
 
 def _solution_json(g: OuterplanarStDigraph, sol: CompletionSolution) -> str:
-    names = np.array(json_scalars(g.names), dtype=object)
-    pair = json_array(("%s", "%s"), 2)
-    rec = json_object({"completion_edge": json_array(("%s", "%s"), 3),
-                       "crossed_edge": json_array(("%s", "%s"), 3),
-                       "ordinal": "%s"}, 2)
-    records = map(rec.__mod__, zip(*names[sol.rec[:4]].tolist(),
-                                   json_scalars(sol.rec[4].tolist())))
+    names = json_scalars(g.names)
+    cf, ch, xt, xh = names[sol.rec[:4]]
+    records = {"completion_edge": (cf, ch), "crossed_edge": (xt, xh),
+               "ordinal": json_scalars(sol.rec[4].tolist())}
     return json_object({
-        "completion_edges": list(map(pair.__mod__,
-                                     zip(*names[sol.ce].tolist()))),
+        "completion_edges": json_rows(tuple(names[sol.ce]), 1),
         "crossings": json_scalars([sol.crossings])[0],
-        "order": names[sol.order].tolist(),
-        "records": list(records),
+        "order": json_rows(names[sol.order], 1),
+        "records": json_rows(records, 1),
     }, 0)
 
 
@@ -205,9 +198,10 @@ def _cmd_gen(args) -> int:
     if args.count == 1:
         _write_text(args.output, graph_to_json(generate(params)))
         return 0
-    lines = [graph_to_json_line(
-        generate(dataclasses.replace(params, seed=params.seed + i)))
-        for i in range(args.count)]
+    # each line is the compact form of the document gen --count 1 writes
+    lines = [json.dumps(json.loads(graph_to_json(generate(
+        dataclasses.replace(params, seed=params.seed + i)))),
+        sort_keys=True, separators=(",", ":")) for i in range(args.count)]
     _write_text(args.output, "\n".join(lines))
     return 0
 

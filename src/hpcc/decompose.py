@@ -49,18 +49,10 @@ class StPolygon:
     def right_vertices(self) -> list[VertexId]:
         return [self.n - j for j in range(self.right_lo, self.right_hi + 1)]
 
-    @property
-    def representative(self) -> VertexId:
-        return self.source
-
 
 @dataclass(frozen=True)
 class FreeVertex:
     vertex: VertexId
-
-    @property
-    def representative(self) -> VertexId:
-        return self.vertex
 
 
 DecompositionElement = StPolygon | FreeVertex

@@ -433,12 +433,17 @@ def is_linear_extension(g: OuterplanarStDigraph, order) -> bool:
 #
 # Documents are written exactly as ``json.dumps(doc, indent=2,
 # sort_keys=True)`` writes them, but straight from their fixed schema:
-# that call's indenting encoder is pure Python, while the scalars here go
-# through the C encoder in bulk and every array or object is one join at
-# its depth's indent.
+# that call's indenting encoder is pure Python and formats item by item.
+# Here the scalars go through the C encoder in bulk, and :func:`json_rows`
+# lays an array's item out once, as literal text between encoded columns,
+# then fills one token array per chunk of rows by index arithmetic with
+# whole columns and literal runs, and joins it once.
 
-def json_scalars(values) -> list[str]:
-    """``[json.dumps(v) for v in values]`` for str, int and float values.
+_CHUNK_ROWS = 2048      # bounds the token array, and so the writer's peak
+
+
+def json_scalars(values) -> np.ndarray:
+    """``json.dumps`` of each str, int or float value, as an object array.
 
     One C-encoder call: an encoded scalar never holds a raw newline, so
     newline-separated output splits back into the items.
@@ -447,38 +452,106 @@ def json_scalars(values) -> list[str]:
     if not all(issubclass(k, (str, int, float)) for k in kinds):
         raise TypeError(f"only str, int and float values are written, "
                         f"got {sorted(k.__name__ for k in kinds)}")
-    if not values:
-        return []
-    return json.dumps(values, separators=("\n", ": "))[1:-1].split("\n")
+    return np.array(json.dumps(values, separators=("\n", ": "))[1:-1]
+                    .split("\n") if values else [], dtype=object)
 
 
-def _array_parts(items, depth: int) -> list[str]:
-    if not items:
+class Nested:
+    """A variable-length array field: row ``r`` holds items ``offsets[r]``
+    to ``offsets[r + 1] - 1`` of ``item``, a shape with no nested field.
+    A plain class: a dataclass would cost every ``import hpcc`` 1-2 ms."""
+
+    def __init__(self, offsets: np.ndarray, item):
+        self.offsets, self.item = offsets, item
+
+
+def _layout(shape, depth: int) -> list:
+    """``shape`` nested ``depth`` deep, as literal texts alternating with
+    columns and nested fields ``(offsets, item layout, depth)``, with a
+    text first and last."""
+    if isinstance(shape, Nested):
+        return ["", (shape.offsets, _layout(shape.item, depth + 1), depth), ""]
+    if not isinstance(shape, (dict, tuple)):
+        return ["", np.asarray(shape, dtype=object), ""]
+    pad, keyed = "\n" + "  " * (depth + 1), isinstance(shape, dict)
+    out = ["{" if keyed else "["]
+    for i, v in enumerate(shape):
+        inner = _layout(shape[v] if keyed else v, depth + 1)
+        out[-1] += ("," if i else "") + pad + (
+            json.dumps(v) + ": " if keyed else "") + inner[0]
+        out += inner[1:]
+    out[-1] += pad[:-2] + ("}" if keyed else "]")
+    return out
+
+
+def _place(parts, at, entry, a: int, b: int):
+    """Write rows ``a`` to ``b - 1`` of one layout entry, row ``r``'s from
+    token ``at[r - a]`` on; returns the token after each row's."""
+    if not isinstance(entry, tuple):
+        parts[at] = entry if isinstance(entry, str) else entry[a:b]
+        return at + 1
+    offsets, item, depth = entry
+    pad, lits, f = "\n" + "  " * (depth + 1), item[0::2], len(item) // 2
+    off = offsets[a:b + 1]
+    count = np.diff(off)
+    # item i of row r takes 2f tokens from at + 2f (i - off[r]): the text
+    # that opens it, then its columns between its own texts
+    first = np.repeat(at - 2 * f * off[:-1], count) + 2 * f * np.arange(
+        off[0], off[-1])
+    parts[first] = lits[-1] + "," + pad + lits[0]
+    for j, col in enumerate(item[1::2]):
+        if j:
+            parts[first + 2 * j] = lits[j]
+        parts[first + 2 * j + 1] = col[off[0]:off[-1]]
+    parts[at] = "[" + pad + lits[0]
+    end = at + 2 * f * count
+    parts[end] = np.array(["[]", lits[-1] + pad[:-2] + "]"],
+                          dtype=object)[np.minimum(count, 1)]
+    return end + 1
+
+
+def json_rows(shape, depth: int) -> list[str]:
+    """A JSON array nested ``depth`` levels deep, one item per row of
+    ``shape``, as strings that join to its text.  A shape is a column (a
+    list or array of encoded scalars), a tuple of shapes (a fixed-length
+    array), a dict of shapes (an object, keys in the order given, which
+    callers keep sorted) or a :class:`Nested` field."""
+    item = _layout(shape, depth + 1)
+    body, pad = item[1:-1], "\n" + "  " * (depth + 1)
+    nested = [entry for entry in body if isinstance(entry, tuple)]
+    rows = len(nested[0][0]) - 1 if nested else len(body[0])
+    if not rows:
         return ["[]"]
-    pad = "\n" + "  " * (depth + 1)
-    parts = ["," + pad] * (2 * len(items) + 1)
-    parts[1::2] = items
-    parts[0] = "[" + pad
-    parts[-1] = pad[:-2] + "]"
-    return parts
-
-
-def json_array(items, depth: int) -> str:
-    """Encoded items as a JSON array nested ``depth`` levels deep."""
-    return "".join(_array_parts(items, depth))
+    chunks = []
+    for a in range(0, rows, _CHUNK_ROWS):
+        b = min(a + _CHUNK_ROWS, rows)
+        # a row takes the text that opens it, a token per layout entry,
+        # and 2f more per item of a nested field with f columns
+        width = np.full(b - a, len(body) + 1)
+        for offsets, item_layout, _ in nested:
+            width += (len(item_layout) - 1) * np.diff(offsets[a:b + 1])
+        parts = np.empty(int(width.sum()), dtype=object)
+        at = width.cumsum() - width
+        for entry in [item[-1] + "," + pad + item[0], *body]:
+            at = _place(parts, at, entry, a, b)
+        if not a:
+            parts[0] = "[" + pad + item[0]
+        chunks.append("".join(parts.tolist()))
+    chunks.append(item[-1] + pad[:-2] + "]")
+    return chunks
 
 
 def json_object(fields: dict, depth: int) -> str:
     """Encoded values as a JSON object nested ``depth`` levels deep, in the
-    order given, which callers keep sorted by key.  A list value is an
-    array of encoded items, laid out in the object's own join: a big array
-    built as a string of its own would double the document's peak memory.
-    ``"%s"`` values make a template to fill with ``%``."""
+    order given, which callers keep sorted by key.  A value is an encoded
+    scalar, or the strings :func:`json_rows` gives an array as, which are
+    laid out in the object's own join: a big array joined into a string of
+    its own would double the document's peak memory."""
     pad = "\n" + "  " * (depth + 1)
     parts = []
     for k, v in fields.items():
         parts.append(f",{pad}{json.dumps(k)}: ")
-        parts += _array_parts(v, depth + 1) if isinstance(v, list) else [v]
+        parts += [v] if isinstance(v, str) else v
     parts[0] = "{" + parts[0][1:]
     parts.append(pad[:-2] + "}")
     return "".join(parts)
@@ -521,39 +594,29 @@ def _parse_graph(text: str) -> OuterplanarStDigraph:
         raise ParseError("'left' and 'right' must hold names (strings)")
     if not isinstance(edges, list):
         raise ParseError("'edges' must be an array")
-    # json.loads builds exact lists and strs, so these C-level passes
-    # decide the same as the loop, which then only names the bad edge
-    if not (set(map(type, edges)) <= {list} and set(map(len, edges)) <= {2}
-            and set(map(type, chain.from_iterable(edges))) <= {str}):
+    # json.loads builds exact lists: this pass decides what is an edge
+    # list, build_graph what is a pair, and its lookups what is a name (no
+    # JSON value but a string equals one).  Its faults are ValueErrors, or
+    # TypeErrors for unhashable names; a bad edge is named before any.
+    try:
+        if not set(map(type, edges)) <= {list}:
+            raise ParseError("an edge is not an array")
+        return build_graph(left, right, edges, s=doc["s"], t=doc["t"])
+    except (ValueError, TypeError):
         for e in edges:
             if (not isinstance(e, list) or len(e) != 2
                     or not all(isinstance(x, str) for x in e)):
-                raise ParseError(f"edge {e!r} must be a pair of names")
-    return build_graph(left, right, edges, s=doc["s"], t=doc["t"])
+                raise ParseError(
+                    f"edge {e!r} must be a pair of names") from None
+        raise
 
 
 def graph_to_json(g: OuterplanarStDigraph) -> str:
     names = json_scalars(g.names)
-    pair = json_array(("%s", "%s"), 2)
-    edges = map(pair.__mod__, zip(map(names.__getitem__, g.tail.tolist()),
-                                  map(names.__getitem__, g.head.tolist())))
     return json_object({
-        "edges": list(edges),
-        "left": names[1:g.k + 1],
-        "right": names[:g.k + 1:-1],
+        "edges": json_rows((names[g.tail], names[g.head]), 1),
+        "left": json_rows(names[1:g.k + 1], 1),
+        "right": json_rows(names[:g.k + 1:-1], 1),
         "s": names[g.s],
         "t": names[g.t],
     }, 0)
-
-
-def graph_to_json_line(g: OuterplanarStDigraph) -> str:
-    """The document of :func:`graph_to_json` on one compact line."""
-    doc = {
-        "left": [g.names[v] for v in g.left_seq],
-        "right": [g.names[v] for v in g.right_seq],
-        "s": g.names[g.s],
-        "t": g.names[g.t],
-        "edges": [[g.names[int(u)], g.names[int(v)]]
-                  for u, v in zip(g.tail, g.head)],
-    }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))

@@ -4,10 +4,12 @@ The spine runs bottom to top with the source at the bottom; left-page
 arcs bulge left, right-page arcs bulge right, and every dive through the
 spine gets a tick.  Output is deterministic: coordinates are fixed
 functions of the embedding and printed with two decimals; vertex names
-are escaped as XML text.
+are escaped as XML text, and characters XML 1.0 forbids become U+FFFD.
 """
 
 from __future__ import annotations
+
+import re
 
 from .book import BookEmbedding, LEFT_PAGE
 from .graph import OuterplanarStDigraph
@@ -15,13 +17,17 @@ from .graph import OuterplanarStDigraph
 _STEP = 48.0
 _MARGIN = 42.0
 _PAGE_COLOR = {True: "#2166ac", False: "#b2182b"}
+# characters XML 1.0 cannot carry even escaped (C0 controls but tab, LF,
+# CR; lone surrogates; U+FFFE, U+FFFF); re compiles it on first use
+_NOT_XML = "[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]"
 
 
 def _xml_text(name) -> str:
-    """The name as XML character data; what ``html.escape(quote=False)``
-    gives, without importing ``html`` and its entity table."""
-    return str(name).replace("&", "&amp;").replace("<", "&lt;") \
-        .replace(">", "&gt;")
+    """The name as XML character data: what ``html.escape(quote=False)``
+    gives, without importing ``html`` and its entity table, with each
+    character XML forbids replaced by U+FFFD."""
+    return re.sub(_NOT_XML, "\ufffd", str(name)).replace("&", "&amp;") \
+        .replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _bulge(span: float) -> float:

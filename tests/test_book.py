@@ -20,7 +20,7 @@ from hpcc.book import (
     to_book_embedding,
     validate_book_embedding,
 )
-from hpcc.graph import ParseError
+from hpcc.graph import _CHUNK_ROWS, ParseError
 from hpcc.solver import CompletionSolution
 from reference import (book_payload, indented, reference_book_embedding,
                        reference_book_problems, reference_drawings)
@@ -251,6 +251,45 @@ def test_json_of_a_hand_made_embedding(weak_rhombus):
         EdgeDrawing((3, 2), (), ())))
     assert book_to_json(weak_rhombus, be) == \
         indented(book_payload(weak_rhombus, be))
+
+
+# hand-made embeddings draw on a graph named by strings or by numbers
+NAMED = build_graph(["a"], ["b"], [("s", "a"), ("a", "t"), ("s", "b"),
+                                   ("b", "t"), ("s", "t")], s="s", t="t")
+NUMBERED = build_graph([2.5], [30], [(0, 2.5), (2.5, 99), (0, 30),
+                                     (30, 99), (0, 99)], s=0, t=99)
+# a few coordinates come up often, so that values repeat across drawings
+COORDS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 1 / 3, float("nan"),
+                                    float("inf"), -float("inf")]),
+                   st.floats(), st.integers(-3, 9))
+SEGMENTS = st.builds(Segment, st.sampled_from(["L", "R", "page\n2", "\u00e9"]),
+                     COORDS, COORDS)
+DRAWINGS = st.builds(EdgeDrawing,
+                     st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                     st.lists(SEGMENTS, max_size=3).map(tuple),
+                     st.lists(st.integers(-1, 9), max_size=3).map(tuple))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([NAMED, NUMBERED]),
+       st.builds(BookEmbedding, st.lists(st.integers(0, 3), max_size=5)
+                 .map(tuple), st.lists(DRAWINGS, max_size=8).map(tuple)))
+def test_json_of_hand_made_embeddings(g, be):
+    assert book_to_json(g, be) == indented(book_payload(g, be))
+
+
+@pytest.mark.parametrize("count", [_CHUNK_ROWS - 1, _CHUNK_ROWS,
+                                   _CHUNK_ROWS + 1])
+def test_json_across_a_chunk_boundary(count):
+    # drawing i has i % 4 segments and i // 4 % 4 dives; neighbouring
+    # drawings share coordinates
+    be = BookEmbedding((0, 1, 3, 2), tuple(
+        EdgeDrawing((i % 4, (i + 1) % 4),
+                    tuple(Segment("LR"[j % 2], i + j / 4, i + (j + 1) / 4)
+                          for j in range(i % 4)),
+                    tuple(range(i // 4 % 4)))
+        for i in range(count)))
+    assert book_to_json(NAMED, be) == indented(book_payload(NAMED, be))
 
 
 @pytest.mark.parametrize("name", FIXTURES)

@@ -13,11 +13,12 @@ from hypothesis import given, settings
 
 from hpcc import (GeneratorParams, build_graph, generate, graph_from_json,
                   graph_to_json, solve)
-from hpcc.book import BookEmbedding
+from hpcc.book import BookEmbedding, book_to_json, to_book_embedding
 from hpcc.cli import _solution_json, _write_text, main
 from hpcc.crossings import HpExtendedGraph
 from hpcc.solver import CompletionSolution
-from reference import indented, ladder_module, solution_payload
+from reference import (book_payload, indented, ladder_module,
+                       solution_payload)
 from strategies import instances
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -152,6 +153,39 @@ def test_svg_escapes_vertex_names(capsys, tmp_path):
         doc = minidom.parseString(text)
         labels = [t.firstChild.data for t in doc.getElementsByTagName("text")]
         assert {"a<b", "r&1"} <= set(labels)
+
+
+@pytest.mark.parametrize("name", ["awkward_names", "surrogate_name"])
+def test_svg_replaces_characters_xml_forbids(capsys, tmp_path, request,
+                                             name):
+    # U+0001 cannot be written in XML even escaped, and a lone surrogate
+    # has no UTF-8 form: both draw as U+FFFD
+    if name == "surrogate_name":
+        a = "a\ud800"
+        g = build_graph([a], ["b"], [("s", a), (a, "t"), ("s", "b"),
+                                     ("b", "t")], s="s", t="t")
+    else:
+        g = request.getfixturevalue(name)
+    path = tmp_path / "in.json"
+    path.write_text(graph_to_json(g))
+    svg, rendered = tmp_path / "embed.svg", tmp_path / "render.svg"
+    assert main(["render", "-i", str(path), "-o", str(rendered)]) == 0
+    assert main(["embed", "-i", str(path), "-o", str(tmp_path / "book.json"),
+                 "--svg", str(svg)]) == 0
+    for text in (rendered.read_text(), svg.read_text()):
+        doc = minidom.parseString(text)
+        labels = [t.firstChild.data
+                  for t in doc.getElementsByTagName("text")]
+        assert ("b\ufffd\n" if name == "awkward_names"
+                else "a\ufffd") in labels
+
+
+def test_documents_of_the_embed_ladder_match_the_reference():
+    g = graph_from_json(json.dumps(ladder_module().ladder(3000, 1).doc))
+    sol = solve(g)
+    assert _solution_json(g, sol) == indented(solution_payload(g, sol))
+    be = to_book_embedding(g, sol)
+    assert book_to_json(g, be) == indented(book_payload(g, be))
 
 
 def test_every_drawn_book_is_validated(capsys, sr_file, tmp_path,

@@ -84,7 +84,8 @@ def _covered(g, elements):
 def test_partition_and_ordering(g):
     els = decompose(g)
     ti = g.topo_pos
-    reps = [ti[el.representative] for el in els]
+    reps = [ti[el.source if isinstance(el, StPolygon) else el.vertex]
+            for el in els]
     assert reps == sorted(reps)
     # chains and free vertices tile the interior; a vertex they skip must be
     # the endpoint of some polygon (junction vertices live only as endpoints)

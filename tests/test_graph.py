@@ -243,6 +243,17 @@ def test_json_names_the_first_bad_edge(edges, bad):
     assert str(info.value) == f"edge {bad} must be a pair of names"
 
 
+def test_json_names_a_bad_edge_before_a_repeated_side_name():
+    doc = {"left": ["a", "a"], "right": ["r1"], "s": "s", "t": "t",
+           "edges": [list(e) for e in PATH_EDGES]}
+    with pytest.raises(SideNotAPath):
+        graph_from_json(json.dumps(doc))
+    doc["edges"].append(["a", 5])
+    with pytest.raises(ParseError) as info:
+        graph_from_json(json.dumps(doc))
+    assert str(info.value) == "edge ['a', 5] must be a pair of names"
+
+
 @pytest.mark.parametrize("name", ["hamiltonian_path", "awkward_names",
                                   "numeric_names", "double_crossing"])
 def test_json_on_fixed_cases(request, name):
