@@ -14,7 +14,6 @@ import json
 import math
 import os
 import sys
-from contextlib import nullcontext
 from pathlib import Path
 
 from .book import (InvalidSolution, book_to_json, to_book_embedding,
@@ -38,16 +37,25 @@ class BadOracleLimit(ValueError):
 
 
 def _read_text(path: str | None) -> str:
-    if path in (None, "-"):
-        return sys.stdin.read()
-    return Path(path).read_text()
+    # JSON travels as UTF-8 (RFC 8259 8.1) whatever the locale; the bytes
+    # are dropped on return, before the parse
+    data = (sys.stdin.buffer.read() if path in (None, "-")
+            else Path(path).read_bytes())
+    try:
+        return data.decode()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"input is not UTF-8: {exc}") from None
 
 
 def _write_text(path: str | None, text: str) -> None:
-    # print writes the text, then the newline: text + "\n" would copy
-    # the whole document
-    with (nullcontext(sys.stdout) if path in (None, "-")
-          else open(path, "w")) as fh:
+    # UTF-8 whatever the locale, stdout through its byte buffer once its
+    # text layer is flushed.  The newline goes on its own: text + "\n"
+    # would copy the whole document
+    if path in (None, "-"):
+        sys.stdout.flush()
+        sys.stdout.buffer.writelines((text.encode(), b"\n"))
+        return
+    with open(path, "w", encoding="utf-8") as fh:
         print(text, file=fh)
 
 

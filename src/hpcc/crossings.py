@@ -277,36 +277,13 @@ def chain_edges(first, last, counts, mids):
 class HpExtendedGraph:
     """The solution graph with every crossing subdivided into a new vertex.
 
-    Vertex ``n_original + i`` subdivides the scan's crossing pair ``i``.
-    The arrays are the graph; ``names``, ``edges``, ``hamiltonian_order``
-    and ``crossing_of`` are list views built on first access.
+    Vertex ``n + i`` subdivides the scan's crossing pair ``i``, where
+    ``n`` is the host graph's size.
     """
-    g: OuterplanarStDigraph
     scan: SolutionScan
     tail: np.ndarray    # completion chains in spine order, then graph edges
     head: np.ndarray    # by id, each split at its crossings
     order: np.ndarray   # the hamiltonian order through the new vertices
-
-    @property
-    def n_original(self) -> int:
-        return self.g.n
-
-    @cached_property
-    def names(self) -> list[str]:
-        return list(self.g.names) + [f"x{i}" for i in range(self.scan.total)]
-
-    @cached_property
-    def edges(self) -> list[Edge]:
-        return list(zip(self.tail.tolist(), self.head.tolist()))
-
-    @cached_property
-    def hamiltonian_order(self) -> list[int]:
-        return self.order.tolist()
-
-    @cached_property
-    def crossing_of(self) -> dict[int, CrossingRecord]:
-        records = CompletionSolution.of_scan(self.g, None, self.scan).records
-        return dict(enumerate(records, self.g.n))
 
 
 def build_hp_extended(g: OuterplanarStDigraph, order) -> HpExtendedGraph:
@@ -345,4 +322,4 @@ def build_hp_extended(g: OuterplanarStDigraph, order) -> HpExtendedGraph:
             f"extended edge ({name(u)}, {name(v)}) runs backwards")
     hp_order = np.empty(n + P, dtype=np.int64)
     hp_order[pos] = np.arange(n + P)
-    return HpExtendedGraph(g, scan, tail, head, hp_order)
+    return HpExtendedGraph(scan, tail, head, hp_order)

@@ -8,13 +8,16 @@ shared two-sided edge.
 
 The solver works from a :class:`PolygonTable` (one array per field,
 polygons bottom-up), built in a fixed number of vectorised passes and
-cached on the graph.  :func:`decompose` returns its public view: a list
-of :class:`StPolygon` and :class:`FreeVertex` carrying it as ``.table``.
+cached on the graph.  :func:`decompose` returns its public view: a
+read-only sequence of :class:`StPolygon` and :class:`FreeVertex` over it,
+carrying it as ``.table`` and building the elements on first read.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -55,9 +58,6 @@ class FreeVertex:
     vertex: VertexId
 
 
-DecompositionElement = StPolygon | FreeVertex
-
-
 @dataclass(frozen=True)
 class PolygonTable:
     """Polygons bottom-up as parallel int64 arrays, fields as in StPolygon."""
@@ -89,12 +89,25 @@ class PolygonTable:
                 np.repeat(np.tile(np.arange(len(self)), 2), count))
 
 
-class Decomposition(list):
-    """:func:`decompose`'s element list; ``.table`` is its PolygonTable."""
+class Decomposition(Sequence):
+    """:func:`decompose`'s elements over ``.table``, its PolygonTable; the
+    length comes from the table, the elements are built on first read."""
 
-    def __init__(self, elements, table: PolygonTable):
-        super().__init__(elements)
+    def __init__(self, table: PolygonTable):
         self.table = table
+
+    def __len__(self) -> int:
+        return len(self.table.element)
+
+    def __getitem__(self, i):
+        return self._items[i]
+
+    def __iter__(self):
+        return iter(self._items)
+
+    @cached_property
+    def _items(self) -> list[StPolygon | FreeVertex]:
+        return _elements(self.table)
 
 
 def _build_table(g: OuterplanarStDigraph) -> PolygonTable:
@@ -163,7 +176,7 @@ def _build_table(g: OuterplanarStDigraph) -> PolygonTable:
                         lower, upper, junction, element)
 
 
-def _elements(t: PolygonTable) -> list[DecompositionElement]:
+def _elements(t: PolygonTable) -> list[StPolygon | FreeVertex]:
     cols = (t.source, t.sink, t.left_lo, t.left_hi, t.right_lo, t.right_hi,
             t.median, t.lower, t.upper)
     polys = [StPolygon(s, k, a, b, c, d, t.n, (s, k) if med else None,
@@ -175,11 +188,10 @@ def _elements(t: PolygonTable) -> list[DecompositionElement]:
             for e in t.element.tolist()]
 
 
-def decompose(g: OuterplanarStDigraph) -> list[DecompositionElement]:
+def decompose(g: OuterplanarStDigraph) -> Decomposition:
     """Polygons and free vertices bottom-up, as a :class:`Decomposition`;
-    built once per graph, later calls return a copy of the list."""
+    one shared object per graph."""
     d = g._cache.get("decomposition")
     if d is None:
-        table = _build_table(g)
-        d = g._cache["decomposition"] = Decomposition(_elements(table), table)
-    return Decomposition(d, d.table)
+        d = g._cache["decomposition"] = Decomposition(_build_table(g))
+    return d

@@ -578,8 +578,10 @@ def graph_from_json(text: str) -> OuterplanarStDigraph:
 def _parse_graph(text: str) -> OuterplanarStDigraph:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:   # also an integer too long to convert
         raise ParseError(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deep") from None
     if not isinstance(doc, dict):
         raise ParseError("top-level document must be an object")
     for key in ("left", "right", "s", "t", "edges"):

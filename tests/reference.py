@@ -8,7 +8,7 @@ recomputations of the tables ``build_graph`` stores and of its
 topological merge, the solver's
 original element-by-element DP and splice, the crossings of one
 completion edge, the set-based verifier, the per-edge HP-extended
-graph, book builder and book validator, and the dict payloads of the
+graph and the list form of ``build_hp_extended``'s arrays, book builder and book validator, and the dict payloads of the
 CLI's three bulk documents.  The array-backed solver must reproduce that
 reference order exactly, tie-breaks included, the array-backed verifier
 and post-solve layers must reproduce their references' results and
@@ -31,8 +31,9 @@ from hpcc import (FreeVertex, PolygonTable, StPolygon, build_graph,
                   crossings, decompose, polygon_costs)
 from hpcc.book import (LEFT_PAGE, RIGHT_PAGE, BookEmbedding, EdgeDrawing,
                        InvalidSolution, Segment)
-from hpcc.crossings import (CrossingRecord, NotLinearExtension,
-                            SameSideCompletionEdge, _batch_crossings,
+from hpcc.crossings import (CompletionSolution, CrossingRecord,
+                            NotLinearExtension, SameSideCompletionEdge,
+                            _batch_crossings,
                             _check_completion_pairs, build_hp_extended,
                             scan_order, solution_crossings)
 from hpcc.embedding import faces, incidence, median_scan
@@ -556,6 +557,15 @@ class HpExtended:
     edges: list
     hamiltonian_order: list
     crossing_of: dict
+
+
+def hp_lists(g, hp):
+    """``build_hp_extended``'s arrays and scan in ``HpExtended``'s fields."""
+    records = CompletionSolution.of_scan(g, None, hp.scan).records
+    return HpExtended(
+        list(g.names) + [f"x{i}" for i in range(hp.scan.total)], g.n,
+        list(zip(hp.tail.tolist(), hp.head.tolist())), hp.order.tolist(),
+        dict(enumerate(records, g.n)))
 
 
 def reference_hp_extended(g, order):

@@ -1,5 +1,6 @@
 """The hpcc command line, driven through main() with real files."""
 
+import importlib
 import io
 import json
 import os
@@ -15,7 +16,6 @@ from hpcc import (GeneratorParams, build_graph, generate, graph_from_json,
                   graph_to_json, solve)
 from hpcc.book import BookEmbedding, book_to_json, to_book_embedding
 from hpcc.cli import _solution_json, _write_text, main
-from hpcc.crossings import HpExtendedGraph
 from hpcc.solver import CompletionSolution
 from reference import (book_payload, indented, ladder_module,
                        solution_payload)
@@ -95,11 +95,47 @@ def test_check(capsys, sr_file):
 
 
 def test_check_reads_stdin(capsys, sr_file, monkeypatch):
-    text = open(sr_file).read()
-    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    data = Path(sr_file).read_bytes()
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
     code, out, _ = run(capsys, "check")
     assert code == 0
     assert json.loads(out)["n"] == 4
+
+
+@pytest.mark.parametrize("data", [b"\xff\xfe{",
+                                  b"[" * 200_000 + b"]" * 200_000,
+                                  b'{"s": ' + b"9" * 5000 + b"}"],
+                         ids=["not_utf8", "nested_too_deep", "huge_integer"])
+def test_unreadable_bytes_are_a_parse_error(capsys, tmp_path, monkeypatch,
+                                            data):
+    path = tmp_path / "in.json"
+    path.write_bytes(data)
+    code, out, err = run(capsys, "check", "-i", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("ParseError: ") and "Traceback" not in err
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+    assert run(capsys, "check") == (2, "", err)
+
+
+def test_utf8_in_and_out_under_an_ascii_locale(tmp_path):
+    path, svg = tmp_path / "te.json", tmp_path / "te.svg"
+    path.write_text(json.dumps({
+        "left": ["té"], "right": ["b"], "s": "s", "t": "t",
+        "edges": [["s", "té"], ["té", "t"], ["s", "b"], ["b", "t"],
+                  ["s", "t"]]}, ensure_ascii=False), encoding="utf-8")
+    env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0",
+               PYTHONUTF8="0", PYTHONPATH=os.pathsep.join(
+                   p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
+    script = ("import sys; from hpcc.cli import main; f = sys.argv[1]; "
+              "sys.exit(main(['check', '-i', f]) or main(['render', '-i', f])"
+              " or main(['render', '-i', f, '-o', sys.argv[2]]))")
+    r = subprocess.run([sys.executable, "-c", script, str(path), str(svg)],
+                       capture_output=True, env=env, timeout=120)
+    assert (r.returncode, r.stderr) == (0, b"")
+    summary, tag, drawn = r.stdout.partition(b"<svg")
+    assert json.loads(summary)["left"] == ["té"]
+    assert tag + drawn == svg.read_bytes()
+    assert ">té<".encode() in drawn
 
 
 def test_decompose(capsys, tmp_path):
@@ -209,18 +245,18 @@ def test_written_text_ends_in_one_newline(capsys, tmp_path, text):
 
 
 def test_solve_and_embed_build_no_list_view(tmp_path, monkeypatch):
-    # the solution's and the book's arrays carry the CLI from input to
-    # output; any list or tuple view read on the way raises here
+    # the polygon table, the solution's and the book's arrays carry the
+    # CLI from input to output; any element or list view built on the way
+    # raises here
     def refuse(self):
         raise AssertionError("a lazy view was built")
 
     for cls, views in ((CompletionSolution, ("completion_edges", "records")),
-                       (BookEmbedding, ("drawings",)),
-                       (HpExtendedGraph, ("names", "edges",
-                                          "hamiltonian_order",
-                                          "crossing_of"))):
+                       (BookEmbedding, ("drawings",))):
         for view in views:
             monkeypatch.setattr(cls, view, property(refuse))
+    monkeypatch.setattr(importlib.import_module("hpcc.decompose"),
+                        "_elements", refuse)
     path = tmp_path / "in.json"
     path.write_text(json.dumps(ladder_module().ladder(40, 3).doc))
     for cmd in ("solve", "embed"):

@@ -1,5 +1,7 @@
 """Splitting an instance into st-polygons and free vertices."""
 
+import importlib
+
 import numpy as np
 from hypothesis import given, settings
 
@@ -10,12 +12,26 @@ from strategies import instances
 
 
 def test_single_weak_polygon(weak_rhombus):
-    assert decompose(weak_rhombus) == [
+    assert list(decompose(weak_rhombus)) == [
         StPolygon(source=0, sink=2, left_lo=1, left_hi=1,
                   right_lo=1, right_hi=1, n=4, median=None,
                   lower_limit=None, upper_limit=None)]
     assert median_candidates(weak_rhombus) == []
     assert weak_polygon_seeds(weak_rhombus) == [((0, 1, 3, 2), (None, None))]
+
+
+def test_one_shared_view_per_graph(stacked_rhombi, monkeypatch):
+    def refuse(table):
+        raise AssertionError("the elements were built")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(importlib.import_module("hpcc.decompose"), "_elements",
+                   refuse)
+        d = decompose(stacked_rhombi)
+        assert d is decompose(stacked_rhombi)
+        assert len(d) == 2
+    assert [type(el) for el in d] == [StPolygon, StPolygon]
+    assert d[-1] is d[1] is decompose(stacked_rhombi)[1]
 
 
 def test_single_strong_polygon(strong_rhombus):
@@ -65,7 +81,7 @@ def test_plain_chain_leaves_free_vertices():
     g = build_graph(["a", "b"], [],
                     [("s", "a"), ("a", "b"), ("b", "t"), ("s", "t")],
                     s="s", t="t")
-    assert decompose(g) == [FreeVertex(1), FreeVertex(2)]
+    assert list(decompose(g)) == [FreeVertex(1), FreeVertex(2)]
 
 
 def _covered(g, elements):
