@@ -6,8 +6,10 @@ Runs ``check``, ``decompose``, ``solve``, ``embed`` and ``embed --svg``
 through ``hpcc.cli.main`` on every generator instance with n 4..9,
 densities 0/0.3/0.7/1 and seeds 0..89, on generator instances of the
 benchmark's one-polygon shape (density 0.3) with n 10^3, 10^4 and 10^5,
-on the test fixtures, on the benchmark's ladders of 10^3 and 10^4
-rhombi, and on one malformed document per fault the reader names, plus
+on the test fixtures (among them a deeply nested fan of one-sided
+chords), on the benchmark's ladders of 8 rhombi (the shortest of seed 1
+with all three junction kinds), of 40 rhombi at seeds 2..9, and of 10^3
+and 10^4 rhombi, and on one malformed document per fault the reader names, plus
 bad edges (a string, three names, a non-string endpoint, and a bad edge
 beside a repeated side name) that pin which fault is named first.  For
 each command it prints one sha256 over every run's output file, exit code
@@ -86,17 +88,19 @@ def instances(hpcc):
     for n in (10**3, 10**4, 10**5):
         g = hpcc.generate(hpcc.GeneratorParams(n=n, chord_density=0.3))
         yield f"gen-{n}-0.3-0", hpcc.graph_to_json(g)
-    # the fixtures are plain functions once pytest.fixture is the identity
+    # the fixtures are plain functions marked by a stand-in pytest.fixture
     stub = types.ModuleType("pytest")
-    stub.fixture = lambda fn: fn
+    stub.fixture = lambda fn: setattr(fn, "digest_fixture", True) or fn
     fixtures = load("digest_fixtures", ROOT / "tests" / "conftest.py",
                     pytest=stub)
     for name, fn in sorted(vars(fixtures).items()):
-        if callable(fn) and getattr(fn, "__module__", "") == fixtures.__name__:
+        if getattr(fn, "digest_fixture", False):
             yield f"fixture-{name}", hpcc.graph_to_json(fn())
     ladder = load("digest_ladder", ROOT / "perfbench" / "ladder.py")
-    for rhombi in (10**3, 10**4):
-        yield f"ladder-{rhombi}", json.dumps(ladder.ladder(rhombi, 1).doc)
+    for rhombi, seed in [(8, 1), *((40, s) for s in range(2, 10)),
+                         (10**3, 1), (10**4, 1)]:
+        yield (f"ladder-{rhombi}-{seed}",
+               json.dumps(ladder.ladder(rhombi, seed).doc))
     for label, left, right, s, t, edges in MALFORMED:
         yield f"malformed-{label}", json.dumps(
             {"left": left, "right": right, "s": s, "t": t, "edges": edges})

@@ -4,12 +4,17 @@ A completion edge crosses a graph edge exactly when their chords on the
 vertex cycle strictly interleave; chords sharing an endpoint never cross.
 Because validated instances are plane, the graph chords split into three
 tame families (laminar left, laminar right, a rank-monotone two-sided
-chain), so the crossings of a query chord are a stack slice on each side
-plus two contiguous runs of the two-sided chain.
+chain).  The one-sided chords a completion edge crosses are those that
+strictly cover its chain endpoint; with both one-sided families joined
+into one laminar family, the c chords covering a point are one per
+nesting depth below c, each the last chord of its depth opened before
+the point, so one ``searchsorted`` over the chords' (depth, index) order
+finds them for every completion edge at once.  The two-sided chords
+crossed are two contiguous runs of the chain.
 
 The chord families come sorted from the graph (``g.chords``, built once by
 :func:`hpcc.graph.build_graph`, which validates the same arrays for
-planarity), along with the line coordinates ``g.lcoord``/``g.rcoord``;
+planarity), with the joint family's count tables and depth order;
 nothing here re-sorts or re-derives them.
 """
 
@@ -21,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .graph import (OuterplanarStDigraph, Edge, ValidationError, VertexId,
-                    is_linear_extension, NotAPermutation, _LEFT, _RIGHT)
+                    order_positions, NotAPermutation, _LEFT, _RIGHT)
 
 
 def int_array(values) -> np.ndarray:
@@ -55,33 +60,6 @@ def _side_size(n: int, pa, pb, probe):
     return np.where(inside, inner, n - 2 - inner)
 
 
-def _cover_sweep(a, b, eid, queries, line_end, out_pairs):
-    """List, per query, the chords strictly covering its position.
-
-    ``queries`` yields (row, position, skip_lo, skip_hi) sorted by position;
-    the skip flags drop chords anchored at the line's ends, which share a
-    vertex with an s- or t-incident query chord.  Appends (row, edge_id)
-    pairs to ``out_pairs``.
-    """
-    a, b, eid = a.tolist(), b.tolist(), eid.tolist()
-    ci, nc = 0, len(a)
-    stack = []  # nested open chords, end coordinates decreasing upwards
-    for row, q, skip_lo, skip_hi in queries:
-        while ci < nc and a[ci] < q:
-            while stack and stack[-1][1] <= a[ci]:
-                stack.pop()
-            stack.append((a[ci], b[ci], eid[ci]))
-            ci += 1
-        while stack and stack[-1][1] <= q:
-            stack.pop()
-        for ca, cb, ce in stack:
-            if skip_lo and ca == 0:
-                continue
-            if skip_hi and cb == line_end:
-                continue
-            out_pairs.append((row, ce))
-
-
 def _batch_crossings(g, f_arr, h_arr):
     """Crossed edge ids for many completion edges at once.
 
@@ -89,39 +67,36 @@ def _batch_crossings(g, f_arr, h_arr):
     the size of the ce-tail-side region of each crossed chord, which is
     the geometric crossing order along the completion edge.
     """
-    idx = g.chords
-    n, k, m = g.n, g.k, g.m
-    lc, rc = g.lcoord, g.rcoord
-    C = len(f_arr)
-
-    def interior(coord, hi):
-        cf, ch = coord[f_arr], coord[h_arr]
-        return np.where((cf >= 1) & (cf <= hi), cf,
-                        np.where((ch >= 1) & (ch <= hi), ch, -1))
-
-    ql = interior(lc, k)   # left-interior endpoint rank, or -1
-    qr = interior(rc, m)
-
+    idx, n, k, m = g.chords, g.n, g.k, g.m
+    rows = np.arange(len(f_arr))
     s_inc = (f_arr == 0) | (h_arr == 0)
     t_inc = (f_arr == g.t) | (h_arr == g.t)
+    found = []
 
-    pairs: list[tuple[int, int]] = []
-    rows = np.arange(C)
-    for qpos, a, b, eid, end in ((ql, idx.la, idx.lb, idx.leid, k + 1),
-                                 (qr, idx.ra, idx.rb, idx.reid, m + 1)):
-        live = qpos >= 0
-        if live.any() and len(a):
-            order = np.argsort(qpos[live], kind="stable")
-            rws = rows[live][order]
-            qs = qpos[live][order]
-            queries = zip(rws.tolist(), qs.tolist(),
-                          s_inc[rws].tolist(), t_inc[rws].tolist())
-            _cover_sweep(a, b, eid, queries, end, pairs)
-    # (rows, edge ids) chunks, each in the order the pairs were found
-    found = [np.array(pairs, dtype=np.int64).T] if pairs else []
+    # one-sided separators: an endpoint at q on the joint line (right-line
+    # coordinates shifted past t's left coordinate) lies under c = #(starts
+    # < q) - #(ends <= q) chords, one per nesting depth below c, each the
+    # last chord of its depth opened before q; s and t lie under none.
+    # Chords anchored at s or t share a vertex with an s- or t-incident ce.
+    ends = np.concatenate((f_arr, h_arr))
+    q = np.where(ends <= k, ends, n + k + 2 - ends)
+    cnt = idx.under[q]
+    if cnt.any():
+        N, row = len(idx.deid), np.repeat(np.concatenate((rows, rows)), cnt)
+        at = idx.depth_key.searchsorted(np.arange(len(row)) * N + np.repeat(
+            idx.opened[q] - N * (cnt.cumsum() - cnt), cnt)) - 1  # d*N + opened
+        keep = (idx.anchor[at] & (s_inc + 2 * t_inc)[row]) == 0
+        found.append((row[keep], idx.deid[at[keep]]))
 
     # two-sided separators: two contiguous runs of the monotone chain
     if len(idx.ti):
+        def interior(coord, hi):
+            cf, ch = coord[f_arr], coord[h_arr]
+            return np.where((cf >= 1) & (cf <= hi), cf,
+                            np.where((ch >= 1) & (ch <= hi), ch, -1))
+
+        ql = interior(g.lcoord, k)   # left-interior endpoint rank, or -1
+        qr = interior(g.rcoord, m)
         x = np.where(ql >= 0, ql, np.where(s_inc, 0, k + 1))
         y = np.where(qr >= 0, qr, np.where(t_inc, m + 1, 0))
         for lo, hi in ((np.searchsorted(idx.tj, y, side="right"),
@@ -170,16 +145,24 @@ class SolutionScan:
         return len(self.pair_eid)
 
 
+def order_array(order) -> np.ndarray:
+    """A vertex order as int64; an int64 array is taken as it is."""
+    return np.asarray(order if isinstance(order, np.ndarray) else list(order),
+                      dtype=np.int64)
+
+
 def scan_order(g: OuterplanarStDigraph, order) -> SolutionScan:
-    arr = np.asarray(list(order), dtype=np.int64)
+    arr = order_array(order)
     try:
-        ok = is_linear_extension(g, arr)
+        pos = order_positions(g, arr)
     except NotAPermutation as exc:
         raise NotLinearExtension(str(exc)) from None
-    if not ok:
+    pt, ph = pos[g.tail], pos[g.head]
+    if not (pt < ph).all():
         raise NotLinearExtension("order violates an edge direction")
+    miss = np.ones(g.n - 1, dtype=bool)     # the gaps no graph edge spans
+    miss[pt[ph == pt + 1]] = False
     u, v = arr[:-1], arr[1:]
-    miss = ~g.has_edges(u, v)
     ce_tail, ce_head, ce_spine = u[miss], v[miss], np.flatnonzero(miss)
     _check_completion_pairs(g, ce_tail, ce_head)
     pr, pe, _ = _batch_crossings(g, ce_tail, ce_head)
@@ -295,7 +278,7 @@ def build_hp_extended(g: OuterplanarStDigraph, order) -> HpExtendedGraph:
     edge's slot.  A cyclic result would surface as
     :class:`NotLinearExtension`; on valid input it cannot happen.
     """
-    order = list(order)
+    order = order_array(order)
     scan = scan_order(g, order)
     n, P = g.n, scan.total
     per_ce = np.bincount(scan.pair_ce, minlength=len(scan.ce_tail))

@@ -83,10 +83,15 @@ class PolygonTable:
         lo = np.concatenate([self.left_lo, -self.right_hi])
         count = np.maximum(np.concatenate([self.left_hi, -self.right_lo])
                            - lo + 1, 0)
-        off = np.cumsum(count) - count
-        ids = np.arange(int(count.sum())) + np.repeat(lo - off, count)
+        ids = runs(lo, np.ones_like(lo), count)
         return (np.where(ids > 0, ids, self.n + ids),
                 np.repeat(np.tile(np.arange(len(self)), 2), count))
+
+
+def runs(first, step, length) -> np.ndarray:
+    """The runs ``first + step * i`` for ``i < length``, one after another."""
+    i = np.arange(length.sum()) - np.repeat(length.cumsum() - length, length)
+    return np.repeat(first, length) + np.repeat(step, length) * i
 
 
 class Decomposition(Sequence):

@@ -13,8 +13,10 @@ each is built by one function here and stored on the graph:
 - ``lcoord``/``rcoord`` (:func:`_line_coords`): each vertex's position on
   the left and right chain lines;
 - ``classes`` (:func:`_edge_class_codes`): each edge's class code;
-- ``chords`` (:func:`_chord_index`): the chord families, sorted once; the
-  plane check validates them and the crossing geometry queries them;
+- ``chords`` (:func:`_chord_index`): the chord families, sorted once, and
+  the one-sided ones joined into one laminar family ordered by nesting
+  depth; the plane check validates them and the crossing geometry queries
+  them;
 - ``lo_out``/``hi_in`` (:func:`_limit_tables`): each vertex's extreme
   two-sided neighbours, which gate the topological merge and bound every
   st-polygon of the decomposition;
@@ -101,6 +103,16 @@ class ChordIndex:
     ti: np.ndarray   # two-sided chords: left rank, right rank, both ascending
     tj: np.ndarray
     teid: np.ndarray
+    # both one-sided families as one laminar family on the joint line (the
+    # right line shifted past t's left coordinate): per joint coordinate q,
+    # the chords starting before q and those strictly covering q; and per
+    # chord in (nesting depth, index) order, depth * count + index, the
+    # edge id and the anchor bits (1: starts at s, 2: ends at t)
+    opened: np.ndarray
+    under: np.ndarray
+    depth_key: np.ndarray
+    deid: np.ndarray
+    anchor: np.ndarray
 
 
 class OuterplanarStDigraph:
@@ -211,7 +223,11 @@ def _edge_class_codes(tail, head, side):
 
 def _chord_index(tail, head, cls, lcoord, rcoord) -> ChordIndex:
     """Sort each chord family once: one-sided chords spanning at least two
-    line steps by (start, -end), two-sided chords by (left, right) rank."""
+    line steps by (start, -end), two-sided chords by (left, right) rank.
+
+    In (start, -end) order a laminar chord's nesting depth is its index
+    less the chords ending at or before its start, which all come earlier.
+    """
     eids = np.arange(len(tail), dtype=np.int64)
 
     def one_side(mask, coord):
@@ -231,11 +247,25 @@ def _chord_index(tail, head, cls, lcoord, rcoord) -> ChordIndex:
     ti = np.where(lcoord[tt] >= 0, lcoord[tt], lcoord[th])
     tj = np.where(rcoord[tt] >= 0, rcoord[tt], rcoord[th])
     order = np.lexsort((tj, ti))
+
+    lt, rt = lcoord.max(), rcoord.max()         # t's line coordinates
+    a, b = np.concatenate((la, ra + lt + 1)), np.concatenate((lb, rb + lt + 1))
+    opened = np.cumsum(np.bincount(a + 1, minlength=lt + rt + 2),
+                       dtype=np.int32)
+    closed = np.cumsum(np.bincount(b, minlength=lt + rt + 2),
+                       dtype=np.int32)                           # ends <= q
+    depth = np.arange(len(a)) - closed[a]
+    by_depth = np.argsort(depth, kind="stable")
+    anchor = (((a == 0) | (a == lt + 1))
+              + 2 * ((b == lt) | (b == lt + rt + 1))).astype(np.int8)
     return ChordIndex(la, lb, leid, ra, rb, reid,
-                      ti[order], tj[order], eids[two][order])
+                      ti[order], tj[order], eids[two][order],
+                      opened, opened - closed,
+                      depth[by_depth] * len(a) + by_depth,
+                      np.concatenate((leid, reid))[by_depth], anchor[by_depth])
 
 
-def _check_plane(k, m, c: ChordIndex):
+def _check_plane(k, c: ChordIndex):
     """Reject any pair of edges whose position chords strictly interleave.
 
     Decomposes the check by edge class: each one-sided family must be laminar
@@ -257,12 +287,8 @@ def _check_plane(k, m, c: ChordIndex):
             raise EmbeddingNotPlane("two-sided chords out of chain order")
 
         # one-sided chords may not strictly cover a two-sided endpoint
-        for a, b, coords, size in ((c.la, c.lb, c.ti, k),
-                                   (c.ra, c.rb, c.tj, m)):
-            depth = np.cumsum(np.bincount(a + 1, minlength=size + 3)
-                              - np.bincount(b, minlength=size + 3))
-            if np.any(depth[coords] > 0):
-                raise EmbeddingNotPlane("two-sided chord under a covering chord")
+        if c.under[np.concatenate((c.ti, c.tj + k + 2))].any():
+            raise EmbeddingNotPlane("two-sided chord under a covering chord")
 
 
 def _limit_tables(n, tail, head, cls, lcoord, rcoord):
@@ -408,7 +434,7 @@ def build_graph(left_seq, right_seq, edges, s=None, t=None):
         raise CycleDetected("descending edge on the right side")
 
     chords = _chord_index(tail, head, cls, lcoord, rcoord)
-    _check_plane(k, m, chords)
+    _check_plane(k, chords)
     lo_out, hi_in = _limit_tables(n, tail, head, cls, lcoord, rcoord)
     topo_pos = _toposort(k, m, hi_in)
     return OuterplanarStDigraph(names, ids, k, m, tail, head, keys, side,
@@ -417,6 +443,13 @@ def build_graph(left_seq, right_seq, edges, s=None, t=None):
 
 
 def is_linear_extension(g: OuterplanarStDigraph, order) -> bool:
+    pos = order_positions(g, order)
+    return bool(np.all(pos[g.tail] < pos[g.head]))
+
+
+def order_positions(g: OuterplanarStDigraph, order) -> np.ndarray:
+    """Each vertex's place in ``order``, which must be a permutation of the
+    vertices (:class:`NotAPermutation` otherwise)."""
     arr = np.asarray(order, dtype=np.int64)
     if len(arr) != g.n:
         raise NotAPermutation(f"length {len(arr)}, expected {g.n}")
@@ -426,7 +459,7 @@ def is_linear_extension(g: OuterplanarStDigraph, order) -> bool:
     pos[arr] = np.arange(g.n)
     if np.any(pos < 0):
         raise NotAPermutation("repeated vertex")
-    return bool(np.all(pos[g.tail] < pos[g.head]))
+    return pos
 
 
 # -- JSON input/output -----------------------------------------------------

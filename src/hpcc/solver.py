@@ -10,124 +10,124 @@ entry run is spliced below the earlier sink, which reroutes one jump; the
 rerouted jump crosses the shared edge once, and nothing else changes, so
 the transition charges exactly +1.
 
-The DP is one pass over the table's cost rows, and the splice one pass
-over its elements that takes each polygon's chain runs as ranges.
+Both run as array passes over the table.  The DP is a log-depth min-plus
+prefix scan of the polygons' 2x2 cell matrices, and the splice lays each
+element out as runs of vertex ids (source, X[:a], Y, X[a:], sink).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .crossings import CompletionSolution, build_hp_extended, scan_order
-from .decompose import EDGE, GAP, VERTEX, PolygonTable, decompose
+from .crossings import (CompletionSolution, build_hp_extended, order_array,
+                        scan_order)
+from .decompose import EDGE, GAP, VERTEX, PolygonTable, decompose, runs
 from .graph import (OuterplanarStDigraph, InternalError, NotAPermutation,
                     ValidationError, is_linear_extension, _LEFT)
 from .polygon import polygon_costs
 
 _L, _R = 0, 1
-# channel codes index polygon.CHANNELS: 0 1L, 1 1R, 2 2L, 3 2R.  A
-# shared-edge transition into cell x weighs four terms: previous cell
-# _OLD[i] with channel _TERM_CH[x][i]; the first minimum wins.
-_TERM_CH = ((0, 0, 2, 2), (1, 1, 3, 3))
-_OLD = (_L, _R, _L, _R)
-_OPENS_LEFT = (False, True, True, False)   # 1R and 2L
-# _PEN[sink cell][x][i] is 1 where term i's spliced jump crosses the shared
-# edge: the previous path ends on the sink's chain and the new channel
-# opens with vertices of the other chain
-_PEN = tuple(tuple(tuple(int(o == sc and _OPENS_LEFT[ch] == (sc == _R))
-                         for o, ch in zip(_OLD, chs)) for chs in _TERM_CH)
-             for sc in (_L, _R))
+# channel codes index polygon.CHANNELS: 0 1L, 1 1R, 2 2L, 3 2R.  Cell x of
+# a polygon weighs four terms: previous cell _OLD[i] with channel
+# _TERM_CH[x][i].  At a shared edge the first minimum wins; elsewhere the
+# terms are tried in _NO_EDGE order, so R wins ties of the previous cell
+# and one-jump channels win ties against their two-jump partners.
+_TERM_CH = np.array(((0, 0, 2, 2), (1, 1, 3, 3)))
+_OLD = np.array((_L, _R, _L, _R))
+_NO_EDGE = np.array((1, 0, 3, 2))
+_OPENS_LEFT = np.array((False, True, True, False))   # 1R and 2L
+# _PEN[x][i][sink cell] is 1 where term i's spliced jump crosses the shared
+# edge: the path ends on the sink's chain, the channel opens on the other
+_PEN = np.array([[[int(o == sc and _OPENS_LEFT[c] == (sc == _R))
+                   for sc in (_L, _R)] for o, c in zip(_OLD, chs)]
+                 for chs in _TERM_CH])
 
 
 def _plan(g: OuterplanarStDigraph, t: PolygonTable, cost):
-    """DP over the polygons; returns (best, channel code per polygon)."""
-    edge = (t.junction == EDGE).tolist()
-    sink_cell = np.where(g.side[t.sink] == _LEFT, _L, _R).tolist()
-    cl = cr = 0
-    back = []
-    for p, c in enumerate(cost.tolist()):
-        if edge[p]:
-            pen, step = _PEN[sink_cell[p - 1]], []
-            for x in (_L, _R):
-                a, b, d = c[x], c[x + 2], pen[x]
-                terms = [cl + a + d[0], cr + a + d[1],
-                         cl + b + d[2], cr + b + d[3]]
-                i = terms.index(min(terms))
-                step.append((terms[i], _OLD[i], _TERM_CH[x][i]))
-        else:
-            # one-jump channels win ties against their two-jump partners
-            o, base = (_R, cr) if cr <= cl else (_L, cl)
-            step = [(base + c[x], o, x) if c[x] <= c[x + 2]
-                    else (base + c[x + 2], o, x + 2) for x in (_L, _R)]
-        cl, cr = step[_L][0], step[_R][0]
-        back.append(step)
-    cell, best = (_R, cr) if cr <= cl else (_L, cl)
-    chosen = [0] * len(back)
-    for p in range(len(back) - 1, -1, -1):
-        _, cell, chosen[p] = back[p][cell]
-    return int(best), np.asarray(chosen, dtype=np.int64)
+    """DP over the polygons; returns (best, channel code per polygon).
+
+    Polygon p maps the cells below it to its own by a 2x2 min-plus matrix,
+    so a log-depth prefix scan of those gives the cells below each polygon;
+    back pointers are then local, and the backtrack composes them by
+    doubling from the top down."""
+    P, p, edge = len(t), np.arange(len(t)), t.junction == EDGE
+    below = np.where(g.side[t.sink] == _LEFT, _L, _R)[p - 1]
+    # [cell, term, polygon]: term weights, and [cell, old cell, polygon]
+    w = cost.T[_TERM_CH] + np.where(edge, _PEN[..., below], 0)
+    scan, span = np.minimum(w[:, :2], w[:, 2:]), 1
+    while span < P:
+        a, b = scan[..., span:], scan[..., :-span]
+        scan[..., span:] = np.minimum(a[:, :1] + b[0], a[:, 1:] + b[1])
+        span *= 2
+    cells = np.zeros((2, P + 1))
+    cells[:, 1:] = np.minimum(scan[:, 0], scan[:, 1])
+    pref = np.where(edge, np.arange(4)[:, None], _NO_EDGE[:, None])
+    i = pref[(cells[_OLD, :-1] + w)[:, pref, p].argmin(axis=1), p]  # [cell, p]
+    cell = _R if cells[_R, -1] <= cells[_L, -1] else _L
+    # up[:, p]: polygon p's cell for each cell of the polygon above, and
+    # then, by doubling, for each cell of the top polygon
+    up, span = np.concatenate((_OLD[i[:, 1:]], [[_L], [_R]]), axis=1), 1
+    while span < P:
+        up[:, :-span] = up[:, :-span][up[:, span:], p[:-span]]
+        span *= 2
+    return int(cells[cell, -1]), _TERM_CH[up[cell], i[up[cell], p]]
 
 
 def _splice(g: OuterplanarStDigraph, t: PolygonTable, ch, split):
     """Hamiltonian order taking channel ``ch`` (split ``split``) through
-    every polygon, element by element bottom-up.
+    every polygon, laid out as runs of vertex ids.
 
     A polygon contributes its source, X[:a], Y, X[a:] and its sink, for
     the channel's opening run X and other run Y; a free vertex contributes
     itself.  A shared-vertex junction drops the source.  At a shared-edge
     junction the previous sink opens X or Y and is dropped; when it opens
-    Y, the stretch X[:a] moves to right after the new source, below the
-    previous sink's run.
+    Y, the stretch X[:a] moves to right after the new source.  That source
+    ends a run laid out before, or the stretch moved by the polygon below,
+    so one stable sort of the runs puts every moved stretch in place.
     """
-    n, order, joins = g.n, [], []
-    cols = (t.source, t.sink, t.left_lo, t.left_hi, t.right_lo, t.right_hi,
-            t.upper, t.junction, ch, split)
-    polys = zip(*(c.tolist() for c in cols))
-    up = -1
-    for e in t.element.tolist():
-        if e < 0:
-            if order:
-                joins.append((order[-1], ~e))
-            order.append(~e)
-            continue
-        s, k, llo, lhi, rlo, rhi, upper, jn, c, q = next(polys)
-        runs = (range(llo, lhi + 1), range(n - rlo, n - rhi - 1, -1))
-        x, y = runs[not _OPENS_LEFT[c]], runs[_OPENS_LEFT[c]]
-        a = len(x) if c < 2 else q
-        if jn == GAP:
-            if order:
-                joins.append((order[-1], s))
-            order.append(s)
-        elif jn == VERTEX and order[-1] != s or jn == EDGE and up != s:
-            raise InternalError("splice", "a polygon does not start where "
-                                          "the previous one ends")
-        elif jn == EDGE:
-            if order[-1] == y[0]:
-                i = len(order) - 2
-                while i >= 0 and order[i] != s:
-                    i -= 1
-                if i < 0:
-                    raise InternalError("splice", "a polygon source is "
-                                                  "missing from the order")
-                order[i + 1:i + 1] = x[:a]
-                x, a, y = x[a:], 0, y[1:]
-            elif order[-1] == x[0]:
-                x, a = x[1:], a - 1
-            else:
-                raise InternalError("splice", "a shared edge does not open "
-                                              "a chain run")
-        order += [*x[:a], *y, *x[a:], k]
-        up = upper
-    if not order or order[0] != g.s:
-        if order:
-            joins.append((g.s, order[0]))
-        order.insert(0, g.s)
-    if order[-1] != g.t:
-        joins.append((order[-1], g.t))
-        order.append(g.t)
-    if joins and not g.has_edges(*zip(*joins)).all():
+    n, el, s, jn, P = g.n, t.element, t.source, t.junction, len(t)
+    left, pp, at = _OPENS_LEFT[ch], np.arange(P) - 1, np.flatnonzero(el >= 0)
+    lr = np.array((t.left_lo, n - t.right_lo, t.left_hi - t.left_lo + 1,
+                   t.right_hi - t.right_lo + 1))    # first ids, lengths
+    xs, ys, xl, yl = np.where(left, lr, lr[[1, 0, 3, 2]])
+    xd, a = np.where(left, 1, -1), np.where(ch < 2, xl, split)
+    first, last, gap = ~el, ~el, el < 0
+    first[at], last[at], gap[at] = s, t.sink, jn == GAP
+    prev = np.append(-1, last)[at]          # the vertex placed last before
+    edge, one = jn == EDGE, np.ones_like(s)
+    moved = edge & (prev == ys)
+    x0, mv = np.where(moved, a, edge & (prev == xs)), np.flatnonzero(moved)
+    # five runs (first id, step, length) per element, then the moved X[:a]
+    lay, B = np.zeros((3, 5, len(el)), dtype=np.int64), 5 * len(el)
+    lay[:, :, at] = ((s, xs + xd * x0, ys - xd * moved, xs + xd * a, t.sink),
+                     (one, xd, -xd, xd, one),
+                     (jn == GAP, a - x0, yl - moved, xl - a, one))
+    lay[0, 0, el < 0], lay[2, 0, el < 0] = ~el[el < 0], 1
+    lay, missing = lay.transpose(0, 2, 1).reshape(3, B), moved
+    if len(mv):     # sort each moved X[:a] after the run its source ends
+        end, full = np.full(n, B), np.flatnonzero(lay[2])
+        end[lay[0, full] + lay[1, full] * (lay[2, full] - 1)] = full
+        cont = moved & moved[pp] & (a[pp] > 0) & (s == (xs + xd * a - xd)[pp])
+        missing = moved & ~cont & (end[s] >= 5 * at - 1)
+        root = np.maximum.accumulate(np.where(moved & ~cont, pp + 1, -1))[mv]
+        key = np.append(np.arange(0, 2 * B, 2), 2 * end[s[root]] + 1)
+        lay = np.concatenate((lay, (xs[mv], xd[mv], a[mv])), axis=1)[
+            :, key.argsort(kind="stable")]
+    bad = np.array(((jn == VERTEX) & (prev != s) | edge & (t.upper[pp] != s),
+                    missing, edge & ~moved & (prev != xs)))
+    if bad.any():
+        raise InternalError("splice", (
+            "a polygon does not start where the previous one ends",
+            "a polygon source is missing from the order",
+            "a shared edge does not open a chain run")[
+                bad[:, bad.any(axis=0).argmax()].argmax()])
+    order = np.concatenate(([g.s], runs(*lay), [g.t]))
+    cap = order[[1, -2]] != (g.s, g.t)      # s and t join the ends
+    join = np.flatnonzero(gap)[1:]
+    if not g.has_edges(np.append(last[join - 1], order[[0, -2]][cap]),
+                       np.append(first[join], order[[1, -1]][cap])).all():
         raise InternalError("splice", "elements not joined by an edge")
-    return order
+    return order[0 if cap[0] else 1:None if cap[1] else -1]
 
 
 def solve(g: OuterplanarStDigraph) -> CompletionSolution:
@@ -140,7 +140,7 @@ def solve(g: OuterplanarStDigraph) -> CompletionSolution:
     if scan.total != best:
         raise InternalError("solve", f"planned {best} crossings but the "
                                      f"order realises {scan.total}")
-    return CompletionSolution.of_scan(g, order, scan)
+    return CompletionSolution.of_scan(g, order.tolist(), scan)
 
 
 def _owners(g: OuterplanarStDigraph, t: PolygonTable) -> np.ndarray:
@@ -169,14 +169,14 @@ def solution_problems(g: OuterplanarStDigraph,
 
     The claims must hold exactly the rows of a recount from ``sol.order``,
     which has no repeats, in any order."""
-    probs = []
+    probs, order = [], order_array(sol.order)
     try:
-        if not is_linear_extension(g, sol.order):
+        if not is_linear_extension(g, order):
             return ["order reverses at least one edge"]
     except NotAPermutation as exc:
         return [f"order is not a permutation of the vertices: {exc}"]
 
-    scan = scan_order(g, sol.order)
+    scan = scan_order(g, order)
     recount = CompletionSolution.of_scan(g, sol.order, scan)
     if not _same_rows(sol.ce, recount.ce):
         probs.append("completion edges do not match the order's gaps")
@@ -214,7 +214,7 @@ def solution_problems(g: OuterplanarStDigraph,
                          f"{edge} does not come from the element above it")
 
     try:
-        build_hp_extended(g, sol.order)
+        build_hp_extended(g, order)
     except ValidationError as exc:
         probs.append(f"subdividing the crossings fails: {exc}")
     return probs

@@ -87,3 +87,26 @@ def numeric_names():
     """Strong rhombus named by numbers, which JSON writes unquoted."""
     return build_graph([2.5], [30], [(0, 2.5), (2.5, 99), (0, 30), (30, 99),
                                      (0, 99)], s=0, t=99)
+
+
+def nested_fan_graph(depth=12, fan=6):
+    """One polygon under a median whose one-sided chords nest ``depth`` - 1
+    deep on each chain, beside a fan of ``fan`` chords into t on the left
+    and out of s on the right."""
+    k, m = 2 * depth + fan, fan + 1 + 2 * depth
+    left = [f"l{i}" for i in range(1, k + 1)]
+    right = [f"r{j}" for j in range(1, m + 1)]
+    edges = list(zip(["s"] + left, left + ["t"]))
+    edges += list(zip(["s"] + right, right + ["t"]))
+    edges += [(f"l{i}", f"l{2 * depth + 1 - i}") for i in range(1, depth)]
+    edges += [(f"l{i}", "t") for i in range(2 * depth, k)]
+    edges += [("s", f"r{j}") for j in range(2, fan + 2)]
+    edges += [(f"r{fan + 1 + i}", f"r{fan + 1 + 2 * depth - i}")
+              for i in range(1, depth)]
+    return build_graph(left, right, edges + [("s", "t")], s="s", t="t")
+
+
+@pytest.fixture
+def nested_fan():
+    """Deeply nested and s- or t-anchored one-sided chords."""
+    return nested_fan_graph()

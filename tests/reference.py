@@ -5,7 +5,7 @@ classes, the topological order as a path, channel orders and their
 jumps, one-row polygon tables,
 polygon subgraphs and polygon edge lists, plain-Python
 recomputations of the tables ``build_graph`` stores and of its
-topological merge, the solver's
+topological merge, random linear extensions, the solver's
 original element-by-element DP and splice, the crossings of one
 completion edge, the set-based verifier, the per-edge HP-extended
 graph and the list form of ``build_hp_extended``'s arrays, book builder and book validator, and the dict payloads of the
@@ -184,6 +184,24 @@ def topological_order(g):
     """The canonical topological order, from the positions ``build_graph``
     stores."""
     return tuple(np.argsort(g.topo_pos).tolist())
+
+
+def random_linear_extension(g, rng):
+    """A linear extension drawn by ``rng``: each step places a random
+    vertex whose in-neighbours are all placed."""
+    indeg = np.bincount(g.head, minlength=g.n).tolist()
+    out = [[] for _ in range(g.n)]
+    for u, v in zip(g.tail.tolist(), g.head.tolist()):
+        out[u].append(v)
+    ready, order = [g.s], []
+    while ready:
+        u = ready.pop(rng.randrange(len(ready)))
+        order.append(u)
+        for v in out[u]:
+            indeg[v] -= 1
+            if not indeg[v]:
+                ready.append(v)
+    return order
 
 
 def edge_classes(g):
@@ -470,6 +488,21 @@ def _splice(g, elements, split, tags):
         assert g.has_edge(order[-1], g.t)
         order.append(g.t)
     return order
+
+
+def reference_plan(g, cost):
+    """(best, channel code per polygon) from the element-by-element DP."""
+    best, tags = _plan(g, decompose(g), cost)
+    return best, [CHANNELS.index(tag) for tag in tags if tag is not None]
+
+
+def reference_splice(g, split, ch):
+    """The element-by-element splice of channel codes ``ch``."""
+    elements = decompose(g)
+    names = iter([CHANNELS[c] for c in ch])
+    return _splice(g, elements, split, [
+        None if isinstance(el, FreeVertex) else next(names)
+        for el in elements])
 
 
 def reference_solution(g):

@@ -5,6 +5,7 @@ from itertools import islice
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hpcc import crossings
 from hpcc.crossings import (
@@ -16,10 +17,11 @@ from hpcc.crossings import (
     solution_crossings,
 )
 from hpcc import solve
-from hpcc.oracle import enumerate_hamiltonian_orders
-from reference import (edge_crossings, hp_lists, reference_hp_extended,
-                       topological_order)
-from strategies import instances
+from hpcc.oracle import _NaiveScorer, enumerate_hamiltonian_orders
+from conftest import nested_fan_graph
+from reference import (edge_crossings, hp_lists, random_linear_extension,
+                       reference_hp_extended, topological_order)
+from strategies import instances, three_kind_ladders
 
 
 def hp_extended_lists(g, order):
@@ -143,3 +145,39 @@ def test_hp_extension_matches_the_reference(g):
                 except NotLinearExtension as exc:
                     raised.append(str(exc))
             assert raised[0] == raised[1]
+
+
+def crossed_sets(g, rows, eids):
+    """Per row, the set of crossed edges as (tail, head) pairs."""
+    out = {}
+    for r, e in zip(rows.tolist(), eids.tolist()):
+        out.setdefault(r, set()).add((int(g.tail[e]), int(g.head[e])))
+    return out
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(instances(max_n=40), three_kind_ladders(),
+                 st.builds(nested_fan_graph, st.integers(1, 30),
+                           st.integers(1, 8))),
+       st.randoms(use_true_random=False))
+def test_each_completion_edge_crosses_exactly_what_interleaves(g, rng):
+    # _NaiveScorer tests raw interleaving and shares no code with the scan
+    naive = _NaiveScorer(g)
+    orders = [solve(g).order] + [random_linear_extension(g, rng)
+                                 for _ in range(3)]
+    for order in orders:
+        scan = scan_order(g, order)
+        got = crossed_sets(g, scan.pair_ce, scan.pair_eid)
+        for row, ce in enumerate(zip(scan.ce_tail.tolist(),
+                                     scan.ce_head.tolist())):
+            assert got.get(row, set()) == set(naive.crossings_of(*ce))
+    # a linear extension's first and last gap are edges at s and t, so
+    # chords touching s or t are asked of the batch directly
+    others = [v for v in range(1, g.n) if v != g.t]
+    chords = [(e, rng.choice(others)) for e in (g.s, g.t) for _ in range(4)]
+    chords += [(v, e) for e, v in chords] + [(g.s, g.t)]
+    f, h = (np.array(c, dtype=np.int64) for c in zip(*chords))
+    rows, eids, _ = crossings._batch_crossings(g, f, h)
+    got = crossed_sets(g, rows, eids)
+    for row, ce in enumerate(chords):
+        assert got.get(row, set()) == set(naive.crossings_of(*ce))

@@ -20,10 +20,11 @@ from hpcc.decompose import EDGE, GAP, VERTEX
 from hpcc.graph import is_linear_extension
 from hpcc.oracle import enumerate_hamiltonian_orders
 from hpcc.polygon import polygon_costs
-from hpcc.solver import CompletionSolution, solution_problems
-from reference import (ladder_module, reference_solution,
-                       reference_solution_problems, verify_solution)
-from strategies import instances
+from hpcc.solver import CompletionSolution, _plan, _splice, solution_problems
+from reference import (ladder_module, reference_plan, reference_solution,
+                       reference_solution_problems, reference_splice,
+                       verify_solution)
+from strategies import instances, three_kind_ladders
 
 KIND_NAMES = {GAP: "gap", VERTEX: "vertex", EDGE: "edge"}
 
@@ -257,6 +258,35 @@ def test_no_elements_means_the_bare_edge():
 def test_matches_the_element_by_element_reference(g):
     sol = solve(g)
     assert reference_solution(g) == (sol.crossings, sol.order)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(instances(max_n=14), three_kind_ladders()),
+       st.randoms(use_true_random=False))
+def test_plan_matches_the_reference_on_tied_costs(g, rng):
+    # costs 0..2, some two-jump channels unsplittable: ties everywhere
+    t = decompose(g).table
+    cost = np.array([[rng.randint(0, 2) for _ in range(4)] for _ in t.sink],
+                    dtype=float).reshape(-1, 4)
+    cost[:, 2:][np.array([rng.random() < 0.2 for _ in range(cost[:, 2:].size)],
+                         dtype=bool).reshape(-1, 2)] = np.inf
+    best, ch = _plan(g, t, cost)
+    assert (best, ch.tolist()) == reference_plan(g, cost)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(instances(max_n=14), three_kind_ladders()),
+       st.randoms(use_true_random=False))
+def test_splice_matches_the_reference_for_any_channels(g, rng):
+    # shared edges whose moved stretch another moved stretch continues
+    # need channels the optimum rarely picks
+    t = decompose(g).table
+    _, split = polygon_costs(g, t)
+    ch = [rng.choice([c for c in range(4) if c < 2 or split[p, c]])
+          for p in range(len(t))]
+    order = _splice(g, t, np.array(ch, dtype=np.int64),
+                    split[np.arange(len(t)), ch])
+    assert order.tolist() == reference_splice(g, split, ch)
 
 
 @pytest.mark.parametrize("n,density,seed", [(9, 0.3, 70), (10, 0.3, 65),
