@@ -1,9 +1,9 @@
 """Command line front end.
 
 Exit codes: 0 success, 1 a solver self-check failed (the message names
-the stage), 2 unreadable input or a non-integer HPCC_MAX_ORACLE, 3 invalid
-instance or data (the class name says which rule), 4 instance too large
-for the oracle, 5 solver and oracle disagree.
+the stage, then a rerun command), 2 unreadable input or a non-integer
+HPCC_MAX_ORACLE, 3 invalid instance or data (the class name says which
+rule), 4 instance too large for the oracle, 5 solver and oracle disagree.
 """
 
 from __future__ import annotations
@@ -258,6 +258,7 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
@@ -267,11 +268,13 @@ def main(argv=None) -> int:
     except InstanceTooLarge as exc:
         print(f"InstanceTooLarge: {exc}", file=sys.stderr)
         return 4
-    except InternalError as exc:
-        print(f"self-check failed in stage {exc}", file=sys.stderr)
-        return 1
-    except InvalidSolution as exc:
-        print(f"self-check failed in stage book: {exc}", file=sys.stderr)
+    except (InternalError, InvalidSolution) as exc:
+        import shlex    # only a failing run needs it
+        stage = "" if isinstance(exc, InternalError) else "book: "
+        stdin = args.input in (None, "-")
+        print(f"self-check failed in stage {stage}{exc}\nto reproduce: "
+              + shlex.join(["python", "-m", "hpcc", *argv])
+              + " with the same input on stdin" * stdin, file=sys.stderr)
         return 1
     except (ValidationError, InfeasibleParams) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)

@@ -15,7 +15,10 @@ crossed are two contiguous runs of the chain.
 The chord families come sorted from the graph (``g.chords``, built once by
 :func:`hpcc.graph.build_graph`, which validates the same arrays for
 planarity), with the joint family's count tables and depth order;
-nothing here re-sorts or re-derives them.
+nothing here re-sorts or re-derives them.  The scan is computed once
+per graph and order: the graph keeps the last order's scan, read-only
+and shared by every later call with that order, and each route still
+calls :func:`scan_order` with its own order.
 """
 
 from __future__ import annotations
@@ -130,9 +133,9 @@ def _check_completion_pairs(g, f_arr, h_arr):
             "joins one chain to itself")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolutionScan:
-    """Array form of a solution's completion edges and crossings."""
+    """A solution's completion edges and crossings, as read-only arrays."""
     ce_tail: np.ndarray
     ce_head: np.ndarray
     ce_spine: np.ndarray     # index i: the ce sits between order[i], order[i+1]
@@ -152,7 +155,11 @@ def order_array(order) -> np.ndarray:
 
 
 def scan_order(g: OuterplanarStDigraph, order) -> SolutionScan:
+    """The scan of ``order``, kept on the graph by the order's contents."""
     arr = order_array(order)
+    key, (last, scan) = arr.tobytes(), g._cache.get("scan", (None, None))
+    if key == last:
+        return scan
     try:
         pos = order_positions(g, arr)
     except NotAPermutation as exc:
@@ -168,7 +175,11 @@ def scan_order(g: OuterplanarStDigraph, order) -> SolutionScan:
     pr, pe, _ = _batch_crossings(g, ce_tail, ce_head)
     # pairs come sorted by row: the ordinal counts from the row's first
     ordinal = np.arange(len(pr)) - pr.searchsorted(pr)
-    return SolutionScan(ce_tail, ce_head, ce_spine, pr, pe, ordinal)
+    cols = ce_tail, ce_head, ce_spine, pr, pe, ordinal
+    for col in cols:
+        col.setflags(write=False)
+    g._cache["scan"] = key, SolutionScan(*cols)
+    return g._cache["scan"][1]
 
 
 class CompletionSolution:

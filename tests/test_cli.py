@@ -4,6 +4,7 @@ import importlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -233,7 +234,16 @@ def test_every_drawn_book_is_validated(capsys, sr_file, tmp_path,
                   "--svg", str(tmp_path / "out.svg")]):
         code, _, err = run(capsys, *argv)
         assert code == 1
-        assert "self-check failed in stage book: planted problem" in err
+        assert err.splitlines() == [
+            "self-check failed in stage book: planted problem",
+            "to reproduce: " + shlex.join(["python", "-m", "hpcc", *argv])]
+    # read from stdin, the line says the input must be fed again
+    data = Path(sr_file).read_bytes()
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+    code, _, err = run(capsys, "render")
+    assert code == 1
+    assert err.splitlines()[1] == ("to reproduce: python -m hpcc render "
+                                   "with the same input on stdin")
 
 
 @pytest.mark.parametrize("text", ["", "{}", "a\nb\n"])

@@ -1,5 +1,6 @@
 """Crossing counts for completion edges against the embedded instance."""
 
+import dataclasses
 from itertools import islice
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from hpcc import crossings
 from hpcc.crossings import (
+    CompletionSolution,
     NotLinearExtension,
     SameSideCompletionEdge,
     build_hp_extended,
@@ -16,8 +18,10 @@ from hpcc.crossings import (
     scan_order,
     solution_crossings,
 )
-from hpcc import solve
+from hpcc import build_graph, graph_from_json, graph_to_json, solve
+from hpcc.graph import _LEFT
 from hpcc.oracle import _NaiveScorer, enumerate_hamiltonian_orders
+from hpcc.solver import solution_problems
 from conftest import nested_fan_graph
 from reference import (edge_crossings, hp_lists, random_linear_extension,
                        reference_hp_extended, topological_order)
@@ -181,3 +185,78 @@ def test_each_completion_edge_crosses_exactly_what_interleaves(g, rng):
     got = crossed_sets(g, rows, eids)
     for row, ce in enumerate(chords):
         assert got.get(row, set()) == set(naive.crossings_of(*ce))
+
+
+def fresh(g):
+    """A copy of ``g`` built anew, with nothing cached."""
+    return graph_from_json(graph_to_json(g))
+
+
+def scan_columns(scan):
+    return [getattr(scan, f.name).tolist() for f in dataclasses.fields(scan)]
+
+
+class TestScanCache:
+    """The scan is kept per graph and order contents, shared read-only."""
+
+    def test_same_order_in_any_form_is_one_scan(self, double_crossing):
+        g, order = double_crossing, solve(double_crossing).order
+        scan = scan_order(g, list(order))
+        assert scan_order(g, tuple(order)) is scan
+        assert scan_order(g, np.array(order, dtype=np.int64)) is scan
+
+    def test_another_order_is_scanned_afresh(self, double_crossing):
+        g = double_crossing
+        first, second = islice(enumerate_hamiltonian_orders(g), 2)
+        scan = scan_order(g, first)
+        other = scan_order(g, second)
+        assert other is not scan
+        assert scan_columns(other) == scan_columns(scan_order(fresh(g),
+                                                              second))
+
+    def test_a_scan_is_read_only(self, chorded_polygon):
+        scan = scan_order(chorded_polygon, (0, 1, 2, 4, 3))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            scan.pair_eid = scan.pair_eid.copy()
+        for f in dataclasses.fields(scan):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(scan, f.name)[:1] = 0
+
+    def test_faults_raise_every_time_and_are_not_kept(self):
+        g = build_graph(["l1"], ["r1", "r2"],
+                        [("s", "l1"), ("l1", "t"), ("s", "r1"),
+                         ("r1", "r2"), ("r2", "t")], s="s", t="t")
+        # no linear extension of a valid graph has a gap joining one chain
+        # to itself, so r2 (id 3) is relabelled left to make one
+        g.side = g.side.copy()
+        g.side[3] = _LEFT
+        scan = scan_order(g, (0, 1, 4, 3, 2))
+        for order, fault in (((0, 1, 1, 3, 2), NotLinearExtension),
+                             ((0, 1, 3, 4, 2), NotLinearExtension),
+                             ((0, 4, 3, 1, 2), SameSideCompletionEdge)):
+            for _ in range(2):
+                with pytest.raises(fault):
+                    scan_order(g, order)
+            assert scan_order(g, (0, 1, 4, 3, 2)) is scan
+
+    def test_tampered_claims_after_a_clean_check(self, double_crossing):
+        g = double_crossing
+        sol = solve(g)
+        assert solution_problems(g, sol) == []
+        order = list(sol.order)
+        edge = g.has_edges(order[:-1], order[1:])
+        swaps = []
+        for i in (int(np.flatnonzero(~edge)[0]), int(np.flatnonzero(edge)[0])):
+            swapped = list(order)
+            swapped[i:i + 2] = order[i + 1], order[i]
+            swaps.append(swapped)
+        ces, recs = sol.completion_edges, sol.records
+        tampered = [
+            CompletionSolution(order, ces, recs, sol.crossings + 1),
+            CompletionSolution(order, ces, recs[1:], sol.crossings),
+            *(CompletionSolution(o, ces, recs, sol.crossings) for o in swaps),
+        ]
+        for claim in tampered:
+            want = solution_problems(fresh(g), claim)
+            assert want
+            assert solution_problems(g, claim) == want

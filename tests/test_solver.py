@@ -3,6 +3,7 @@
 import dataclasses
 import importlib
 import json
+import shlex
 from collections import Counter
 from itertools import islice
 
@@ -12,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hpcc import (GeneratorParams, InternalError, build_graph, decompose,
-                  generate, graph_from_json, graph_to_json, solve)
+                  generate, graph_from_json, graph_to_json, solve,
+                  to_book_embedding, validate_book_embedding)
 from hpcc import crossings
 from hpcc.cli import main
 from hpcc.crossings import CrossingRecord, solution_crossings
@@ -333,6 +335,41 @@ def test_embed_builds_the_polygon_table_once(monkeypatch, tmp_path):
         assert (len(built), len(priced)) == (1, 1), command
 
 
+def test_each_route_scans_its_order_once(monkeypatch, tmp_path):
+    # every route still asks for the scan of its own order; the graph
+    # keeps it, so the scan's crossing batch runs once per graph and order
+    calls, runs = Counter(), Counter()
+
+    def counted(count, real):
+        def call(g, *args):
+            count[g] += 1
+            return real(g, *args)
+        return call
+
+    monkeypatch.setattr(crossings, "_batch_crossings",
+                        counted(runs, crossings._batch_crossings))
+    scan = counted(calls, crossings.scan_order)
+    for name in ("hpcc.crossings", "hpcc.solver", "hpcc.book"):
+        monkeypatch.setattr(importlib.import_module(name), "scan_order", scan)
+    text = json.dumps(ladder_module().ladder(30, 7).doc)
+    path = tmp_path / "in.json"
+    path.write_text(text)
+    for command, scans in (("solve", 3), ("embed", 6)):
+        calls.clear()
+        runs.clear()
+        assert main([command, "-i", str(path),
+                     "-o", str(tmp_path / "out.json")]) == 0
+        assert (list(calls.values()), list(runs.values())) == (
+            [scans], [1]), command
+    calls.clear()
+    runs.clear()
+    g = graph_from_json(text)
+    sol = solve(g)
+    assert solution_problems(g, sol) == []
+    assert validate_book_embedding(to_book_embedding(g, sol), g) == []
+    assert (calls, runs) == ({g: 6}, {g: 1})
+
+
 def test_embed_builds_each_graph_table_once(monkeypatch, tmp_path):
     mod = importlib.import_module("hpcc.graph")
     builders = ("_line_coords", "_edge_class_codes", "_chord_index",
@@ -362,7 +399,11 @@ class TestInternalErrors:
         path = tmp_path / "in.json"
         path.write_text(graph_to_json(g))
         code = main(["solve", "-i", str(path)])
-        return code, capsys.readouterr().err
+        err = capsys.readouterr().err
+        # the second line names the command that reproduces the failure
+        assert err.splitlines()[1] == "to reproduce: " + shlex.join(
+            ["python", "-m", "hpcc", "solve", "-i", str(path)])
+        return code, err
 
     def test_missing_limit_edge_in_decompose(self, monkeypatch, tmp_path,
                                              capsys, stacked_rhombi):
