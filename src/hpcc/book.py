@@ -17,10 +17,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .crossings import NotLinearExtension, chain_edges, int_array, scan_order
+from .crossings import NotLinearExtension, chain_edges, scan_order
 from .graph import (OuterplanarStDigraph, Edge, Nested, ParseError,
-                    ValidationError, VertexId, _LEFT, json_object, json_rows,
-                    json_scalars)
+                    ValidationError, VertexId, _LEFT, int_array, json_object,
+                    json_rows, json_scalars)
 from .solver import CompletionSolution, solution_problems
 
 LEFT_PAGE = "L"
@@ -71,7 +71,7 @@ class BookEmbedding:
         page = [code.setdefault(s.page, len(code)) for s in segs]
         edges = int_array([d.edge for d in drawings])
         slot = [k for d in drawings for k in d.spine_crossings]
-        self._fill(tuple(spine), *edges.reshape(-1, 2).T,
+        self._fill(tuple(int_array(spine).tolist()), *edges.reshape(-1, 2).T,
                    np.cumsum([0] + [len(d.segments) for d in drawings]),
                    np.cumsum([0] + [len(d.spine_crossings) for d in drawings]),
                    np.array([s.start for s in segs], dtype=float),
@@ -117,12 +117,12 @@ def to_book_embedding(g: OuterplanarStDigraph,
         raise InvalidSolution("; ".join(probs))
 
     n, tail, head = g.n, g.tail, g.head
-    spine = np.asarray(sol.order, dtype=np.int64)
+    spine = int_array(sol.order)
     pos = spine.argsort()           # the inverse permutation
     # per crossing: its completion edge (named by the tail, which starts
     # at most one gap), the crossed edge's id and the ordinal
     ce, _, xt, xh, o = sol.rec
-    eid = g._edge_keys.searchsorted(xt * n + xh)
+    eid = g.edge_ids(xt, xh)
     dive = pos[ce] + (o + 1) / (np.bincount(ce, minlength=n)[ce] + 1)
     dive = dive[np.lexsort((dive, eid))]
     per_edge = np.bincount(eid, minlength=len(tail))
@@ -207,7 +207,7 @@ def validate_book_embedding(be: BookEmbedding,
     S, D, seg, dive = len(be.start), len(be.tail), be.seg, be.dive
     nseg, ndive = np.diff(seg), np.diff(dive)
     # spine position of each drawing's ends, -1 off the spine
-    spine = np.asarray(be.spine, dtype=np.int64)
+    spine = int_array(be.spine)
     by, ends = spine.argsort(), np.stack((be.tail, be.head))
     i = np.minimum(spine[by].searchsorted(ends), len(by) - 1)
     pu, pv = np.where(spine[by][i] == ends, by[i], -1)
@@ -279,15 +279,13 @@ def validate_book_embedding(be: BookEmbedding,
         return probs
 
     try:
-        scan = scan_order(g, list(be.spine))
+        scan = scan_order(g, spine)
     except NotLinearExtension as exc:
         return [f"spine is not a linear extension: {exc}"]
     # drawn ends are spine vertices; the set must be the graph's edges
-    n, keys = g.n, g._edge_keys
-    key = be.tail * n + be.head
-    eid = np.minimum(keys.searchsorted(key), len(keys) - 1)
-    if not ((keys[eid] == key).all()
-            and np.bincount(eid, minlength=len(keys)).all()):
+    eid = g.edge_ids(be.tail, be.head)
+    if not ((eid >= 0).all()
+            and np.bincount(eid, minlength=g.edge_count).all()):
         return ["drawn edges do not match the graph"]
     # a crossing with the completion edge in slot i dives at
     # i + (o + 1) / (c + 1), c that edge's crossing count
@@ -295,7 +293,7 @@ def validate_book_embedding(be: BookEmbedding,
     want = scan.ce_spine[row] + (scan.pair_ordinal + 1) / (
         np.bincount(row, minlength=len(scan.ce_spine))[row] + 1)
     want = np.append(want[np.lexsort((want, crossed))], np.nan)
-    per_edge = np.bincount(crossed, minlength=len(keys))
+    per_edge = np.bincount(crossed, minlength=g.edge_count)
     # each drawing's dives against its edge's crossings, in order
     at = np.minimum(np.arange(len(c)) + (
         (per_edge.cumsum() - per_edge)[eid] - dive_first).repeat(ndive),
@@ -322,9 +320,9 @@ def book_to_json(g: OuterplanarStDigraph, be: BookEmbedding) -> str:
                                         "page": pages[be.page],
                                         "to": coord[S:]}),
             "spine_crossings": Nested(be.dive, json_scalars(be.slot.tolist())),
-        }, 1),
-        "spine": json_rows(names[np.asarray(be.spine, dtype=np.int64)], 1),
-    }, 0)
+        }),
+        "spine": json_rows(names[int_array(be.spine)]),
+    })
 
 
 def _exact(value, kinds: tuple, what: str):

@@ -73,11 +73,11 @@ def _solution_json(g: OuterplanarStDigraph, sol: CompletionSolution) -> str:
     records = {"completion_edge": (cf, ch), "crossed_edge": (xt, xh),
                "ordinal": json_scalars(sol.rec[4].tolist())}
     return json_object({
-        "completion_edges": json_rows(tuple(names[sol.ce]), 1),
+        "completion_edges": json_rows(tuple(names[sol.ce])),
         "crossings": json_scalars([sol.crossings])[0],
-        "order": json_rows(names[sol.order], 1),
-        "records": json_rows(records, 1),
-    }, 0)
+        "order": json_rows(names[sol.order]),
+        "records": json_rows(records),
+    })
 
 
 def _named_edge(g, e):
@@ -257,30 +257,36 @@ def _parser() -> argparse.ArgumentParser:
     return top
 
 
+def _report(text: str) -> None:
+    # escape lone surrogates (a JSON name may hold one) as the process's
+    # own stderr does, so that a caller's strict UTF-8 capture takes them
+    print(text.encode(errors="backslashreplace").decode(), file=sys.stderr)
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ParseError, BadOracleLimit) as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        _report(f"{type(exc).__name__}: {exc}")
         return 2
     except InstanceTooLarge as exc:
-        print(f"InstanceTooLarge: {exc}", file=sys.stderr)
+        _report(f"InstanceTooLarge: {exc}")
         return 4
     except (InternalError, InvalidSolution) as exc:
         import shlex    # only a failing run needs it
         stage = "" if isinstance(exc, InternalError) else "book: "
         stdin = args.input in (None, "-")
-        print(f"self-check failed in stage {stage}{exc}\nto reproduce: "
-              + shlex.join(["python", "-m", "hpcc", *argv])
-              + " with the same input on stdin" * stdin, file=sys.stderr)
+        _report(f"self-check failed in stage {stage}{exc}\nto reproduce: "
+                + shlex.join(["python", "-m", "hpcc", *argv])
+                + " with the same input on stdin" * stdin)
         return 1
     except (ValidationError, InfeasibleParams) as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        _report(f"{type(exc).__name__}: {exc}")
         return 3
     except OSError as exc:
-        print(f"cannot read or write: {exc}", file=sys.stderr)
+        _report(f"cannot read or write: {exc}")
         return 2
 
 

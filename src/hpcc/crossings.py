@@ -29,16 +29,8 @@ from functools import cached_property
 import numpy as np
 
 from .graph import (OuterplanarStDigraph, Edge, ValidationError, VertexId,
-                    order_positions, NotAPermutation, _LEFT, _RIGHT)
-
-
-def int_array(values) -> np.ndarray:
-    """``values`` as int64; floats and strings, which numpy would truncate
-    or parse, raise TypeError."""
-    arr = np.array(values)
-    if arr.size and arr.dtype.kind not in "iub":
-        raise TypeError(f"integer ids expected, got {arr.dtype} values")
-    return arr.astype(np.int64)
+                    int_array, order_positions, NotAPermutation, _LEFT,
+                    _RIGHT)
 
 
 class SameSideCompletionEdge(ValidationError):
@@ -148,15 +140,9 @@ class SolutionScan:
         return len(self.pair_eid)
 
 
-def order_array(order) -> np.ndarray:
-    """A vertex order as int64; an int64 array is taken as it is."""
-    return np.asarray(order if isinstance(order, np.ndarray) else list(order),
-                      dtype=np.int64)
-
-
 def scan_order(g: OuterplanarStDigraph, order) -> SolutionScan:
     """The scan of ``order``, kept on the graph by the order's contents."""
-    arr = order_array(order)
+    arr = int_array(order)
     key, (last, scan) = arr.tobytes(), g._cache.get("scan", (None, None))
     if key == last:
         return scan
@@ -191,7 +177,7 @@ class CompletionSolution:
 
     def __init__(self, order: list[VertexId], completion_edges: list[Edge],
                  records: list[CrossingRecord], crossings: int):
-        self.order, self.crossings = order, crossings
+        self.order, self.crossings = int_array(order).tolist(), crossings
         self.ce = int_array(completion_edges).reshape(-1, 2).T
         self.rec = int_array([(*r.completion_edge, *r.crossed_edge, r.ordinal)
                               for r in records]).reshape(-1, 5).T
@@ -289,7 +275,7 @@ def build_hp_extended(g: OuterplanarStDigraph, order) -> HpExtendedGraph:
     edge's slot.  A cyclic result would surface as
     :class:`NotLinearExtension`; on valid input it cannot happen.
     """
-    order = order_array(order)
+    order = int_array(order)
     scan = scan_order(g, order)
     n, P = g.n, scan.total
     per_ce = np.bincount(scan.pair_ce, minlength=len(scan.ce_tail))

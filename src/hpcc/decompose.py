@@ -77,15 +77,19 @@ class PolygonTable:
     def __len__(self) -> int:
         return len(self.source)
 
-    def run_vertices(self):
-        """Ids of every chain run vertex, with the polygon holding it."""
-        # right rank j is id n - j: negate right ranks to keep ids rising
+    @cached_property
+    def owner(self) -> np.ndarray:
+        """Per vertex, the polygon whose chain run holds it, else -1;
+        read-only, built on first read."""
+        # right rank j is id n - j, its negation modulo n
         lo = np.concatenate([self.left_lo, -self.right_hi])
         count = np.maximum(np.concatenate([self.left_hi, -self.right_lo])
                            - lo + 1, 0)
-        ids = runs(lo, np.ones_like(lo), count)
-        return (np.where(ids > 0, ids, self.n + ids),
-                np.repeat(np.tile(np.arange(len(self)), 2), count))
+        own = np.full(self.n, -1, dtype=np.int64)
+        own[runs(lo, np.ones_like(lo), count) % self.n] = np.repeat(
+            np.tile(np.arange(len(self)), 2), count)
+        own.setflags(write=False)
+        return own
 
 
 def runs(first, step, length) -> np.ndarray:

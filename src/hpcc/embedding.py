@@ -73,8 +73,6 @@ class Faces:
     count: int
     of_slot: np.ndarray    # compact face index per half-edge slot
     outer: int
-    first_slot: np.ndarray
-    face_next: np.ndarray
     src_of: np.ndarray     # unique source corner vertex of interior faces
     snk_of: np.ndarray
     left_count: np.ndarray    # face vertices on the left chain, corners included
@@ -110,8 +108,7 @@ def faces(g: OuterplanarStDigraph) -> Faces:
     number = np.cumsum(first, dtype=np.int32) - 1
     of_slot = number[lab]
     outer = int(number[outer_slot])
-    first_slot = np.flatnonzero(first).astype(dt)
-    count = len(first_slot)
+    count = int(number[-1]) + 1
 
     nxt = face_next
     src_corner = (~inc.out) & inc.out[nxt]
@@ -133,8 +130,8 @@ def faces(g: OuterplanarStDigraph) -> Faces:
     src_nb1[of_slot[src_corner]] = inc.base[src_corner]
     src_nb2[of_slot[src_corner]] = inc.other[nxt[src_corner]]
 
-    f = Faces(count, of_slot, outer, first_slot, face_next, src_of, snk_of,
-              left_count, right_count, src_nb1, src_nb2)
+    f = Faces(count, of_slot, outer, src_of, snk_of, left_count, right_count,
+              src_nb1, src_nb2)
     g._cache["faces"] = f
     return f
 

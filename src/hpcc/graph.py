@@ -13,16 +13,16 @@ each is built by one function here and stored on the graph:
 - ``lcoord``/``rcoord`` (:func:`_line_coords`): each vertex's position on
   the left and right chain lines;
 - ``classes`` (:func:`_edge_class_codes`): each edge's class code;
-- ``chords`` (:func:`_chord_index`): the chord families, sorted once, and
-  the one-sided ones joined into one laminar family ordered by nesting
-  depth; the plane check validates them and the crossing geometry queries
-  them;
+- ``chords`` (:func:`_chord_index`): the two-sided chords sorted by rank,
+  and both one-sided families joined into one laminar family, checked for
+  laminarity once and ordered by nesting depth; the plane check validates
+  the two-sided ones against it and the crossing geometry queries them;
 - ``lo_out``/``hi_in`` (:func:`_limit_tables`): each vertex's extreme
   two-sided neighbours, which gate the topological merge and bound every
   st-polygon of the decomposition;
 - ``topo_pos`` (:func:`_toposort`): each vertex's position in the canonical
   topological order;
-- the sorted edge keys behind :meth:`OuterplanarStDigraph.has_edge`.
+- the sorted edge keys behind :meth:`OuterplanarStDigraph.edge_ids`.
 """
 
 from __future__ import annotations
@@ -91,15 +91,19 @@ class InternalError(RuntimeError):
 _SRC, _LEFT, _RIGHT, _SNK = 0, 1, 2, 3
 
 
+def int_array(values) -> np.ndarray:
+    """Integer ids (vertices, slots, ordinals) as int64, an int64 array as
+    it is: the one reader of orders, spines and claims.  Floats and
+    strings, which numpy would truncate or parse, raise TypeError."""
+    arr = np.asarray(values)
+    if arr.size and arr.dtype.kind not in "iub":
+        raise TypeError(f"integer ids expected, got {arr.dtype} values")
+    return arr.astype(np.int64, copy=False)
+
+
 @dataclass
 class ChordIndex:
     """The graph's chords by family, as parallel arrays with edge ids."""
-    la: np.ndarray  # left chords, left-line coordinates, la < lb
-    lb: np.ndarray
-    leid: np.ndarray
-    ra: np.ndarray   # right chords, right-line coordinates
-    rb: np.ndarray
-    reid: np.ndarray
     ti: np.ndarray   # two-sided chords: left rank, right rank, both ascending
     tj: np.ndarray
     teid: np.ndarray
@@ -172,21 +176,20 @@ class OuterplanarStDigraph:
 
     @property
     def edge_set(self) -> frozenset[Edge]:
-        if "edge_set" not in self._cache:
-            self._cache["edge_set"] = frozenset(
-                zip(self.tail.tolist(), self.head.tolist()))
-        return self._cache["edge_set"]
+        return frozenset(zip(self.tail.tolist(), self.head.tolist()))
+
+    def edge_ids(self, us, vs) -> np.ndarray:
+        """The id of each edge (us[i], vs[i]), or -1 where there is none."""
+        keys = int_array(us) * self.n + int_array(vs)
+        i = np.minimum(self._edge_keys.searchsorted(keys),
+                       len(self._edge_keys) - 1)
+        return np.where(self._edge_keys[i] == keys, i, -1)
 
     def has_edge(self, u: VertexId, v: VertexId) -> bool:
-        key = u * self.n + v
-        i = np.searchsorted(self._edge_keys, key)
-        return i < len(self._edge_keys) and self._edge_keys[i] == key
+        return bool(self.edge_ids(u, v) >= 0)
 
     def has_edges(self, us, vs) -> np.ndarray:
-        keys = np.asarray(us, dtype=np.int64) * self.n + np.asarray(vs)
-        idx = np.searchsorted(self._edge_keys, keys)
-        idx_c = np.minimum(idx, len(self._edge_keys) - 1)
-        return self._edge_keys[idx_c] == keys
+        return self.edge_ids(us, vs) >= 0
 
     def __repr__(self):
         return (f"OuterplanarStDigraph(n={self.n}, k={self.k}, m={self.m}, "
@@ -222,34 +225,40 @@ def _edge_class_codes(tail, head, side):
 
 
 def _chord_index(tail, head, cls, lcoord, rcoord) -> ChordIndex:
-    """Sort each chord family once: one-sided chords spanning at least two
-    line steps by (start, -end), two-sided chords by (left, right) rank.
+    """Sort each chord family once: two-sided chords by (left, right) rank,
+    one-sided chords spanning at least two line steps by (start, -end) on
+    the joint line, the right line shifted past t's left coordinate.
 
-    In (start, -end) order a laminar chord's nesting depth is its index
-    less the chords ending at or before its start, which all come earlier.
+    Each one-sided family must be laminar (:class:`EmbeddingNotPlane`
+    otherwise); every right chord starts past every left chord's end, so
+    one stack pass checks both.  In (start, -end) order a laminar chord's
+    nesting depth is its index less the chords ending at or before its
+    start, which all come earlier.
     """
-    eids = np.arange(len(tail), dtype=np.int64)
+    lt, rt = lcoord.max(), rcoord.max()         # t's line coordinates
+    one = np.flatnonzero(cls < 2)
+    uv = np.stack((tail[one], head[one]))
+    # a one-sided edge runs up its line: build_graph has checked that
+    a, b = np.where(cls[one] == 0, lcoord[uv], rcoord[uv] + lt + 1)
+    chord = (b - a) >= 2
+    order = np.lexsort((-b[chord], a[chord]))
+    a, b, e = a[chord][order], b[chord][order], one[chord][order]
 
-    def one_side(mask, coord):
-        a = np.minimum(coord[tail[mask]], coord[head[mask]])
-        b = np.maximum(coord[tail[mask]], coord[head[mask]])
-        e = eids[mask]
-        chord = (b - a) >= 2
-        a, b, e = a[chord], b[chord], e[chord]
-        order = np.lexsort((-b, a))
-        return a[order], b[order], e[order]
+    stack = []          # ends of the open chords, innermost last
+    for x, y in zip(a.tolist(), b.tolist()):
+        while stack and stack[-1] <= x:
+            stack.pop()
+        if stack and stack[-1] < y:
+            side = "left" if x < lt else "right"
+            raise EmbeddingNotPlane(f"interleaving {side} chords")
+        stack.append(y)
 
-    la, lb, leid = one_side(cls == 0, lcoord)
-    ra, rb, reid = one_side(cls == 1, rcoord)
-
-    two = cls == 2
+    two = np.flatnonzero(cls == 2)
     tt, th = tail[two], head[two]
     ti = np.where(lcoord[tt] >= 0, lcoord[tt], lcoord[th])
     tj = np.where(rcoord[tt] >= 0, rcoord[tt], rcoord[th])
-    order = np.lexsort((tj, ti))
+    by_rank = np.lexsort((tj, ti))
 
-    lt, rt = lcoord.max(), rcoord.max()         # t's line coordinates
-    a, b = np.concatenate((la, ra + lt + 1)), np.concatenate((lb, rb + lt + 1))
     opened = np.cumsum(np.bincount(a + 1, minlength=lt + rt + 2),
                        dtype=np.int32)
     closed = np.cumsum(np.bincount(b, minlength=lt + rt + 2),
@@ -258,30 +267,20 @@ def _chord_index(tail, head, cls, lcoord, rcoord) -> ChordIndex:
     by_depth = np.argsort(depth, kind="stable")
     anchor = (((a == 0) | (a == lt + 1))
               + 2 * ((b == lt) | (b == lt + rt + 1))).astype(np.int8)
-    return ChordIndex(la, lb, leid, ra, rb, reid,
-                      ti[order], tj[order], eids[two][order],
+    return ChordIndex(ti[by_rank], tj[by_rank], two[by_rank],
                       opened, opened - closed,
                       depth[by_depth] * len(a) + by_depth,
-                      np.concatenate((leid, reid))[by_depth], anchor[by_depth])
+                      e[by_depth], anchor[by_depth])
 
 
 def _check_plane(k, c: ChordIndex):
-    """Reject any pair of edges whose position chords strictly interleave.
+    """Reject two-sided chords that interleave another chord.
 
-    Decomposes the check by edge class: each one-sided family must be laminar
-    on its own line, two-sided chords must form a rank-monotone chain, and no
-    two-sided endpoint may sit strictly under a one-sided chord.  Cross-line
+    They must form a rank-monotone chain, and no two-sided endpoint may
+    sit strictly under a one-sided chord.  :func:`_chord_index` has checked
+    that each one-sided family is laminar on its own line, and cross-line
     one-sided pairs can never interleave, so nothing else needs checking.
     """
-    for a, b, label in ((c.la, c.lb, "left"), (c.ra, c.rb, "right")):
-        stack = []
-        for x, y in zip(a.tolist(), b.tolist()):
-            while stack and stack[-1] <= x:
-                stack.pop()
-            if stack and stack[-1] < y:
-                raise EmbeddingNotPlane(f"interleaving {label} chords")
-            stack.append(y)
-
     if len(c.ti):
         if np.any(np.diff(c.tj) < 0):
             raise EmbeddingNotPlane("two-sided chords out of chain order")
@@ -450,7 +449,7 @@ def is_linear_extension(g: OuterplanarStDigraph, order) -> bool:
 def order_positions(g: OuterplanarStDigraph, order) -> np.ndarray:
     """Each vertex's place in ``order``, which must be a permutation of the
     vertices (:class:`NotAPermutation` otherwise)."""
-    arr = np.asarray(order, dtype=np.int64)
+    arr = int_array(order)
     if len(arr) != g.n:
         raise NotAPermutation(f"length {len(arr)}, expected {g.n}")
     pos = np.full(g.n, -1, dtype=np.int64)
@@ -543,14 +542,14 @@ def _place(parts, at, entry, a: int, b: int):
     return end + 1
 
 
-def json_rows(shape, depth: int) -> list[str]:
-    """A JSON array nested ``depth`` levels deep, one item per row of
-    ``shape``, as strings that join to its text.  A shape is a column (a
-    list or array of encoded scalars), a tuple of shapes (a fixed-length
-    array), a dict of shapes (an object, keys in the order given, which
-    callers keep sorted) or a :class:`Nested` field."""
-    item = _layout(shape, depth + 1)
-    body, pad = item[1:-1], "\n" + "  " * (depth + 1)
+def json_rows(shape) -> list[str]:
+    """A JSON array that is a field of the top-level object, one item per
+    row of ``shape``, as strings that join to its text.  A shape is a
+    column (a list or array of encoded scalars), a tuple of shapes (a
+    fixed-length array), a dict of shapes (an object, keys in the order
+    given, which callers keep sorted) or a :class:`Nested` field."""
+    item = _layout(shape, 2)
+    body, pad = item[1:-1], "\n    "
     nested = [entry for entry in body if isinstance(entry, tuple)]
     rows = len(nested[0][0]) - 1 if nested else len(body[0])
     if not rows:
@@ -574,13 +573,13 @@ def json_rows(shape, depth: int) -> list[str]:
     return chunks
 
 
-def json_object(fields: dict, depth: int) -> str:
-    """Encoded values as a JSON object nested ``depth`` levels deep, in the
-    order given, which callers keep sorted by key.  A value is an encoded
-    scalar, or the strings :func:`json_rows` gives an array as, which are
-    laid out in the object's own join: a big array joined into a string of
-    its own would double the document's peak memory."""
-    pad = "\n" + "  " * (depth + 1)
+def json_object(fields: dict) -> str:
+    """Encoded values as the top-level JSON object, in the order given,
+    which callers keep sorted by key.  A value is an encoded scalar, or the
+    strings :func:`json_rows` gives an array as, which are laid out in the
+    object's own join: a big array joined into a string of its own would
+    double the document's peak memory."""
+    pad = "\n  "
     parts = []
     for k, v in fields.items():
         parts.append(f",{pad}{json.dumps(k)}: ")
@@ -649,9 +648,9 @@ def _parse_graph(text: str) -> OuterplanarStDigraph:
 def graph_to_json(g: OuterplanarStDigraph) -> str:
     names = json_scalars(g.names)
     return json_object({
-        "edges": json_rows((names[g.tail], names[g.head]), 1),
-        "left": json_rows(names[1:g.k + 1], 1),
-        "right": json_rows(names[:g.k + 1:-1], 1),
+        "edges": json_rows((names[g.tail], names[g.head])),
+        "left": json_rows(names[1:g.k + 1]),
+        "right": json_rows(names[:g.k + 1:-1]),
         "s": names[g.s],
         "t": names[g.t],
-    }, 0)
+    })

@@ -55,12 +55,8 @@ def _validate(g: OuterplanarStDigraph, t: PolygonTable) -> None:
 def _local_pairs(g: OuterplanarStDigraph, t: PolygonTable):
     """(edge id, polygon id) pairs; an edge shared by two polygons is listed
     under both.  Rejects edges that would pierce a polygon interior."""
-    own = np.full(g.n, -1, dtype=np.int64)
-    ids, pi = t.run_vertices()
-    own[ids] = pi
     SIG, TAU = np.append(t.source, -1), np.append(t.sink, -1)
-
-    pit, pih = own[g.tail], own[g.head]
+    pit, pih = t.owner[g.tail], t.owner[g.head]
     both = (pit >= 0) & (pit == pih)
     bad = both & (g.side[g.tail] != g.side[g.head])
     if bad.any():
@@ -72,11 +68,9 @@ def _local_pairs(g: OuterplanarStDigraph, t: PolygonTable):
     ok_h = (pih >= 0) & (~both) & \
         ((g.tail == SIG[pih]) | (g.tail == TAU[pih]))
 
-    eids = np.arange(g.edge_count, dtype=np.int64)
     med_p = np.flatnonzero(t.median)
-    keys = t.source[med_p] * g.n + t.sink[med_p]
-    return (np.concatenate([eids[ok_t], eids[ok_h],
-                            np.searchsorted(g._edge_keys, keys)]),
+    return (np.concatenate([np.flatnonzero(ok_t), np.flatnonzero(ok_h),
+                            g.edge_ids(t.source[med_p], t.sink[med_p])]),
             np.concatenate([pit[ok_t], pih[ok_h], med_p]))
 
 

@@ -58,8 +58,8 @@ def render_svg(g: OuterplanarStDigraph, be: BookEmbedding) -> str:
         f'<line x1="{x:.2f}" y1="{y(0):.2f}" x2="{x:.2f}" '
         f'y2="{y(n - 1):.2f}" stroke="#bbb" stroke-width="1"/>',
     ]
-    for i, (u, v) in enumerate(zip(be.spine, be.spine[1:])):
-        if not g.has_edge(u, v):
+    for i, edge in enumerate(g.has_edges(be.spine[:-1], be.spine[1:])):
+        if not edge:
             out.append(
                 f'<line x1="{x:.2f}" y1="{y(i):.2f}" x2="{x:.2f}" '
                 f'y2="{y(i + 1):.2f}" stroke="#777" stroke-width="1.6" '

@@ -19,11 +19,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .crossings import (CompletionSolution, build_hp_extended, order_array,
-                        scan_order)
+from .crossings import CompletionSolution, build_hp_extended, scan_order
 from .decompose import EDGE, GAP, VERTEX, PolygonTable, decompose, runs
 from .graph import (OuterplanarStDigraph, InternalError, NotAPermutation,
-                    ValidationError, is_linear_extension, _LEFT)
+                    ValidationError, int_array, is_linear_extension, _LEFT)
 from .polygon import polygon_costs
 
 _L, _R = 0, 1
@@ -148,9 +147,9 @@ def _owners(g: OuterplanarStDigraph, t: PolygonTable) -> np.ndarray:
     default to the first and the last element."""
     el = t.element
     at = np.flatnonzero(el >= 0)
-    own = np.full(g.n, len(el), dtype=np.int64)
-    ids, pi = t.run_vertices()
-    own[ids], own[~el[el < 0]] = at[pi], np.flatnonzero(el < 0)
+    # a run vertex takes its polygon's element, -1 (none) the appended one
+    own = np.append(at, len(el))[t.owner]
+    own[~el[el < 0]] = np.flatnonzero(el < 0)
     own[g.s], own[g.t] = 0, max(len(el) - 1, 0)
     for ends in (t.source, t.sink):
         own[ends] = np.minimum(own[ends], at)
@@ -169,7 +168,7 @@ def solution_problems(g: OuterplanarStDigraph,
 
     The claims must hold exactly the rows of a recount from ``sol.order``,
     which has no repeats, in any order."""
-    probs, order = [], order_array(sol.order)
+    probs, order = [], int_array(sol.order)
     try:
         if not is_linear_extension(g, order):
             return ["order reverses at least one edge"]

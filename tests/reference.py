@@ -41,7 +41,7 @@ from hpcc.graph import (_LEFT, _RIGHT, _SNK, _SRC, NotAPermutation,
                         ValidationError, is_linear_extension)
 from hpcc.decompose import GAP
 from hpcc.polygon import CHANNELS, _local_pairs, _validate
-from hpcc.solver import _owners, solution_problems
+from hpcc.solver import solution_problems
 
 _L, _R = 0, 1
 LADDER_PY = Path(__file__).resolve().parents[1] / "perfbench" / "ladder.py"
@@ -111,14 +111,15 @@ def book_payload(g, be):
 
 
 def face_vertices(g, face_idx):
-    """Boundary walk of one face, starting at its smallest slot."""
+    """Boundary walk of one face, starting at its smallest slot: a slot's
+    successor on its face is ``rot_next`` of its twin."""
     f = faces(g)
     inc = incidence(g)
-    start = int(f.first_slot[face_idx])
+    start = int(np.flatnonzero(f.of_slot == face_idx)[0])
     out, slot = [], start
     while True:
         out.append(int(inc.base[slot]))
-        slot = int(f.face_next[slot])
+        slot = int(inc.rot_next[inc.twin[slot]])
         if slot == start:
             break
     return tuple(out)
@@ -285,9 +286,14 @@ class Tables:
     classes: list
     lo_out: list
     hi_in: list
-    left: list      # chords as (start, end, edge id), in index order
-    right: list
-    two: list
+    # both one-sided families as one family on the joint line (the right
+    # line shifted past t's left coordinate), as ChordIndex stores it
+    opened: list
+    under: list
+    depth_key: list
+    deid: list
+    anchor: list
+    two: list       # chords as (left rank, right rank, edge id)
     topo: list
     topo_pos: list  # topo's inverse: each vertex's position in it
 
@@ -346,11 +352,26 @@ def reference_tables(g):
     topo_pos = [0] * n
     for i, v in enumerate(topo):
         topo_pos[v] = i
+
+    lt, rt = lcoord[t], rcoord[t]
+    joint = sorted(chords[0] + [(a + lt + 1, b + lt + 1, e)
+                                for a, b, e in chords[1]],
+                   key=lambda c: (c[0], -c[1]))
+    line = range(lt + rt + 2)
+    opened = [sum(a < q for a, _, _ in joint) for q in line]
+    under = [sum(a < q < b for a, b, _ in joint) for q in line]
+    # nesting depth: the other chords containing the chord
+    depth = [sum(a2 <= a and b <= b2 for a2, b2, _ in joint) - 1
+             for a, b, _ in joint]
+    by_depth = sorted(range(len(joint)), key=lambda i: (depth[i], i))
+    anchor = [(joint[i][0] in (0, lt + 1))
+              + 2 * (joint[i][1] in (lt, lt + rt + 1)) for i in by_depth]
     return Tables(lcoord, rcoord, classes,
                   [lo.get(v, 0) for v in range(n)],
                   [hi.get(v, -1) for v in range(n)],
-                  sorted(chords[0], key=lambda c: (c[0], -c[1])),
-                  sorted(chords[1], key=lambda c: (c[0], -c[1])),
+                  opened, under,
+                  [depth[i] * len(joint) + i for i in by_depth],
+                  [joint[i][2] for i in by_depth], anchor,
                   sorted(chords[2]), topo, topo_pos)
 
 
@@ -527,6 +548,23 @@ def edge_crossings(g, ce):
     return [(int(g.tail[e]), int(g.head[e])) for e in pe]
 
 
+def element_owners(g):
+    """Per vertex, the index of the first element holding it (a polygon
+    holds its source, chain runs and sink); s and t belong to the first
+    and the last element."""
+    elements = decompose(g)
+    none = len(elements)
+    own = [none] * g.n
+    for i, el in enumerate(elements):
+        held = ([el.vertex] if isinstance(el, FreeVertex) else
+                [el.source, *el.left_vertices, *el.right_vertices, el.sink])
+        for v in held:
+            if own[v] == none:
+                own[v] = i
+    own[g.s], own[g.t] = 0, max(none - 1, 0)
+    return own
+
+
 def reference_solution_problems(g, sol):
     """The verifier's problem list, comparing claims as sets of records."""
     probs = []
@@ -559,7 +597,7 @@ def reference_solution_problems(g, sol):
     for r in records:
         if r.crossed_edge in limit_of:
             hits.setdefault(r.crossed_edge, []).append(r.completion_edge)
-    own = _owners(g, t).tolist() if hits else []
+    own = element_owners(g) if hits else []
     for lim, ce_list in hits.items():
         i = limit_of[lim]
         if len(ce_list) > 1:

@@ -186,6 +186,65 @@ class TestValidatorFaults:
              EdgeDrawing((1, 3), (Segment("L", 1.0, 3.0),), ())))
         assert any("interleave" in p for p in problems(be))
 
+    def test_vertex_missing_from_the_spine(self, weak_rhombus):
+        be = self.embed(weak_rhombus)
+        assert problems(BookEmbedding(be.spine[:-1], be.drawings)) == [
+            "edge 1->2 uses a vertex missing from the spine",
+            "edge 3->2 uses a vertex missing from the spine"]
+
+    def test_drawing_without_segments(self, weak_rhombus):
+        be = self.embed(weak_rhombus)
+        bare = EdgeDrawing((0, 1), (), ())
+        assert problems(redrawn(be, be.drawings[0], bare)) == [
+            "edge 0->1 has no segments"]
+
+    def test_dives_miscounted(self, weak_rhombus):
+        be = self.embed(weak_rhombus)
+        split = EdgeDrawing((0, 1), (Segment("L", 0.0, 0.5),
+                                     Segment("R", 0.5, 1.0)), ())
+        assert problems(redrawn(be, be.drawings[0], split)) == [
+            "edge 0->1 declares 0 dives for 2 segments"]
+
+    def test_gap_between_segments(self, strong_rhombus):
+        be = self.embed(strong_rhombus)
+        d = drawing_of(be, (0, 2))
+        torn = dataclasses.replace(
+            d, segments=(Segment("R", 0.0, 1.4), Segment("L", 1.6, 3.0)))
+        assert problems(redrawn(be, d, torn)) == [
+            "edge 0->2 has a gap between segments"]
+
+    def test_unknown_page(self, strong_rhombus):
+        be = self.embed(strong_rhombus)
+        d = drawing_of(be, (0, 2))
+        odd = dataclasses.replace(
+            d, segments=(Segment("X", 0.0, 1.5), Segment("L", 1.5, 3.0)))
+        assert problems(redrawn(be, d, odd)) == [
+            "edge 0->2 names unknown page 'X'"]
+
+    def test_two_dives_at_one_coordinate(self, strong_rhombus):
+        # (0, 3) dives where (0, 2) does, and its first arc then
+        # interleaves the arc of (1, 2) on the left page
+        be = self.embed(strong_rhombus)
+        d = drawing_of(be, (0, 3))
+        twin = dataclasses.replace(
+            d, segments=(Segment("L", 0.0, 1.5), Segment("R", 1.5, 2.0)),
+            spine_crossings=(1,))
+        assert problems(redrawn(be, d, twin)) == [
+            "two dives share a coordinate",
+            "arcs interleave on a page near coordinate 1.5 "
+            "(open arc ends [1.5, 3.0])"]
+
+    def test_spine_not_a_linear_extension(self, weak_rhombus):
+        # sound geometry, since the reversed edge (0, 1) is not drawn
+        be = BookEmbedding((1, 0, 3, 2), (
+            EdgeDrawing((0, 3), (Segment("L", 1.0, 2.0),), ()),
+            EdgeDrawing((1, 2), (Segment("L", 0.0, 3.0),), ()),
+            EdgeDrawing((3, 2), (Segment("L", 2.0, 3.0),), ())))
+        assert problems(be) == []
+        assert problems(be, weak_rhombus) == [
+            "spine is not a linear extension: "
+            "order violates an edge direction"]
+
     def test_missing_edge_against_graph(self, weak_rhombus):
         be = self.embed(weak_rhombus)
         bad = BookEmbedding(be.spine, be.drawings[1:])

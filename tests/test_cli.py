@@ -157,6 +157,20 @@ def test_decompose(capsys, tmp_path):
     assert upper["lower_limit"] == ["m", "d"]
 
 
+def test_decompose_lists_free_vertices(capsys, tmp_path):
+    # r1 sits below the one polygon, whose source r2 is above it
+    path = tmp_path / "free.json"
+    path.write_text(graph_to_json(generate(GeneratorParams(
+        n=7, chord_density=0.3, seed=5))))
+    code, out, _ = run(capsys, "decompose", "-i", str(path))
+    assert code == 0
+    free, polygon = json.loads(out)
+    assert free == {"kind": "free", "vertex": "r1"}
+    assert (polygon["kind"], polygon["source"], polygon["sink"],
+            polygon["left"], polygon["right"]) == (
+        "polygon", "r2", "t", ["l1", "l2"], ["r3"])
+
+
 def test_embed_and_render(capsys, sr_file, tmp_path):
     code, out, _ = run(capsys, "embed", "-i", sr_file)
     assert code == 0
@@ -284,6 +298,14 @@ def test_oracle_and_compare(capsys, sr_file):
     assert json.loads(out) == {"crossings": 1, "match": True}
 
 
+def test_compare_reports_a_mismatch(capsys, sr_file, monkeypatch):
+    monkeypatch.setattr("hpcc.cli.brute_force_optimal",
+                        lambda g, max_vertices: (0, None))
+    code, out, err = run(capsys, "compare", "-i", sr_file)
+    assert (code, out) == (5, "")
+    assert err == "mismatch: solver found 1 crossings, oracle found 0\n"
+
+
 def test_gen_roundtrips(capsys):
     code, out, _ = run(capsys, "gen", "--n", "8", "--density", "0.7",
                        "--seed", "42")
@@ -332,6 +354,23 @@ def test_unreadable_input(capsys, tmp_path):
     code, _, err = run(capsys, "check", "-i", str(path))
     assert code == 2
     assert "ParseError" in err
+
+
+def test_unwritable_output(capsys, sr_file, tmp_path):
+    code, out, err = run(capsys, "solve", "-i", sr_file, "-o", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err.startswith("cannot read or write: ")
+
+
+def test_lone_surrogate_names_are_reported(capsys, tmp_path):
+    # a JSON escape can hold half a surrogate pair; the message escapes it
+    # as the interpreter's stderr would, even into a strict capture
+    path = tmp_path / "lone.json"
+    path.write_text('{"edges": [["s", "a"], ["a", "t"], ["s", "\\ud83d"]],'
+                    ' "left": ["a"], "right": [], "s": "s", "t": "t"}')
+    code, out, err = run(capsys, "check", "-i", str(path))
+    assert (code, out) == (3, "")
+    assert err == "UnknownVertex: \\ud83d\n"
 
 
 @pytest.mark.parametrize("left", [[["a"]], [1]])

@@ -19,7 +19,9 @@ from hpcc.crossings import (
     solution_crossings,
 )
 from hpcc import build_graph, graph_from_json, graph_to_json, solve
-from hpcc.graph import _LEFT
+from hpcc.book import (BookEmbedding, book_to_json, to_book_embedding,
+                       validate_book_embedding)
+from hpcc.graph import _LEFT, int_array, is_linear_extension, order_positions
 from hpcc.oracle import _NaiveScorer, enumerate_hamiltonian_orders
 from hpcc.solver import solution_problems
 from conftest import nested_fan_graph
@@ -260,3 +262,64 @@ class TestScanCache:
             want = solution_problems(fresh(g), claim)
             assert want
             assert solution_problems(g, claim) == want
+
+
+class TestStrictIds:
+    """Vertex ids have one reader: a float or a string id raises TypeError
+    wherever an order or a spine enters, and nothing truncates or parses
+    it.  Each bad order would truncate or parse to the optimum (0, 1, 3, 2)
+    of the strong rhombus."""
+
+    @pytest.mark.parametrize("bad", [[0.0, 1.9, 3.2, 2.0],
+                                     ["0", "1", "3", "2"], [0, 1.7, 3, 2],
+                                     np.array([0.0, 1.0, 3.0, 2.0])])
+    def test_every_reader_refuses(self, strong_rhombus, bad):
+        g = strong_rhombus
+        sol = solve(g)
+        be = to_book_embedding(g, sol)
+        readers = [
+            lambda: CompletionSolution(bad, sol.completion_edges,
+                                       sol.records, sol.crossings),
+            lambda: BookEmbedding(tuple(bad), be.drawings),
+            lambda: is_linear_extension(g, bad),
+            lambda: order_positions(g, bad),
+            lambda: scan_order(g, bad),
+            lambda: build_hp_extended(g, bad),
+            lambda: g.has_edges(bad[:-1], bad[1:]),
+        ]
+        for read in readers:
+            with pytest.raises(TypeError, match="integer ids expected"):
+                read()
+        # claims whose order or spine is replaced after construction
+        sol.order, be.spine = list(bad), tuple(bad)
+        for read in (lambda: solution_problems(g, sol),
+                     lambda: to_book_embedding(g, sol),
+                     lambda: validate_book_embedding(be, g),
+                     lambda: book_to_json(g, be)):
+            with pytest.raises(TypeError, match="integer ids expected"):
+                read()
+
+    @pytest.mark.parametrize("form", [list, tuple,
+                                      lambda o: np.array(o, dtype=np.int64)])
+    def test_integer_orders_in_any_form(self, strong_rhombus, form):
+        g = strong_rhombus
+        sol = solve(g)
+        order = form(sol.order)
+        assert is_linear_extension(g, order)
+        assert scan_order(g, order).total == sol.crossings == 1
+        claim = CompletionSolution(order, sol.completion_edges, sol.records,
+                                   sol.crossings)
+        assert claim == sol and claim.order == [0, 1, 3, 2]
+        assert all(type(v) is int for v in claim.order)
+        assert solution_problems(g, claim) == []
+        be = to_book_embedding(g, sol)
+        again = BookEmbedding(order, be.drawings)
+        assert again == be and again.spine == (0, 1, 3, 2)
+        assert all(type(v) is int for v in again.spine)
+        assert validate_book_embedding(again, g) == []
+        assert book_to_json(g, again) == book_to_json(g, be)
+
+    def test_an_int64_array_passes_uncopied(self):
+        arr = np.array([0, 1, 3, 2], dtype=np.int64)
+        assert int_array(arr) is arr
+        assert int_array([]).dtype == np.int64

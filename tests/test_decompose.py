@@ -1,14 +1,17 @@
 """Splitting an instance into st-polygons and free vertices."""
 
+import dataclasses
 import importlib
 
 import numpy as np
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hpcc import GeneratorParams, build_graph, generate, solve
 from hpcc.decompose import FreeVertex, StPolygon, decompose
-from reference import median_candidates, weak_polygon_seeds
-from strategies import instances
+from hpcc.solver import _owners
+from reference import element_owners, median_candidates, weak_polygon_seeds
+from strategies import instances, three_kind_ladders
 
 
 def test_single_weak_polygon(weak_rhombus):
@@ -128,3 +131,22 @@ def test_partition_and_ordering(g):
             assert g.has_edge(nxt.source, prev.sink)
         else:
             assert ti[prev.sink] <= ti[nxt.source]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(instances(max_n=14), three_kind_ladders()))
+def test_owner_maps_match_plain_loops(g):
+    t = decompose(g).table
+    polygons = [el for el in decompose(g) if isinstance(el, StPolygon)]
+    runs = [-1] * g.n
+    for p, el in enumerate(polygons):
+        for v in el.left_vertices + el.right_vertices:
+            runs[v] = p
+    assert t.owner.tolist() == runs
+    assert _owners(g, t).tolist() == element_owners(g)
+    # one read-only map per table; a replaced table builds its own
+    assert t.owner is t.owner and not t.owner.flags.writeable
+    if polygons:
+        bare = dataclasses.replace(t, left_hi=t.left_lo - 1)
+        assert bare.owner is not t.owner
+        assert (bare.owner[1:g.k + 1] == -1).all()

@@ -51,7 +51,7 @@ def test_stacked_rhombi_medians(stacked_rhombi):
 @settings(max_examples=120, deadline=None)
 @given(instances())
 def test_euler_formula_and_slot_partition(g):
-    f = faces(g)
+    f, inc = faces(g), incidence(g)
     e = g.edge_count
     assert f.count == e - g.n + 2
     # every directed slot belongs to exactly one face cycle
@@ -59,13 +59,13 @@ def test_euler_formula_and_slot_partition(g):
     assert np.bincount(f.of_slot, minlength=f.count).sum() == 2 * e
     seen = np.zeros(2 * e, dtype=bool)
     for fi in range(f.count):
-        slot = f.first_slot[fi]
+        slot = np.flatnonzero(f.of_slot == fi)[0]
         start = slot
         while True:
             assert not seen[slot]
             seen[slot] = True
             assert f.of_slot[slot] == fi
-            slot = f.face_next[slot]
+            slot = inc.rot_next[inc.twin[slot]]
             if slot == start:
                 break
     assert seen.all()
@@ -76,7 +76,6 @@ def check_face_labels(g):
     label = reference_face_labels(g)
     assert f.of_slot.tolist() == label
     assert f.count == max(label) + 1
-    assert f.first_slot.tolist() == [label.index(i) for i in range(f.count)]
     # the outer face is exactly the slots that step one up the cycle
     steps_up = inc.other == (inc.base + 1) % g.n
     assert np.array_equal(f.of_slot == f.outer, steps_up)

@@ -14,6 +14,7 @@ from hpcc import (
     EmbeddingNotPlane,
     MultipleSinks,
     MultipleSources,
+    NotAPermutation,
     ParseError,
     SideNotAPath,
     UnknownVertex,
@@ -22,7 +23,8 @@ from hpcc import (
     graph_to_json,
     is_linear_extension,
 )
-from hpcc.graph import _LEFT, _RIGHT, _toposort
+from hpcc.graph import _LEFT, _RIGHT, _toposort, order_positions
+from conftest import nested_fan_graph
 from reference import (edge_classes, graph_payload, indented,
                        reference_tables, reference_toposort,
                        topological_order)
@@ -75,10 +77,27 @@ def test_minimal_two_vertex_instance():
     (SideNotAPath, [1, 1], ["r1"], PATH_EDGES),
     (TypeError, [["a"], "b"], ["r1"], PATH_EDGES),
     (CycleDetected, *TWO_SIDED_CYCLE),
+    (SideNotAPath, ["a", "s"], ["r1"], PATH_EDGES),
+    (CycleDetected, ["a", "b"], ["r1"], PATH_EDGES + [("t", "a")]),
+    (CycleDetected, ["a"], ["r1", "r2"],
+     [("s", "a"), ("a", "t"), ("s", "r1"), ("r1", "r2"), ("r2", "t"),
+      ("r2", "r1")]),
 ])
 def test_rejects_malformed_input(exc, left, right, edges):
     with pytest.raises(exc):
         build_graph(left, right, edges, s="s", t="t")
+
+
+def test_unknown_names_and_bad_orders_are_named():
+    g = build_graph(["a", "b"], ["r1"], PATH_EDGES, s="s", t="t")
+    with pytest.raises(UnknownVertex, match="zz"):
+        g.vid("zz")
+    with pytest.raises(NotAPermutation, match="length 4, expected 5"):
+        order_positions(g, [0, 1, 2, 3])
+    with pytest.raises(NotAPermutation, match="out of range"):
+        order_positions(g, [0, 1, 2, 3, 5])
+    with pytest.raises(NotAPermutation, match="out of range"):
+        order_positions(g, [-1, 1, 2, 3, 4])
 
 
 @st.composite
@@ -162,6 +181,18 @@ def test_rejects_non_plane_chords(extra):
         build_graph(["l1", "l2"], ["r1", "r2"], edges + extra, s="s", t="t")
 
 
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_interleaving_one_sided_chords_are_named_by_side(side):
+    # both families have chords: one stack pass runs over the two, left
+    # first, and names the family of the chord it rejects
+    edges = [("s", "l1"), ("l1", "l2"), ("l2", "t"), ("s", "r1"),
+             ("r1", "r2"), ("r2", "t"), ("s", "l2"), ("r1", "t")]
+    extra = {"left": [("l1", "t")], "right": [("s", "r2")]}[side]
+    with pytest.raises(EmbeddingNotPlane,
+                       match=f"^interleaving {side} chords$"):
+        build_graph(["l1", "l2"], ["r1", "r2"], edges + extra, s="s", t="t")
+
+
 def test_rejects_one_sided_chord_covering_two_sided_endpoint():
     with pytest.raises(EmbeddingNotPlane):
         build_graph(["l1", "l2"], ["r1"],
@@ -173,7 +204,7 @@ def test_rejects_one_sided_chord_covering_two_sided_endpoint():
 def edge_class(g, u, v):
     """The class code g.classes stores for the edge (u, v)."""
     assert g.has_edge(u, v)
-    return int(g.classes[np.searchsorted(g._edge_keys, u * g.n + v)])
+    return int(g.classes[g.edge_ids(u, v)])
 
 
 def test_edge_classes(strong_rhombus, stacked_rhombi):
@@ -299,6 +330,7 @@ def test_generated_instances_have_consistent_indexing(g):
 
 @settings(max_examples=150, deadline=None)
 @given(instances())
+@example(nested_fan_graph())    # chords nested 11 deep, anchored at s and t
 def test_stored_tables_match_plain_recomputation(g):
     ref = reference_tables(g)
     assert g.lcoord.tolist() == ref.lcoord
@@ -309,8 +341,11 @@ def test_stored_tables_match_plain_recomputation(g):
     assert g.lo_out.tolist() == ref.lo_out
     assert g.hi_in.tolist() == ref.hi_in
     c = g.chords
-    assert list(zip(c.la.tolist(), c.lb.tolist(), c.leid.tolist())) == ref.left
-    assert list(zip(c.ra.tolist(), c.rb.tolist(), c.reid.tolist())) == ref.right
+    assert c.opened.tolist() == ref.opened
+    assert c.under.tolist() == ref.under
+    assert c.depth_key.tolist() == ref.depth_key
+    assert c.deid.tolist() == ref.deid
+    assert c.anchor.tolist() == ref.anchor
     assert list(zip(c.ti.tolist(), c.tj.tolist(), c.teid.tolist())) == ref.two
     assert list(topological_order(g)) == ref.topo
     assert g.topo_pos.tolist() == ref.topo_pos
