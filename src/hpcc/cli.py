@@ -1,9 +1,10 @@
 """Command line front end.
 
 Exit codes: 0 success, 1 a solver self-check failed (the message names
-the stage, then a rerun command), 2 unreadable input or a non-integer
-HPCC_MAX_ORACLE, 3 invalid instance or data (the class name says which
-rule), 4 instance too large for the oracle, 5 solver and oracle disagree.
+the stage, then a rerun command), 2 unreadable input, an unreadable or
+unwritable file, or a non-integer HPCC_MAX_ORACLE, 3 invalid instance or
+data (the class name says which rule), 4 instance too large for the
+oracle, 5 solver and oracle disagree.
 """
 
 from __future__ import annotations

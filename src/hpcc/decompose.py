@@ -130,8 +130,8 @@ def _build_table(g: OuterplanarStDigraph) -> PolygonTable:
     scan = median_scan(g)
     f, weak = _weak_face_mask(g)
     wi = np.flatnonzero(weak)
-    src = np.concatenate([g.tail[scan.edges], f.src_of[wi]]).astype(np.int64)
-    snk = np.concatenate([g.head[scan.edges], f.snk_of[wi]]).astype(np.int64)
+    src = np.concatenate([g.tail[scan.edges], f.source[wi]]).astype(np.int64)
+    snk = np.concatenate([g.head[scan.edges], f.sink[wi]]).astype(np.int64)
     # weak faces have no (source, sink) edge, medians are one
     median = np.arange(len(src)) < len(scan.edges)
     ti = g.topo_pos

@@ -1,11 +1,10 @@
-"""Rotation system, face enumeration and median detection.
+"""Faces and medians from the nesting of the edges.
 
-Every edge appears as two half-edge rows (one per endpoint).  Rows are
-grouped by their base vertex and sorted by clockwise angle, which on the
-cycle layout is simply ``(other - base) mod n``.  Faces are orbits of the
-permutation ``rot_next . twin``; the outer face walks the whole boundary
-cycle, and its slots are exactly those whose ``other`` is ``base + 1``
-(mod n).
+Read as intervals ``[min(u, v), max(u, v)]`` of cycle ids, the edges form
+one laminar family under the root ``(0, n - 1)``, and the children of an
+interval tile it, as every boundary step is an edge.  So each edge of span
+at least 2 heads one interior face, whose ring is that edge and then its
+children by position; these are all E - n + 1 interior faces.
 """
 
 from __future__ import annotations
@@ -14,124 +13,85 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import OuterplanarStDigraph, _LEFT, _RIGHT
+from .graph import OuterplanarStDigraph, InternalError, _LEFT, _RIGHT
 
 
 @dataclass
 class Incidence:
-    base: np.ndarray       # per slot: vertex the half-edge leaves
-    other: np.ndarray      # per slot: vertex it points at
-    out: np.ndarray        # per slot: True if the G-edge is directed base->other
-    indptr: np.ndarray
-    rot_next: np.ndarray
-    rot_prev: np.ndarray
-    twin: np.ndarray
-    slot_at_tail: np.ndarray   # per edge: slot based at its tail
-    slot_at_head: np.ndarray
+    nested: np.ndarray     # edge ids by (depth, preorder): the root first
+    own: np.ndarray        # per edge: the face it heads, -1 for span 1
+    outer: np.ndarray      # per edge: its parent's face, -1 for the root
+    head_of: np.ndarray    # per face: the edge heading it
 
 
 def incidence(g: OuterplanarStDigraph) -> Incidence:
+    """Each edge's two faces, from one (lo, -hi) preorder of the intervals:
+    there an interval's depth is its index less the intervals ending at or
+    before its start, and its parent is the last interval one level up
+    before it.  Faces are numbered in ``nested`` order of their edges, so
+    ``nested`` holds each face's children as one run, face by face."""
     if "incidence" in g._cache:
         return g._cache["incidence"]
-    n, E = g.n, g.edge_count
-    dt = np.int32 if 2 * E < 2**31 else np.int64
-    base = np.concatenate([g.tail, g.head])
-    other = np.concatenate([g.head, g.tail])
-    # one key per slot, (base, angle); keys are distinct, as no edge is
-    # given twice or in both directions
-    order = (base * n + (other - base) % n).argsort().astype(dt)
-    base, other = base[order].astype(dt), other[order].astype(dt)
-    out = order < E     # the first E rows are the tail slots
+    E = g.edge_count
+    lo, hi = np.minimum(g.tail, g.head), np.maximum(g.tail, g.head)
+    pre = np.argsort(lo * g.n + (g.n - hi), kind="stable")
+    ends = np.cumsum(np.bincount(hi, minlength=g.n))     # ends <= q
+    depth = np.arange(E) - ends[lo[pre]]
+    by_depth = np.argsort(depth, kind="stable")
+    key = depth[by_depth] * E + by_depth
+    parent = key.searchsorted(key - E) - 1      # -1 only for the root
+    nested = pre[by_depth]
 
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(base, minlength=n), out=indptr[1:])
-
-    inv = np.empty(2 * E, dtype=dt)
-    inv[order] = np.arange(2 * E, dtype=dt)
-    slot_at_tail, slot_at_head = inv[:E], inv[E:]
-
-    slots = np.arange(2 * E, dtype=dt)
-    rot_next = slots + 1
-    at_end = rot_next == indptr[base + 1]
-    rot_next[at_end] = indptr[base[at_end]]
-    rot_prev = slots - 1
-    at_start = slots == indptr[base]
-    rot_prev[at_start] = indptr[base[at_start] + 1] - 1
-
-    twin = np.empty(2 * E, dtype=dt)
-    twin[slot_at_tail] = slot_at_head
-    twin[slot_at_head] = slot_at_tail
-
-    inc = Incidence(base, other, out, indptr, rot_next, rot_prev,
-                    twin, slot_at_tail, slot_at_head)
+    heads = (hi - lo)[nested] >= 2
+    face = np.where(heads, np.cumsum(heads) - 1, -1)
+    own, outer = np.empty((2, E), dtype=np.int64)
+    own[nested] = face
+    outer[nested] = np.where(parent >= 0, face[parent], -1)
+    inc = Incidence(nested, own, outer, nested[heads])
     g._cache["incidence"] = inc
     return inc
 
 
 @dataclass
 class Faces:
-    count: int
-    of_slot: np.ndarray    # compact face index per half-edge slot
-    outer: int
-    src_of: np.ndarray     # unique source corner vertex of interior faces
-    snk_of: np.ndarray
-    left_count: np.ndarray    # face vertices on the left chain, corners included
-    right_count: np.ndarray
-    src_nb1: np.ndarray    # the two face neighbours of the source corner
-    src_nb2: np.ndarray
+    source: np.ndarray        # per interior face: its one source corner
+    sink: np.ndarray
+    source_tips: np.ndarray   # 2 x faces: the source's two face neighbours
+    sink_tips: np.ndarray
+    left_run: np.ndarray      # face vertices on the left chain, source and
+    right_run: np.ndarray     # sink excluded
 
 
 def faces(g: OuterplanarStDigraph) -> Faces:
+    """One row per interior face, read off its ring: a ring edge meets the
+    next at the head edge's low end or at the child's high end, a corner
+    that is the face's source when both leave it, its sink when both enter."""
     if "faces" in g._cache:
         return g._cache["faces"]
     inc = incidence(g)
-    nslots, dt = len(inc.base), inc.base.dtype
-    face_next = inc.rot_next[inc.twin]
-
-    # the outer face walks the boundary cycle: exactly the slots that step
-    # one up it, labelled with the first of them outright.  The doubling
-    # then finds the smallest slot of each interior orbit
-    on_outer = inc.other == (inc.base + 1) % g.n
-    outer_slot = int(on_outer.argmax())
-    lab = np.arange(nslots, dtype=dt)
-    lab[on_outer] = outer_slot
-    hop = face_next
-    while True:
-        new = np.minimum(lab, lab[hop])
-        if np.array_equal(new, lab):
-            break
-        lab = new
-        hop = hop[hop]
-
-    # faces are numbered by their smallest slot, ascending
-    first = lab == np.arange(nslots)
-    number = np.cumsum(first, dtype=np.int32) - 1
-    of_slot = number[lab]
-    outer = int(number[outer_slot])
-    count = int(number[-1]) + 1
-
-    nxt = face_next
-    src_corner = (~inc.out) & inc.out[nxt]
-    snk_corner = inc.out & (~inc.out[nxt])
-    corner_v = inc.other
-
-    src_of = np.full(count, -1, dtype=np.int64)
-    snk_of = np.full(count, -1, dtype=np.int64)
-    src_of[of_slot[src_corner]] = corner_v[src_corner]
-    snk_of[of_slot[snk_corner]] = corner_v[snk_corner]
-
-    left_count = np.bincount(of_slot[g.side[corner_v] == _LEFT],
-                             minlength=count)
-    right_count = np.bincount(of_slot[g.side[corner_v] == _RIGHT],
-                              minlength=count)
-
-    src_nb1 = np.full(count, -1, dtype=np.int64)
-    src_nb2 = np.full(count, -1, dtype=np.int64)
-    src_nb1[of_slot[src_corner]] = inc.base[src_corner]
-    src_nb2[of_slot[src_corner]] = inc.other[nxt[src_corner]]
-
-    f = Faces(count, of_slot, outer, src_of, snk_of, left_count, right_count,
-              src_nb1, src_nb2)
+    count, child = len(inc.head_of), inc.nested[1:]
+    of_child = inc.outer[child]
+    size = np.bincount(of_child, minlength=count) + 1
+    start = np.cumsum(size) - size
+    ring = np.empty(size.sum(), dtype=np.int64)
+    ring[start] = inc.head_of
+    ring[np.arange(len(child)) + of_child + 1] = child
+    ta, ha = g.tail[ring], g.head[ring]
+    tb, hb = np.roll(ta, -1), np.roll(ha, -1)   # the cyclic successor's
+    tb[start + size - 1], hb[start + size - 1] = ta[start], ha[start]
+    corner = np.maximum(ta, ha)
+    corner[start] = np.minimum(ta[start], ha[start])
+    src = (ta == corner) & (tb == corner)
+    snk = (ha == corner) & (hb == corner)
+    # each face of a plane st-digraph has one source and one sink corner
+    if src.sum() != count or snk.sum() != count:
+        raise InternalError("faces", "a face without one source and sink")
+    face = np.repeat(np.arange(count), size)
+    side = np.where(src | snk, -1, g.side[corner])
+    f = Faces(corner[src], corner[snk],
+              np.array([ha[src], hb[src]]), np.array([ta[snk], tb[snk]]),
+              np.bincount(face[side == _LEFT], minlength=count),
+              np.bincount(face[side == _RIGHT], minlength=count))
     g._cache["faces"] = f
     return f
 
@@ -144,37 +104,28 @@ class MedianScan:
 
 
 def median_scan(g: OuterplanarStDigraph) -> MedianScan:
-    """Find every edge whose two incident faces fan out of its tail and into
-    its head, with the fan tips on opposite chains.
-
-    The flanking slots in the tail's rotation give one witness per chain.
-    """
+    """Find every edge whose two faces fan out of its tail and into its
+    head, with the fan tips on opposite chains: the edge is the (source,
+    sink) pair of both faces, and its other source tips give one witness
+    per chain."""
     if "median_scan" in g._cache:
         return g._cache["median_scan"]
-    inc = incidence(g)
-    n = g.n
-    span = (g.head - g.tail) % n
-    cand = np.flatnonzero((span != 1) & (span != n - 1))
-
-    rt = inc.slot_at_tail[cand]
-    rh = inc.slot_at_head[cand]
-    fa = inc.other[inc.rot_prev[rt]].astype(np.int64)
-    fb = inc.other[inc.rot_next[rt]].astype(np.int64)
-    ga = inc.other[inc.rot_prev[rh]].astype(np.int64)
-    gb = inc.other[inc.rot_next[rh]].astype(np.int64)
-
-    def opposite(x, y):
-        sx, sy = g.side[x], g.side[y]
-        return ((sx == _LEFT) & (sy == _RIGHT)) | ((sx == _RIGHT) & (sy == _LEFT))
-
-    ok = (inc.out[inc.rot_prev[rt]] & inc.out[inc.rot_next[rt]]
-          & ~inc.out[inc.rot_prev[rh]] & ~inc.out[inc.rot_next[rh]]
-          & opposite(fa, fb) & opposite(ga, gb))
-
-    cand = cand[ok]
-    fa, fb = fa[ok], fb[ok]
-    lw = np.where(g.side[fa] == _LEFT, fa, fb)
-    rw = np.where(g.side[fa] == _LEFT, fb, fa)
-    scan = MedianScan(cand, lw, rw)
+    inc, f = incidence(g), faces(g)
+    cand = np.flatnonzero((inc.own >= 0) & (inc.outer >= 0))
+    x, y = inc.own[cand], inc.outer[cand]
+    u, v = g.tail[cand], g.head[cand]
+    fan = ((f.source[x] == u) & (f.sink[x] == v) & (f.source[y] == u)
+           & (f.sink[y] == v))
+    cand, x, y, u, v = cand[fan], x[fan], y[fan], u[fan], v[fan]
+    # each face's other tip beside the edge
+    (s1, s2), (t1, t2) = f.source_tips, f.sink_tips
+    fa, fb = s1[x] + s2[x] - v, s1[y] + s2[y] - v
+    ga, gb = t1[x] + t2[x] - u, t1[y] + t2[y] - u
+    # side codes run 0..3: only a left and a right tip multiply to 2
+    ok = ((g.side[fa] * g.side[fb] == _LEFT * _RIGHT)
+          & (g.side[ga] * g.side[gb] == _LEFT * _RIGHT))
+    cand, fa, fb = cand[ok], fa[ok], fb[ok]
+    left = g.side[fa] == _LEFT
+    scan = MedianScan(cand, np.where(left, fa, fb), np.where(left, fb, fa))
     g._cache["median_scan"] = scan
     return scan

@@ -16,7 +16,7 @@ from enum import Enum
 import numpy as np
 
 from .embedding import faces, median_scan
-from .graph import OuterplanarStDigraph, VertexId, _LEFT, _RIGHT
+from .graph import OuterplanarStDigraph, VertexId, _LEFT
 
 
 class RhombusKind(Enum):
@@ -47,21 +47,8 @@ def find_strong_rhombus(g: OuterplanarStDigraph) -> Rhombus | None:
 
 def _weak_face_mask(g: OuterplanarStDigraph):
     f = faces(g)
-    idx = np.arange(f.count)
-    has_src = f.src_of >= 0
-    has_snk = f.snk_of >= 0
-    safe_src = np.where(has_src, f.src_of, 0)
-    safe_snk = np.where(has_snk, f.snk_of, 0)
-    # interior run sizes: face corners minus the source/sink corners
-    left_run = (f.left_count
-                - (has_src & (g.side[safe_src] == _LEFT))
-                - (has_snk & (g.side[safe_snk] == _LEFT)))
-    right_run = (f.right_count
-                 - (has_src & (g.side[safe_src] == _RIGHT))
-                 - (has_snk & (g.side[safe_snk] == _RIGHT)))
-    bounded = g.has_edges(safe_src, safe_snk)
-    weak = ((idx != f.outer) & has_src & has_snk
-            & (left_run >= 1) & (right_run >= 1) & ~bounded)
+    weak = ((f.left_run >= 1) & (f.right_run >= 1)
+            & ~g.has_edges(f.source, f.sink))
     return f, weak
 
 
@@ -71,11 +58,11 @@ def find_weak_rhombus(g: OuterplanarStDigraph) -> Rhombus | None:
         return None
     ti = g.topo_pos
     cand = np.flatnonzero(weak)
-    best = cand[np.lexsort((ti[f.snk_of[cand]], ti[f.src_of[cand]]))[0]]
-    src = int(f.src_of[best])
-    nb1, nb2 = int(f.src_nb1[best]), int(f.src_nb2[best])
+    best = cand[np.lexsort((ti[f.sink[cand]], ti[f.source[cand]]))[0]]
+    nb1, nb2 = f.source_tips[:, best].tolist()
     lw, rw = (nb1, nb2) if g.side[nb1] == _LEFT else (nb2, nb1)
-    return Rhombus(RhombusKind.WEAK, src, int(f.snk_of[best]), lw, rw)
+    return Rhombus(RhombusKind.WEAK, int(f.source[best]), int(f.sink[best]),
+                   lw, rw)
 
 
 def is_hamiltonian(g: OuterplanarStDigraph) -> bool:

@@ -36,7 +36,6 @@ from hpcc.crossings import (CompletionSolution, CrossingRecord,
                             _batch_crossings,
                             _check_completion_pairs, build_hp_extended,
                             scan_order, solution_crossings)
-from hpcc.embedding import faces, incidence, median_scan
 from hpcc.graph import (_LEFT, _RIGHT, _SNK, _SRC, NotAPermutation,
                         ValidationError, is_linear_extension)
 from hpcc.decompose import GAP
@@ -110,69 +109,122 @@ def book_payload(g, be):
     }
 
 
-def face_vertices(g, face_idx):
-    """Boundary walk of one face, starting at its smallest slot: a slot's
-    successor on its face is ``rot_next`` of its twin."""
-    f = faces(g)
-    inc = incidence(g)
-    start = int(np.flatnonzero(f.of_slot == face_idx)[0])
-    out, slot = [], start
-    while True:
-        out.append(int(inc.base[slot]))
-        slot = int(inc.rot_next[inc.twin[slot]])
-        if slot == start:
-            break
-    return tuple(out)
+def rotation_faces(g):
+    """Every face of the rotation system as a vertex cycle, and the face of
+    each slot (u, v), by plain loops.
+
+    Each vertex's neighbours are sorted by ``(other - base) mod n``, and the
+    successor of a slot (u, v) is ``rot_next`` of its twin (v, u): the
+    neighbour after u around v.  The walk from slot (0, 1), which steps
+    once up the vertex cycle everywhere, is the outer face, face 0; the
+    interior faces follow in the order of their smallest slots."""
+    n = g.n
+    rot = defaultdict(list)
+    for u, v in zip(g.tail.tolist(), g.head.tolist()):
+        rot[u].append(v)
+        rot[v].append(u)
+    for u, ring in rot.items():
+        ring.sort(key=lambda w: (w - u) % n)
+    cycles, face_of = [], {}
+    for start in [(0, 1)] + [(u, v) for u in sorted(rot) for v in rot[u]]:
+        cycle, slot = [], start
+        while slot not in face_of:
+            face_of[slot] = len(cycles)
+            cycle.append(slot[0])
+            u, v = slot
+            ring = rot[v]
+            slot = (v, ring[(ring.index(u) + 1) % len(ring)])
+        if cycle:
+            cycles.append(tuple(cycle))
+    return cycles, face_of
 
 
-def reference_face_labels(g):
-    """Face number per slot from a plain walk of each orbit of
-    ``rot_next . twin``: faces are numbered in the order of their smallest
-    slots."""
-    inc = incidence(g)
-    rot_next, twin = inc.rot_next.tolist(), inc.twin.tolist()
-    label, count = [-1] * len(twin), 0
-    for start in range(len(twin)):
-        if label[start] < 0:
-            slot = start
-            while label[slot] < 0:
-                label[slot] = count
-                slot = rot_next[twin[slot]]
-            count += 1
-    return label
+def face_vertices(g):
+    """Every face's vertex cycle, the outer face first."""
+    return rotation_faces(g)[0]
 
 
 def interior_faces_as_sets(g):
-    f = faces(g)
-    return [frozenset(face_vertices(g, i))
-            for i in range(f.count) if i != f.outer]
+    return [frozenset(cycle) for cycle in face_vertices(g)[1:]]
+
+
+@dataclass(frozen=True)
+class FaceRow:
+    """One interior face as ``faces`` describes it, with every corner whose
+    two face edges both leave it (sources) or both enter it (sinks)."""
+    source: int
+    sink: int
+    source_tips: frozenset
+    sink_tips: frozenset
+    left_run: int       # face vertices on the left chain, source and sink
+    right_run: int      # excluded
+    sources: tuple
+    sinks: tuple
+
+
+def face_rows(g):
+    """One :class:`FaceRow` per interior face, in walk order."""
+    edges = g.edge_set
+    rows = []
+    for cycle in face_vertices(g)[1:]:
+        src, snk = [], []
+        for i, b in enumerate(cycle):
+            a, c = cycle[i - 1], cycle[(i + 1) % len(cycle)]
+            if (b, a) in edges and (b, c) in edges:
+                src.append((b, frozenset({a, c})))
+            if (a, b) in edges and (c, b) in edges:
+                snk.append((b, frozenset({a, c})))
+        (source, source_tips), (sink, sink_tips) = src[0], snk[0]
+        sides = [int(g.side[v]) for v in cycle if v not in (source, sink)]
+        rows.append(FaceRow(source, sink, source_tips, sink_tips,
+                            sides.count(_LEFT), sides.count(_RIGHT),
+                            tuple(v for v, _ in src),
+                            tuple(v for v, _ in snk)))
+    return rows
 
 
 def median_candidates(g):
-    """Median edges with their fan witnesses, bottom-up."""
-    scan = median_scan(g)
+    """Median edges with their fan witnesses, bottom-up: edges whose two
+    faces are interior with the edge's tail as source and head as sink,
+    whose other source tips lie on opposite chains, and whose other sink
+    tips do too."""
+    _, face_of = rotation_faces(g)
+    rows = face_rows(g)
     ti = g.topo_pos
-    u, v = g.tail[scan.edges], g.head[scan.edges]
-    order = np.lexsort((ti[v], ti[u]))
-    return [((int(u[i]), int(v[i])),
-             (int(scan.left_witness[i]), int(scan.right_witness[i])))
-            for i in order]
+
+    def opposite(x, y):
+        return {int(g.side[x]), int(g.side[y])} == {_LEFT, _RIGHT}
+
+    out = []
+    for u, v in g.edge_set:
+        fa, fb = face_of[(u, v)], face_of[(v, u)]
+        if not (fa and fb):
+            continue
+        ra, rb = rows[fa - 1], rows[fb - 1]
+        if (ra.source, ra.sink, rb.source, rb.sink) != (u, v, u, v):
+            continue
+        (a,), (b,) = ra.source_tips - {v}, rb.source_tips - {v}
+        (c,), (d,) = ra.sink_tips - {u}, rb.sink_tips - {u}
+        if opposite(a, b) and opposite(c, d):
+            lw, rw = (a, b) if g.side[a] == _LEFT else (b, a)
+            out.append(((u, v), (lw, rw)))
+    out.sort(key=lambda m: (ti[m[0][0]], ti[m[0][1]]))
+    return out
 
 
 def weak_polygon_seeds(g):
     """Faces with chain vertices on both sides and no (source, sink) edge,
     bottom-up, as (source, chain vertices by side and rank, sink) with the
     limits of the polygon each one seeds."""
-    f = faces(g)
     ti = g.topo_pos
     limits = {(p.source, p.sink): (p.lower_limit, p.upper_limit)
               for p in decompose(g) if isinstance(p, StPolygon)}
     out = []
-    for i in range(f.count):
-        src, snk = int(f.src_of[i]), int(f.snk_of[i])
-        if i == f.outer or src < 0 or snk < 0 or g.has_edge(src, snk):
+    for cycle, row in zip(face_vertices(g)[1:], face_rows(g)):
+        src, snk = row.source, row.sink
+        if g.has_edge(src, snk):
             continue
-        mids = sorted((v for v in face_vertices(g, i) if v not in (src, snk)),
+        mids = sorted((v for v in cycle if v not in (src, snk)),
                       key=lambda v: (int(g.side[v]),
                                      max(g.lcoord[v], g.rcoord[v])))
         if len({int(g.side[v]) for v in mids}) == 2:

@@ -1,14 +1,16 @@
-"""Face enumeration and median detection on the embedded boundary cycle."""
+"""Faces and median detection on the embedded boundary cycle, against a
+plain walk of the rotation system."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hpcc import GeneratorParams, build_graph, generate
 from hpcc.embedding import faces, incidence, median_scan
-from reference import (face_vertices, interior_faces_as_sets,
-                       reference_face_labels)
-from strategies import instances
+from reference import (face_rows, face_vertices, interior_faces_as_sets,
+                       median_candidates, rotation_faces)
+from strategies import instances, three_kind_ladders
 
 
 def names(g, vs):
@@ -17,10 +19,9 @@ def names(g, vs):
 
 def test_single_interior_face(weak_rhombus):
     g = weak_rhombus
-    f = faces(g)
-    assert f.count == 2
+    assert len(faces(g).source) == 1
     assert interior_faces_as_sets(g) == [frozenset({0, 1, 2, 3})]
-    assert names(g, face_vertices(g, f.outer)) == ["a", "b", "s", "t"]
+    assert names(g, face_vertices(g)[0]) == ["a", "b", "s", "t"]
 
 
 def test_median_splits_face(strong_rhombus, weak_rhombus):
@@ -48,42 +49,66 @@ def test_stacked_rhombi_medians(stacked_rhombi):
     assert [(g.name(a), g.name(b)) for a, b in witnesses] == [("a", "b"), ("c", "d")]
 
 
+def face_labels(g):
+    """Production face number -> walk face number (-1 for the outer face):
+    an edge (lo, hi) heads the face on its slot (lo, hi) and has its
+    parent's face on its slot (hi, lo)."""
+    inc = incidence(g)
+    _, face_of = rotation_faces(g)
+    lo = np.minimum(g.tail, g.head).tolist()
+    hi = np.maximum(g.tail, g.head).tolist()
+    ref = ([face_of[(a, b)] - 1 for a, b in zip(lo, hi)]
+           + [face_of[(b, a)] - 1 for a, b in zip(lo, hi)])
+    pairs = set(zip(inc.own.tolist() + inc.outer.tolist(), ref))
+    label = dict(pairs)
+    # one bijection relabels every edge side, the outer face to -1
+    assert len(label) == len(pairs) == len(set(label.values()))
+    assert label.get(-1, -1) == -1
+    return label
+
+
 @settings(max_examples=120, deadline=None)
 @given(instances())
 def test_euler_formula_and_slot_partition(g):
-    f, inc = faces(g), incidence(g)
-    e = g.edge_count
-    assert f.count == e - g.n + 2
-    # every directed slot belongs to exactly one face cycle
-    assert len(f.of_slot) == 2 * e
-    assert np.bincount(f.of_slot, minlength=f.count).sum() == 2 * e
-    seen = np.zeros(2 * e, dtype=bool)
-    for fi in range(f.count):
-        slot = np.flatnonzero(f.of_slot == fi)[0]
-        start = slot
-        while True:
-            assert not seen[slot]
-            seen[slot] = True
-            assert f.of_slot[slot] == fi
-            slot = inc.rot_next[inc.twin[slot]]
-            if slot == start:
-                break
-    assert seen.all()
+    inc, f = incidence(g), faces(g)
+    count = g.edge_count - g.n + 1
+    assert len(f.source) == len(inc.head_of) == count
+    span = np.abs(g.head - g.tail)
+    assert np.array_equal(inc.own >= 0, span >= 2)
+    assert np.array_equal(inc.outer < 0, span == g.n - 1)
+    # the edge sides labelled with a face are exactly that face's slots
+    label = face_labels(g)
+    sides = np.bincount(inc.own[inc.own >= 0], minlength=count) + np.bincount(
+        inc.outer[inc.outer >= 0], minlength=count)
+    cycles = face_vertices(g)
+    assert [len(cycles[label[p] + 1]) for p in range(count)] == sides.tolist()
 
 
 def check_face_labels(g):
-    f, inc = faces(g), incidence(g)
-    label = reference_face_labels(g)
-    assert f.of_slot.tolist() == label
-    assert f.count == max(label) + 1
-    # the outer face is exactly the slots that step one up the cycle
-    steps_up = inc.other == (inc.base + 1) % g.n
-    assert np.array_equal(f.of_slot == f.outer, steps_up)
-    assert f.of_slot[inc.indptr[0]] == f.outer
+    rows = face_rows(g)
+    assert len(rows) == g.edge_count - g.n + 1
+    for row in rows:
+        assert len(row.sources) == 1 and len(row.sinks) == 1
+
+    f, label = faces(g), face_labels(g)
+    assert sorted(label) == list(range(-1, len(rows)))
+    for p in range(len(rows)):
+        r = rows[label[p]]
+        assert (f.source[p], f.sink[p]) == (r.source, r.sink)
+        assert set(f.source_tips[:, p].tolist()) == r.source_tips
+        assert set(f.sink_tips[:, p].tolist()) == r.sink_tips
+        assert (f.left_run[p], f.right_run[p]) == (r.left_run, r.right_run)
+
+    ms = median_scan(g)
+    assert ms.edges.tolist() == sorted(ms.edges.tolist())
+    got = sorted(((int(g.tail[e]), int(g.head[e])), (int(lw), int(rw)))
+                 for e, lw, rw in zip(ms.edges, ms.left_witness,
+                                      ms.right_witness))
+    assert got == sorted(median_candidates(g))
 
 
-@settings(max_examples=150, deadline=None)
-@given(instances(min_n=2, max_n=14))
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(instances(min_n=2, max_n=14), three_kind_ladders()))
 def test_face_labels_match_an_orbit_walk(g):
     check_face_labels(g)
 

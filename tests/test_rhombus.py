@@ -3,6 +3,7 @@
 from hypothesis import given, settings
 
 from hpcc import build_graph
+from hpcc.graph import _LEFT
 from hpcc.rhombus import (
     Rhombus,
     RhombusKind,
@@ -10,7 +11,7 @@ from hpcc.rhombus import (
     find_weak_rhombus,
     is_hamiltonian,
 )
-from reference import extract_hamiltonian_path
+from reference import extract_hamiltonian_path, face_rows, median_candidates
 from strategies import instances
 
 
@@ -36,6 +37,44 @@ def test_weak_inside_larger_face():
     assert r is not None and r.kind is RhombusKind.WEAK
     assert (g.name(r.source), g.name(r.sink)) == ("s", "t")
     assert (g.name(r.left_witness), g.name(r.right_witness)) == ("a", "b")
+
+
+def test_weak_face_with_a_right_chain_source():
+    # the face (b1, a2, t, b2) fans out of the right-chain vertex b1, under
+    # the strong rhombus (s, a1, a2, b1) with its median (s, a2)
+    g = build_graph(["a1", "a2"], ["b1", "b2"],
+                    [("s", "a1"), ("a1", "a2"), ("a2", "t"), ("s", "b1"),
+                     ("b1", "b2"), ("b2", "t"), ("s", "a2"), ("b1", "a2")],
+                    s="s", t="t")
+    v = g.vid
+    assert find_weak_rhombus(g) == Rhombus(
+        RhombusKind.WEAK, source=v("b1"), sink=v("t"),
+        left_witness=v("a2"), right_witness=v("b2"))
+    assert find_strong_rhombus(g) == Rhombus(
+        RhombusKind.STRONG, source=v("s"), sink=v("a2"),
+        left_witness=v("a1"), right_witness=v("b1"))
+
+
+@settings(max_examples=150, deadline=None)
+@given(instances(max_n=14))
+def test_lowest_rhombi_match_the_face_walk(g):
+    ti = g.topo_pos
+    medians = median_candidates(g)
+    strong = None
+    if medians:
+        (u, w), (lw, rw) = medians[0]
+        strong = Rhombus(RhombusKind.STRONG, u, w, lw, rw)
+    assert find_strong_rhombus(g) == strong
+
+    weak = []
+    for r in face_rows(g):
+        if r.left_run and r.right_run and not g.has_edge(r.source, r.sink):
+            a, b = sorted(r.source_tips)
+            lw, rw = (a, b) if g.side[a] == _LEFT else (b, a)
+            weak.append((ti[r.source], ti[r.sink], Rhombus(
+                RhombusKind.WEAK, r.source, r.sink, lw, rw)))
+    assert find_weak_rhombus(g) == (min(weak, key=lambda w: w[:2])[2]
+                                    if weak else None)
 
 
 def test_rhombus_blocks_hamiltonian_path(weak_rhombus, strong_rhombus):
