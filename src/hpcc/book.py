@@ -11,7 +11,6 @@ strictly inside its slot.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -20,7 +19,7 @@ import numpy as np
 from .crossings import NotLinearExtension, chain_edges, scan_order
 from .graph import (OuterplanarStDigraph, Edge, Nested, ParseError,
                     ValidationError, VertexId, _LEFT, int_array, json_object,
-                    json_rows, json_scalars)
+                    json_rows, json_scalars, load_json, nesting)
 from .solver import CompletionSolution, solution_problems
 
 LEFT_PAGE = "L"
@@ -160,31 +159,27 @@ def from_book_embedding(g: OuterplanarStDigraph,
 
 
 def _page_planarity(start, end, right) -> list[str]:
-    """Nesting of each page's arcs, as one stack pass over their ends and
-    starts sorted by page, then coordinate: at each coordinate the arcs
-    that end there must be the innermost open ones, then the arcs that
-    start there open, widest first."""
-    m = len(start)
-    # events 0..m-1 end arc i, m..2m-1 start it; at one coordinate the
-    # ends sort first, then the starts by descending end
-    events = np.lexsort((np.concatenate((np.full(m, -np.inf), -end)),
-                         np.concatenate((end, start)),
-                         np.concatenate((right, right)))).tolist()
-    ends = end.tolist()
-    split = 2 * (m - int(right.sum()))
-    probs = []
-    for part in (events[:split], events[split:]):
-        stack: list[int] = []
-        for e in part:
-            if e >= m:
-                stack.append(e - m)
-            elif stack and ends[stack[-1]] == ends[e]:
-                stack.pop()
-            else:
-                open_ends = [ends[i] for i in stack[-3:]]
-                probs.append(f"arcs interleave on a page near coordinate "
-                             f"{ends[e]} (open arc ends {open_ends})")
-                break
+    """Nesting of each page's arcs, both pages by one :func:`nesting` on a
+    line of coordinate ranks, the right page past the left.  A page's stack
+    pass (ends before starts) fails at the least end of a parent that an
+    arc leaves, with the arcs open there, less those ending there on top."""
+    coord, at = np.unique(np.concatenate((start, end)), return_inverse=True)
+    lo, hi = at.reshape(2, -1) + len(coord) * right
+    nest = nesting(lo, hi, 2 * len(coord))
+    if not nest.leaves.size:
+        return []
+    bound = hi[nest.order[nest.parent[nest.leaves]]]    # parents left
+    pre = np.empty_like(nest.order)                     # arcs in preorder
+    pre[nest.key % len(pre)] = nest.order
+    lo, hi, probs = lo[pre], hi[pre], []
+    for page in (bound < len(coord), bound >= len(coord)):
+        if page.any():
+            c = bound[page].min()
+            stack = np.flatnonzero((lo < c) & (hi >= c))
+            top = stack[:np.flatnonzero(hi[stack] > c)[-1] + 1][-3:]
+            probs.append(f"arcs interleave on a page near coordinate "
+                         f"{float(coord[c % len(coord)])} "
+                         f"(open arc ends {end[pre[top]].tolist()})")
     return probs
 
 
@@ -334,12 +329,7 @@ def _exact(value, kinds: tuple, what: str):
 
 
 def book_from_json(g: OuterplanarStDigraph, text: str) -> BookEmbedding:
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"not valid JSON: {exc}") from None
-    if not isinstance(payload, dict):
-        raise ParseError("top level must be an object")
+    payload = load_json(text)
     try:
         spine = tuple(g.vid(name) for name in payload["spine"])
         drawings = []

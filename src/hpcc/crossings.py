@@ -13,8 +13,8 @@ finds them for every completion edge at once.  The two-sided chords
 crossed are two contiguous runs of the chain.
 
 The chord families come sorted from the graph (``g.chords``, built once by
-:func:`hpcc.graph.build_graph`, which validates the same arrays for
-planarity), with the joint family's count tables and depth order;
+:func:`hpcc.graph.build_graph` once its plane check has found the edges
+laminar), with the joint family's count tables and depth order;
 nothing here re-sorts or re-derives them.  The scan is computed once
 per graph and order: the graph keeps the last order's scan, read-only
 and shared by every later call with that order, and each route still

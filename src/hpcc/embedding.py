@@ -18,36 +18,24 @@ from .graph import OuterplanarStDigraph, InternalError, _LEFT, _RIGHT
 
 @dataclass
 class Incidence:
-    nested: np.ndarray     # edge ids by (depth, preorder): the root first
     own: np.ndarray        # per edge: the face it heads, -1 for span 1
     outer: np.ndarray      # per edge: its parent's face, -1 for the root
     head_of: np.ndarray    # per face: the edge heading it
 
 
 def incidence(g: OuterplanarStDigraph) -> Incidence:
-    """Each edge's two faces, from one (lo, -hi) preorder of the intervals:
-    there an interval's depth is its index less the intervals ending at or
-    before its start, and its parent is the last interval one level up
-    before it.  Faces are numbered in ``nested`` order of their edges, so
-    ``nested`` holds each face's children as one run, face by face."""
+    """Each edge's two faces, off the graph's nesting of the intervals.
+    Faces are numbered in (depth, preorder) order of their edges, so that
+    order holds each face's children as one run, face by face."""
     if "incidence" in g._cache:
         return g._cache["incidence"]
-    E = g.edge_count
-    lo, hi = np.minimum(g.tail, g.head), np.maximum(g.tail, g.head)
-    pre = np.argsort(lo * g.n + (g.n - hi), kind="stable")
-    ends = np.cumsum(np.bincount(hi, minlength=g.n))     # ends <= q
-    depth = np.arange(E) - ends[lo[pre]]
-    by_depth = np.argsort(depth, kind="stable")
-    key = depth[by_depth] * E + by_depth
-    parent = key.searchsorted(key - E) - 1      # -1 only for the root
-    nested = pre[by_depth]
-
-    heads = (hi - lo)[nested] >= 2
+    E, nested, parent = g.edge_count, g.nesting.order, g.nesting.parent
+    heads = np.abs(g.head - g.tail)[nested] >= 2
     face = np.where(heads, np.cumsum(heads) - 1, -1)
     own, outer = np.empty((2, E), dtype=np.int64)
     own[nested] = face
     outer[nested] = np.where(parent >= 0, face[parent], -1)
-    inc = Incidence(nested, own, outer, nested[heads])
+    inc = Incidence(own, outer, nested[heads])
     g._cache["incidence"] = inc
     return inc
 
@@ -69,7 +57,7 @@ def faces(g: OuterplanarStDigraph) -> Faces:
     if "faces" in g._cache:
         return g._cache["faces"]
     inc = incidence(g)
-    count, child = len(inc.head_of), inc.nested[1:]
+    count, child = len(inc.head_of), g.nesting.order[1:]
     of_child = inc.outer[child]
     size = np.bincount(of_child, minlength=count) + 1
     start = np.cumsum(size) - size

@@ -13,10 +13,11 @@ each is built by one function here and stored on the graph:
 - ``lcoord``/``rcoord`` (:func:`_line_coords`): each vertex's position on
   the left and right chain lines;
 - ``classes`` (:func:`_edge_class_codes`): each edge's class code;
+- ``nesting`` (:func:`_cycle_nesting`): the edges' cycle intervals by
+  :func:`nesting`, laminar exactly when the embedding is plane;
 - ``chords`` (:func:`_chord_index`): the two-sided chords sorted by rank,
-  and both one-sided families joined into one laminar family, checked for
-  laminarity once and ordered by nesting depth; the plane check validates
-  the two-sided ones against it and the crossing geometry queries them;
+  and both one-sided families joined into one laminar family ordered by
+  nesting depth, which the crossing geometry queries;
 - ``lo_out``/``hi_in`` (:func:`_limit_tables`): each vertex's extreme
   two-sided neighbours, which gate the topological merge and bound every
   st-polygon of the decomposition;
@@ -102,6 +103,31 @@ def int_array(values) -> np.ndarray:
 
 
 @dataclass
+class Nesting:
+    order: np.ndarray    # interval ids by depth, then (lo, -hi) preorder
+    key: np.ndarray      # per entry: depth * count + preorder index, ascending
+    parent: np.ndarray   # per entry: its parent's entry, -1 at depth 0
+    leaves: np.ndarray   # the entries that end past their parent's end
+
+
+def nesting(lo, hi, size) -> Nesting:
+    """Intervals ``[lo[i], hi[i]]`` below ``size`` by nesting.  In (lo, -hi)
+    preorder an interval's depth is its index less the intervals ending at
+    or before its start; its parent, the last interval one level up before
+    it, is the innermost one open at its start while those before it are
+    laminar.  So the first in preorder to leave its parent crosses it."""
+    count = len(lo)
+    pre = np.argsort(lo * size + (size - hi), kind="stable")
+    depth = np.arange(count) - np.cumsum(               # less the ends <= lo
+        np.bincount(hi, minlength=size))[lo[pre]]
+    key = np.sort(depth * count + np.arange(count))
+    parent, order = key.searchsorted(key - count) - 1, pre[key % count]
+    end = hi[order]
+    return Nesting(order, key, parent,
+                   np.flatnonzero((parent >= 0) & (end > end[parent])))
+
+
+@dataclass
 class ChordIndex:
     """The graph's chords by family, as parallel arrays with edge ids."""
     ti: np.ndarray   # two-sided chords: left rank, right rank, both ascending
@@ -123,8 +149,8 @@ class OuterplanarStDigraph:
     """Validated, immutable instance.  Construct via :func:`build_graph`,
     which derives every table passed in here."""
 
-    def __init__(self, names, ids, k, m, tail, head, keys, side,
-                 lcoord, rcoord, classes, chords, lo_out, hi_in, topo_pos):
+    def __init__(self, names, ids, k, m, tail, head, keys, side, lcoord,
+                 rcoord, classes, nest, chords, lo_out, hi_in, topo_pos):
         self.names: list[str] = names
         self.n: int = len(names)
         self.k: int = k
@@ -139,6 +165,7 @@ class OuterplanarStDigraph:
         self.lcoord: np.ndarray = lcoord
         self.rcoord: np.ndarray = rcoord
         self.classes: np.ndarray = classes  # 0 left, 1 right, 2 two-sided
+        self.nesting: Nesting = nest        # the edges' cycle intervals
         self.chords: ChordIndex = chords
         self.lo_out: np.ndarray = lo_out
         self.hi_in: np.ndarray = hi_in
@@ -224,34 +251,31 @@ def _edge_class_codes(tail, head, side):
     return cls
 
 
+def _cycle_nesting(names, tail, head) -> Nesting:
+    """The edges' cycle intervals by nesting: every vertex is on the cycle,
+    so the embedding is plane exactly when they are laminar."""
+    nest = nesting(np.minimum(tail, head), np.maximum(tail, head), len(names))
+    if nest.leaves.size:
+        x = nest.leaves[np.argmin(nest.key[nest.leaves] % len(tail))]
+        a, b = nest.order[[nest.parent[x], x]]
+        raise EmbeddingNotPlane("edges ({}, {}) and ({}, {}) cross".format(
+            *(names[v] for v in (tail[a], head[a], tail[b], head[b]))))
+    return nest
+
+
 def _chord_index(tail, head, cls, lcoord, rcoord) -> ChordIndex:
     """Sort each chord family once: two-sided chords by (left, right) rank,
-    one-sided chords spanning at least two line steps by (start, -end) on
-    the joint line, the right line shifted past t's left coordinate.
-
-    Each one-sided family must be laminar (:class:`EmbeddingNotPlane`
-    otherwise); every right chord starts past every left chord's end, so
-    one stack pass checks both.  In (start, -end) order a laminar chord's
-    nesting depth is its index less the chords ending at or before its
-    start, which all come earlier.
-    """
+    one-sided chords spanning two line steps or more by nesting on the
+    joint line (the right line shifted past t's left coordinate)."""
     lt, rt = lcoord.max(), rcoord.max()         # t's line coordinates
+    size = lt + rt + 2
     one = np.flatnonzero(cls < 2)
     uv = np.stack((tail[one], head[one]))
     # a one-sided edge runs up its line: build_graph has checked that
     a, b = np.where(cls[one] == 0, lcoord[uv], rcoord[uv] + lt + 1)
     chord = (b - a) >= 2
-    order = np.lexsort((-b[chord], a[chord]))
-    a, b, e = a[chord][order], b[chord][order], one[chord][order]
-
-    stack = []          # ends of the open chords, innermost last
-    for x, y in zip(a.tolist(), b.tolist()):
-        while stack and stack[-1] <= x:
-            stack.pop()
-        if stack and stack[-1] < y:
-            side = "left" if x < lt else "right"
-            raise EmbeddingNotPlane(f"interleaving {side} chords")
-        stack.append(y)
+    a, b, e = a[chord], b[chord], one[chord]
+    nest = nesting(a, b, size)
 
     two = np.flatnonzero(cls == 2)
     tt, th = tail[two], head[two]
@@ -259,35 +283,13 @@ def _chord_index(tail, head, cls, lcoord, rcoord) -> ChordIndex:
     tj = np.where(rcoord[tt] >= 0, rcoord[tt], rcoord[th])
     by_rank = np.lexsort((tj, ti))
 
-    opened = np.cumsum(np.bincount(a + 1, minlength=lt + rt + 2),
-                       dtype=np.int32)
-    closed = np.cumsum(np.bincount(b, minlength=lt + rt + 2),
-                       dtype=np.int32)                           # ends <= q
-    depth = np.arange(len(a)) - closed[a]
-    by_depth = np.argsort(depth, kind="stable")
+    opened = np.cumsum(np.bincount(a + 1, minlength=size), dtype=np.int32)
+    closed = np.cumsum(np.bincount(b, minlength=size), dtype=np.int32)
     anchor = (((a == 0) | (a == lt + 1))
-              + 2 * ((b == lt) | (b == lt + rt + 1))).astype(np.int8)
+              + 2 * ((b == lt) | (b == size - 1))).astype(np.int8)
     return ChordIndex(ti[by_rank], tj[by_rank], two[by_rank],
-                      opened, opened - closed,
-                      depth[by_depth] * len(a) + by_depth,
-                      e[by_depth], anchor[by_depth])
-
-
-def _check_plane(k, c: ChordIndex):
-    """Reject two-sided chords that interleave another chord.
-
-    They must form a rank-monotone chain, and no two-sided endpoint may
-    sit strictly under a one-sided chord.  :func:`_chord_index` has checked
-    that each one-sided family is laminar on its own line, and cross-line
-    one-sided pairs can never interleave, so nothing else needs checking.
-    """
-    if len(c.ti):
-        if np.any(np.diff(c.tj) < 0):
-            raise EmbeddingNotPlane("two-sided chords out of chain order")
-
-        # one-sided chords may not strictly cover a two-sided endpoint
-        if c.under[np.concatenate((c.ti, c.tj + k + 2))].any():
-            raise EmbeddingNotPlane("two-sided chord under a covering chord")
+                      opened, opened - closed, nest.key, e[nest.order],
+                      anchor[nest.order])
 
 
 def _limit_tables(n, tail, head, cls, lcoord, rcoord):
@@ -432,13 +434,13 @@ def build_graph(left_seq, right_seq, edges, s=None, t=None):
     if np.any(rcoord[tail[rgt]] >= rcoord[head[rgt]]):
         raise CycleDetected("descending edge on the right side")
 
+    nest = _cycle_nesting(names, tail, head)
     chords = _chord_index(tail, head, cls, lcoord, rcoord)
-    _check_plane(k, chords)
     lo_out, hi_in = _limit_tables(n, tail, head, cls, lcoord, rcoord)
     topo_pos = _toposort(k, m, hi_in)
     return OuterplanarStDigraph(names, ids, k, m, tail, head, keys, side,
-                                lcoord, rcoord, cls, chords, lo_out, hi_in,
-                                topo_pos)
+                                lcoord, rcoord, cls, nest, chords, lo_out,
+                                hi_in, topo_pos)
 
 
 def is_linear_extension(g: OuterplanarStDigraph, order) -> bool:
@@ -601,13 +603,14 @@ def graph_from_json(text: str) -> OuterplanarStDigraph:
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return _parse_graph(text)
+        return _parse_graph(load_json(text))
     finally:
         if enabled:
             gc.enable()
 
 
-def _parse_graph(text: str) -> OuterplanarStDigraph:
+def load_json(text: str) -> dict:
+    """The JSON object in ``text``; any fault of it is a ParseError."""
     try:
         doc = json.loads(text)
     except ValueError as exc:   # also an integer too long to convert
@@ -616,6 +619,10 @@ def _parse_graph(text: str) -> OuterplanarStDigraph:
         raise ParseError("invalid JSON: nested too deep") from None
     if not isinstance(doc, dict):
         raise ParseError("top-level document must be an object")
+    return doc
+
+
+def _parse_graph(doc: dict) -> OuterplanarStDigraph:
     for key in ("left", "right", "s", "t", "edges"):
         if key not in doc:
             raise ParseError(f"missing key {key!r}")

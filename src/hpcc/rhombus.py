@@ -46,10 +46,13 @@ def find_strong_rhombus(g: OuterplanarStDigraph) -> Rhombus | None:
 
 
 def _weak_face_mask(g: OuterplanarStDigraph):
+    # the paper also asks for no (source, sink) edge, which such a face never
+    # has: the edges nest, so that edge would be on the ring, the rest of it
+    # a path in cycle order with a vertex on each chain, round s or t between
+    # them.  Edges climb both chains: round s the path would first descend
+    # its own chain or enter s, round t leave t or descend the other chain.
     f = faces(g)
-    weak = ((f.left_run >= 1) & (f.right_run >= 1)
-            & ~g.has_edges(f.source, f.sink))
-    return f, weak
+    return f, (f.left_run >= 1) & (f.right_run >= 1)
 
 
 def find_weak_rhombus(g: OuterplanarStDigraph) -> Rhombus | None:

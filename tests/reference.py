@@ -346,6 +346,10 @@ class Tables:
     deid: list
     anchor: list
     two: list       # chords as (left rank, right rank, edge id)
+    # edge ids by (nesting depth, lo, -hi) of their cycle intervals, and
+    # the innermost interval containing each, -1 for the root
+    nested: list
+    parent: list
     topo: list
     topo_pos: list  # topo's inverse: each vertex's position in it
 
@@ -418,13 +422,34 @@ def reference_tables(g):
     by_depth = sorted(range(len(joint)), key=lambda i: (depth[i], i))
     anchor = [(joint[i][0] in (0, lt + 1))
               + 2 * (joint[i][1] in (lt, lt + rt + 1)) for i in by_depth]
+    spans = [sorted(uv) for uv in edges]
+    around = [[f for f, (c, d) in enumerate(spans) if f != e and c <= a
+               and b <= d] for e, (a, b) in enumerate(spans)]
+    nested = sorted(range(len(edges)), key=lambda e: (
+        len(around[e]), spans[e][0], -spans[e][1], e))
+    parent = [min(around[e], key=lambda f: spans[f][1] - spans[f][0])
+              if around[e] else -1 for e in nested]
     return Tables(lcoord, rcoord, classes,
                   [lo.get(v, 0) for v in range(n)],
                   [hi.get(v, -1) for v in range(n)],
                   opened, under,
                   [depth[i] * len(joint) + i for i in by_depth],
                   [joint[i][2] for i in by_depth], anchor,
-                  sorted(chords[2]), topo, topo_pos)
+                  sorted(chords[2]), nested, parent, topo, topo_pos)
+
+
+def cycle_crossings(left, right, edges, s, t):
+    """Every pair of edges whose chords on the vertex cycle (s, the left
+    chain bottom-up, t, the right chain top-down) strictly interleave, as
+    a set of frozensets of name pairs, by a plain pairwise loop."""
+    pos = {v: i for i, v in enumerate([s, *left, t, *reversed(right)])}
+    spans = [sorted((pos[u], pos[v])) for u, v in edges]
+    pairs = set()
+    for i, (a, b) in enumerate(spans):
+        for j, (c, d) in enumerate(spans[:i]):
+            if a < c < b < d or c < a < d < b:
+                pairs.add(frozenset((tuple(edges[i]), tuple(edges[j]))))
+    return pairs
 
 
 def reference_toposort(k, m, hi_in):

@@ -2,12 +2,15 @@
 
 import dataclasses
 import json
+import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hpcc import GeneratorParams, build_graph, generate, solve
+from hpcc import (GeneratorParams, build_graph, generate, graph_from_json,
+                  solve)
 from hpcc.book import (
     BookEmbedding,
     EdgeDrawing,
@@ -22,8 +25,9 @@ from hpcc.book import (
 )
 from hpcc.graph import _CHUNK_ROWS, ParseError
 from hpcc.solver import CompletionSolution
-from reference import (book_payload, indented, reference_book_embedding,
-                       reference_book_problems, reference_drawings)
+from reference import (_page_planarity, book_payload, indented,
+                       reference_book_embedding, reference_book_problems,
+                       reference_drawings)
 from strategies import instances
 
 FIXTURES = ["weak_rhombus", "strong_rhombus", "chorded_polygon",
@@ -99,6 +103,18 @@ def test_json_rejects_garbage(strong_rhombus):
         book_from_json(strong_rhombus, "[]")
     with pytest.raises(ParseError):
         book_from_json(strong_rhombus, '{"spine": ["s"]}')
+
+
+@pytest.mark.parametrize(
+    "text", ["[" * 10**5, '{"spine": ' + "9" * 5000 + "}"],
+    ids=["deep", "long-integer"])
+def test_both_readers_refuse_deep_nesting_and_long_integers(
+        strong_rhombus, text):
+    # json.loads raises RecursionError and a bare ValueError on these
+    with pytest.raises(ParseError, match="^invalid JSON: "):
+        graph_from_json(text)
+    with pytest.raises(ParseError, match="^invalid JSON: "):
+        book_from_json(strong_rhombus, text)
 
 
 @pytest.mark.parametrize("field, value", [
@@ -180,11 +196,37 @@ class TestValidatorFaults:
             "edge 0->2 dive inf is outside slot 1"]
 
     def test_interleaving_arcs(self):
-        be = BookEmbedding(
-            (0, 1, 2, 3),
-            (EdgeDrawing((0, 2), (Segment("L", 0.0, 2.0),), ()),
-             EdgeDrawing((1, 3), (Segment("L", 1.0, 3.0),), ())))
-        assert any("interleave" in p for p in problems(be))
+        # one segment per drawing, so only the pages' nesting can fail:
+        # random arcs, and laminar ones with one arc end moved by one
+        faulty = Counter()
+        for seed in range(1500):
+            rng = random.Random(seed)
+            n = rng.randint(2, 12)
+            if seed % 2:
+                arcs = [sorted(rng.sample(range(n), 2))
+                        for _ in range(rng.randint(1, 12))]
+            else:
+                arcs, todo = [], [(0, n - 1)]
+                while todo:
+                    a, b = todo.pop()
+                    arcs.append([a, b])
+                    if b - a >= 2:
+                        c = rng.randint(a + 1, b - 1)
+                        todo += [(a, c), (c, b)]
+                rng.choice(arcs)[rng.randint(0, 1)] += rng.choice((-1, 1))
+                arcs = [sorted(x) for x in arcs
+                        if x[0] != x[1] and 0 <= min(x) and max(x) < n]
+            rng.shuffle(arcs)
+            pages = rng.choice(("L", "R", "LR"))
+            be = BookEmbedding(tuple(range(n)), tuple(EdgeDrawing(
+                (a, b), (Segment(rng.choice(pages), float(a), float(b)),), ())
+                for a, b in arcs))
+            want = [p for page in "LR" for p in _page_planarity(
+                [s for d in be.drawings for s in d.segments
+                 if s.page == page])]
+            assert validate_book_embedding(be) == want
+            faulty[seed % 2, len(want)] += 1
+        assert min(faulty[0, 1], faulty[1, 1], faulty[1, 2]) >= 20, faulty
 
     def test_vertex_missing_from_the_spine(self, weak_rhombus):
         be = self.embed(weak_rhombus)

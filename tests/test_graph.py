@@ -2,6 +2,9 @@
 
 import gc
 import json
+import random
+import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from hpcc import (
     CycleDetected,
     DuplicateEdge,
     EmbeddingNotPlane,
+    GeneratorParams,
     MultipleSinks,
     MultipleSources,
     NotAPermutation,
@@ -19,13 +23,14 @@ from hpcc import (
     SideNotAPath,
     UnknownVertex,
     build_graph,
+    generate,
     graph_from_json,
     graph_to_json,
     is_linear_extension,
 )
 from hpcc.graph import _LEFT, _RIGHT, _toposort, order_positions
 from conftest import nested_fan_graph
-from reference import (edge_classes, graph_payload, indented,
+from reference import (cycle_crossings, edge_classes, graph_payload, indented,
                        reference_tables, reference_toposort,
                        topological_order)
 from strategies import instances
@@ -181,16 +186,56 @@ def test_rejects_non_plane_chords(extra):
         build_graph(["l1", "l2"], ["r1", "r2"], edges + extra, s="s", t="t")
 
 
-@pytest.mark.parametrize("side", ["left", "right"])
-def test_interleaving_one_sided_chords_are_named_by_side(side):
-    # both families have chords: one stack pass runs over the two, left
-    # first, and names the family of the chord it rejects
-    edges = [("s", "l1"), ("l1", "l2"), ("l2", "t"), ("s", "r1"),
-             ("r1", "r2"), ("r2", "t"), ("s", "l2"), ("r1", "t")]
-    extra = {"left": [("l1", "t")], "right": [("s", "r2")]}[side]
+SQUARE = [("s", "l1"), ("l1", "l2"), ("l2", "t"), ("s", "r1"),
+          ("r1", "r2"), ("r2", "t")]
+CHORDS = [("s", "l2"), ("r1", "t")]
+
+
+@pytest.mark.parametrize("extra, message", [
+    pytest.param(CHORDS + [("l1", "t")], "(s, l2) and (l1, t)", id="left"),
+    pytest.param(CHORDS + [("s", "r2")], "(s, r2) and (r1, t)", id="right"),
+    pytest.param([("l2", "r1"), ("l1", "r2")], "(l1, r2) and (l2, r1)",
+                 id="two-sided"),
+    pytest.param([("l1", "t"), ("r2", "l2")], "(l1, t) and (r2, l2)",
+                 id="covering"),
+])
+def test_interleaving_one_sided_chords_are_named_by_side(extra, message):
+    # the message names the first cycle interval in (low end, -high end)
+    # order that ends past its parent interval, after that parent, which it
+    # crosses; one pass checks every family, one-sided and two-sided
     with pytest.raises(EmbeddingNotPlane,
-                       match=f"^interleaving {side} chords$"):
-        build_graph(["l1", "l2"], ["r1", "r2"], edges + extra, s="s", t="t")
+                       match=rf"^edges {re.escape(message)} cross$"):
+        build_graph(["l1", "l2"], ["r1", "r2"], SQUARE + extra, s="s", t="t")
+
+
+def test_plane_verdict_matches_the_pairwise_reference():
+    # extra edges up the topological order leave every other check passing
+    seen = Counter()
+    for seed in range(1500):
+        rng = random.Random(seed)
+        g = generate(GeneratorParams(
+            n=rng.randint(4, 14), left_fraction=rng.choice((0, 0.5, 1)),
+            chord_density=rng.choice((0.0, 0.3, 0.7, 1.0)), seed=seed))
+        order = sorted(range(g.n), key=g.topo_pos.__getitem__)
+        edges = list(zip(g.names_of(g.tail), g.names_of(g.head)))
+        for _ in range(rng.randint(1, 3)):
+            i, j = sorted(rng.sample(range(g.n), 2))
+            if (edge := (g.names[order[i]], g.names[order[j]])) not in edges:
+                edges.append(edge)
+        args = (g.names_of(g.left_seq), g.names_of(g.right_seq), edges)
+        crossing = cycle_crossings(*args, g.names[g.s], g.names[g.t])
+        seen[bool(crossing)] += 1
+        if not crossing:
+            build_graph(*args, s=g.names[g.s], t=g.names[g.t])
+            continue
+        with pytest.raises(EmbeddingNotPlane) as exc:
+            build_graph(*args, s=g.names[g.s], t=g.names[g.t])
+        named = re.fullmatch(r"edges \((\w+), (\w+)\) and "
+                             r"\((\w+), (\w+)\) cross", str(exc.value))
+        assert named, str(exc.value)
+        a, b, c, d = named.groups()
+        assert frozenset(((a, b), (c, d))) in crossing
+    assert min(seen.values()) > 500, seen
 
 
 def test_rejects_one_sided_chord_covering_two_sided_endpoint():
@@ -347,5 +392,8 @@ def test_stored_tables_match_plain_recomputation(g):
     assert c.deid.tolist() == ref.deid
     assert c.anchor.tolist() == ref.anchor
     assert list(zip(c.ti.tolist(), c.tj.tolist(), c.teid.tolist())) == ref.two
+    order, parent = g.nesting.order, g.nesting.parent
+    assert order.tolist() == ref.nested
+    assert np.where(parent >= 0, order[parent], -1).tolist() == ref.parent
     assert list(topological_order(g)) == ref.topo
     assert g.topo_pos.tolist() == ref.topo_pos

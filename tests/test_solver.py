@@ -372,8 +372,8 @@ def test_each_route_scans_its_order_once(monkeypatch, tmp_path):
 
 def test_embed_builds_each_graph_table_once(monkeypatch, tmp_path):
     mod = importlib.import_module("hpcc.graph")
-    builders = ("_line_coords", "_edge_class_codes", "_chord_index",
-                "_limit_tables", "_toposort")
+    builders = ("_line_coords", "_edge_class_codes", "_cycle_nesting",
+                "_chord_index", "_limit_tables", "_toposort")
     calls = Counter()
 
     def counted(name, real):
