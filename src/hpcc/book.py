@@ -331,7 +331,7 @@ def _exact(value, kinds: tuple, what: str):
 def book_from_json(g: OuterplanarStDigraph, text: str) -> BookEmbedding:
     payload = load_json(text)
     try:
-        spine = tuple(g.vid(name) for name in payload["spine"])
+        spine = tuple(map(g.vid, _exact(payload["spine"], (list,), "array")))
         drawings = []
         for entry in payload["edges"]:
             segs = tuple(
@@ -339,10 +339,11 @@ def book_from_json(g: OuterplanarStDigraph, text: str) -> BookEmbedding:
                         float(_exact(s["from"], (int, float), "number")),
                         float(_exact(s["to"], (int, float), "number")))
                 for s in entry["segments"])
+            u, v = _exact(entry["edge"], (list,), "array")
             drawings.append(EdgeDrawing(
-                (g.vid(entry["edge"][0]), g.vid(entry["edge"][1])),
+                (g.vid(u), g.vid(v)),
                 segs, tuple(_exact(i, (int,), "integer slot")
                             for i in entry["spine_crossings"])))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed book embedding: {exc}") from None
     return BookEmbedding(spine, tuple(drawings))

@@ -56,23 +56,20 @@ def _side_size(n: int, pa, pb, probe):
 
 
 def _batch_crossings(g, f_arr, h_arr):
-    """Crossed edge ids for many completion edges at once.
+    """Crossed edge ids for many completion edges, each joining the two chains.
 
     Returns (pair_ce_row, pair_eid, pair_size) sorted by row and then by
     the size of the ce-tail-side region of each crossed chord, which is
     the geometric crossing order along the completion edge.
     """
-    idx, n, k, m = g.chords, g.n, g.k, g.m
+    idx, n, k = g.chords, g.n, g.k
     rows = np.arange(len(f_arr))
-    s_inc = (f_arr == 0) | (h_arr == 0)
-    t_inc = (f_arr == g.t) | (h_arr == g.t)
     found = []
 
     # one-sided separators: an endpoint at q on the joint line (right-line
     # coordinates shifted past t's left coordinate) lies under c = #(starts
     # < q) - #(ends <= q) chords, one per nesting depth below c, each the
-    # last chord of its depth opened before q; s and t lie under none.
-    # Chords anchored at s or t share a vertex with an s- or t-incident ce.
+    # last chord of its depth opened before q
     ends = np.concatenate((f_arr, h_arr))
     q = np.where(ends <= k, ends, n + k + 2 - ends)
     cnt = idx.under[q]
@@ -80,20 +77,12 @@ def _batch_crossings(g, f_arr, h_arr):
         N, row = len(idx.deid), np.repeat(np.concatenate((rows, rows)), cnt)
         at = idx.depth_key.searchsorted(np.arange(len(row)) * N + np.repeat(
             idx.opened[q] - N * (cnt.cumsum() - cnt), cnt)) - 1  # d*N + opened
-        keep = (idx.anchor[at] & (s_inc + 2 * t_inc)[row]) == 0
-        found.append((row[keep], idx.deid[at[keep]]))
+        found.append((row, idx.deid[at]))
 
     # two-sided separators: two contiguous runs of the monotone chain
     if len(idx.ti):
-        def interior(coord, hi):
-            cf, ch = coord[f_arr], coord[h_arr]
-            return np.where((cf >= 1) & (cf <= hi), cf,
-                            np.where((ch >= 1) & (ch <= hi), ch, -1))
-
-        ql = interior(g.lcoord, k)   # left-interior endpoint rank, or -1
-        qr = interior(g.rcoord, m)
-        x = np.where(ql >= 0, ql, np.where(s_inc, 0, k + 1))
-        y = np.where(qr >= 0, qr, np.where(t_inc, m + 1, 0))
+        x = np.maximum(g.lcoord[f_arr], g.lcoord[h_arr])
+        y = np.maximum(g.rcoord[f_arr], g.rcoord[h_arr])
         for lo, hi in ((np.searchsorted(idx.tj, y, side="right"),
                         np.searchsorted(idx.ti, x, side="left")),
                        (np.searchsorted(idx.ti, x, side="right"),
@@ -116,13 +105,14 @@ def _batch_crossings(g, f_arr, h_arr):
 
 
 def _check_completion_pairs(g, f_arr, h_arr):
-    sf, sh = g.side[f_arr], g.side[h_arr]
-    bad = (sf == sh) & ((sf == _LEFT) | (sf == _RIGHT))
+    # a linear extension's gaps join the two chains: its first and last are
+    # the edges at s and t, and a chain's consecutive vertices are adjacent
+    bad = g.side[f_arr] * g.side[h_arr] != _LEFT * _RIGHT
     if bad.any():
         i = int(np.flatnonzero(bad)[0])
         raise SameSideCompletionEdge(
             f"({g.names[int(f_arr[i])]}, {g.names[int(h_arr[i])]}) "
-            "joins one chain to itself")
+            "does not join the two chains")
 
 
 @dataclass(frozen=True)
@@ -221,22 +211,16 @@ def solution_crossings(g: OuterplanarStDigraph, order):
 
 
 def crossings_along_edges(g: OuterplanarStDigraph, scan: SolutionScan):
-    """Group the scan's crossing pairs by crossed edge.
+    """The scan's crossing pairs grouped by crossed edge.
 
-    Within each edge the crossings are sorted by the size of the completion
-    chord's region containing the edge's tail, i.e. by distance from the
-    tail.  Returns (eids, offsets, pair_rows): pair_rows[offsets[i]:
-    offsets[i+1]] are indices into the scan's pair arrays for eids[i].
+    Returns the pair rows sorted by crossed edge id and, within each edge,
+    by the size of the completion chord's region containing the edge's
+    tail, i.e. by distance from the tail.
     """
-    if not scan.total:
-        z = np.empty(0, dtype=np.int64)
-        return z, np.zeros(1, dtype=np.int64), z.copy()
     cf, ch = scan.ce_tail[scan.pair_ce], scan.ce_head[scan.pair_ce]
     from_tail = _side_size(g.n, np.minimum(cf, ch), np.maximum(cf, ch),
                            g.tail[scan.pair_eid])
-    order = np.lexsort((from_tail, scan.pair_eid))
-    uniq, counts = np.unique(scan.pair_eid[order], return_counts=True)
-    return uniq, np.concatenate(([0], np.cumsum(counts))), order
+    return np.lexsort((from_tail, scan.pair_eid))
 
 
 def chain_edges(first, last, counts, mids):
@@ -287,7 +271,7 @@ def build_hp_extended(g: OuterplanarStDigraph, order) -> HpExtendedGraph:
     pos[order] = np.arange(n) + shift.cumsum()
     pos[n:] = pos[scan.ce_tail[scan.pair_ce]] + scan.pair_ordinal + 1
 
-    _, _, rows = crossings_along_edges(g, scan)
+    rows = crossings_along_edges(g, scan)
     tail, head = chain_edges(
         np.concatenate((scan.ce_tail, g.tail)),
         np.concatenate((scan.ce_head, g.head)),

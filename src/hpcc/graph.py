@@ -136,13 +136,12 @@ class ChordIndex:
     # both one-sided families as one laminar family on the joint line (the
     # right line shifted past t's left coordinate): per joint coordinate q,
     # the chords starting before q and those strictly covering q; and per
-    # chord in (nesting depth, index) order, depth * count + index, the
-    # edge id and the anchor bits (1: starts at s, 2: ends at t)
+    # chord in (nesting depth, index) order, depth * count + index and the
+    # edge id
     opened: np.ndarray
     under: np.ndarray
     depth_key: np.ndarray
     deid: np.ndarray
-    anchor: np.ndarray
 
 
 class OuterplanarStDigraph:
@@ -211,9 +210,6 @@ class OuterplanarStDigraph:
         i = np.minimum(self._edge_keys.searchsorted(keys),
                        len(self._edge_keys) - 1)
         return np.where(self._edge_keys[i] == keys, i, -1)
-
-    def has_edge(self, u: VertexId, v: VertexId) -> bool:
-        return bool(self.edge_ids(u, v) >= 0)
 
     def has_edges(self, us, vs) -> np.ndarray:
         return self.edge_ids(us, vs) >= 0
@@ -285,11 +281,8 @@ def _chord_index(tail, head, cls, lcoord, rcoord) -> ChordIndex:
 
     opened = np.cumsum(np.bincount(a + 1, minlength=size), dtype=np.int32)
     closed = np.cumsum(np.bincount(b, minlength=size), dtype=np.int32)
-    anchor = (((a == 0) | (a == lt + 1))
-              + 2 * ((b == lt) | (b == size - 1))).astype(np.int8)
     return ChordIndex(ti[by_rank], tj[by_rank], two[by_rank],
-                      opened, opened - closed, nest.key, e[nest.order],
-                      anchor[nest.order])
+                      opened, opened - closed, nest.key, e[nest.order])
 
 
 def _limit_tables(n, tail, head, cls, lcoord, rcoord):

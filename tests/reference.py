@@ -1,8 +1,8 @@
 """Helpers only the tests need, built on the public API.
 
-Face walks, rhombus seed listings, the stored topological order and edge
-classes, the topological order as a path, channel orders and their
-jumps, one-row polygon tables,
+The edge test for one pair, face walks, rhombus seed listings, the
+stored topological order and edge classes, the topological order as a
+path, channel orders and their jumps, one-row polygon tables,
 polygon subgraphs and polygon edge lists, plain-Python
 recomputations of the tables ``build_graph`` stores and of its
 topological merge, random linear extensions, the solver's
@@ -55,6 +55,11 @@ def ladder_module():
         sys.modules[name] = mod      # dataclasses resolve their module
         spec.loader.exec_module(mod)
     return sys.modules[name]
+
+
+def has_edge(g, u, v):
+    """Whether ``(u, v)`` is an edge of ``g``."""
+    return bool(g.edge_ids(u, v) >= 0)
 
 
 def indented(payload):
@@ -222,7 +227,7 @@ def weak_polygon_seeds(g):
     out = []
     for cycle, row in zip(face_vertices(g)[1:], face_rows(g)):
         src, snk = row.source, row.sink
-        if g.has_edge(src, snk):
+        if has_edge(g, src, snk):
             continue
         mids = sorted((v for v in cycle if v not in (src, snk)),
                       key=lambda v: (int(g.side[v]),
@@ -296,7 +301,8 @@ def channel_order(p, tag, q=None):
 def channel_gaps(g, p, tag, q=None):
     """The channel order's hops that are not edges: its jumps."""
     order = channel_order(p, tag, q)
-    return [(u, v) for u, v in zip(order, order[1:]) if not g.has_edge(u, v)]
+    return [(u, v) for u, v in zip(order, order[1:])
+            if not has_edge(g, u, v)]
 
 
 def polygon_table(p):
@@ -344,7 +350,6 @@ class Tables:
     under: list
     depth_key: list
     deid: list
-    anchor: list
     two: list       # chords as (left rank, right rank, edge id)
     # edge ids by (nesting depth, lo, -hi) of their cycle intervals, and
     # the innermost interval containing each, -1 for the root
@@ -420,8 +425,6 @@ def reference_tables(g):
     depth = [sum(a2 <= a and b <= b2 for a2, b2, _ in joint) - 1
              for a, b, _ in joint]
     by_depth = sorted(range(len(joint)), key=lambda i: (depth[i], i))
-    anchor = [(joint[i][0] in (0, lt + 1))
-              + 2 * (joint[i][1] in (lt, lt + rt + 1)) for i in by_depth]
     spans = [sorted(uv) for uv in edges]
     around = [[f for f, (c, d) in enumerate(spans) if f != e and c <= a
                and b <= d] for e, (a, b) in enumerate(spans)]
@@ -434,7 +437,7 @@ def reference_tables(g):
                   [hi.get(v, -1) for v in range(n)],
                   opened, under,
                   [depth[i] * len(joint) + i for i in by_depth],
-                  [joint[i][2] for i in by_depth], anchor,
+                  [joint[i][2] for i in by_depth],
                   sorted(chords[2]), nested, parent, topo, topo_pos)
 
 
@@ -576,14 +579,14 @@ def _splice(g, elements, split, tags):
                     order[i + 1:i + 1] = mid
                 order.extend(rest)
             else:
-                assert g.has_edge(order[-1], local[0])
+                assert has_edge(g, order[-1], local[0])
                 order.extend(local)
         prev = el
     if not order or order[0] != g.s:
-        assert not order or g.has_edge(g.s, order[0])
+        assert not order or has_edge(g, g.s, order[0])
         order.insert(0, g.s)
     if order[-1] != g.t:
-        assert g.has_edge(order[-1], g.t)
+        assert has_edge(g, order[-1], g.t)
         order.append(g.t)
     return order
 
@@ -747,10 +750,9 @@ def reference_hp_extended(g, order):
             order_ext.extend(chain[1:-1])
 
     # graph edges: subdivision points sorted by distance from the tail
-    eids, offsets, rows = crossings.crossings_along_edges(g, scan)
     split = {}
-    for i, e in enumerate(eids.tolist()):
-        split[e] = [n + int(r) for r in rows[offsets[i]:offsets[i + 1]]]
+    for r in crossings.crossings_along_edges(g, scan).tolist():
+        split.setdefault(int(scan.pair_eid[r]), []).append(n + r)
     for e in range(g.edge_count):
         u, v = int(g.tail[e]), int(g.head[e])
         mids = split.get(e)

@@ -25,8 +25,9 @@ from hpcc.oracle import brute_force_optimal, enumerate_hamiltonian_orders
 from hpcc.polygon import polygon_costs
 from hpcc.rhombus import find_strong_rhombus, find_weak_rhombus, is_hamiltonian
 from hpcc.solver import solution_problems
-from reference import (channel_gaps, channel_order, median_candidates,
-                       polygon_subgraph, weak_polygon_seeds)
+from reference import (channel_gaps, channel_order, has_edge,
+                       median_candidates, polygon_subgraph,
+                       weak_polygon_seeds)
 
 DENSITIES = (0.0, 0.3, 0.7, 1.0)
 SEEDS_PER_CELL = 417     # 6 sizes x 4 densities x 417 = 10,008 instances
@@ -78,7 +79,7 @@ def _check_decomposition(g, sol, key, facts):
         if prev.upper_limit is None or prev.upper_limit != nxt.lower_limit:
             continue
         if prev.upper_limit != (nxt.source, prev.sink) \
-                or not g.has_edge(nxt.source, prev.sink):
+                or not has_edge(g, nxt.source, prev.sink):
             facts.decomposition_failures.append((key, "bad shared edge"))
             return
         edge_junction.add(i)
@@ -97,8 +98,8 @@ def _check_decomposition(g, sol, key, facts):
     pos = {v: i for i, v in enumerate(sol.order)}
     for fv in free:
         i = pos[fv]
-        if not (g.has_edge(sol.order[i - 1], fv)
-                and g.has_edge(fv, sol.order[i + 1])):
+        if not (has_edge(g, sol.order[i - 1], fv)
+                and has_edge(g, fv, sol.order[i + 1])):
             facts.decomposition_failures.append((key, f"free {fv} not wired"))
             return
 

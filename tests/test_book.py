@@ -138,6 +138,33 @@ def test_json_refuses_coerced_values(field, value):
         book_from_json(g, json.dumps(doc))
 
 
+def huge_coordinate(doc, entry):
+    entry["segments"][0]["from"] = 10 ** 400
+
+
+def spine_as_string(doc, entry):
+    doc["spine"] = "st"
+
+
+def edge_as_string(doc, entry):
+    entry["edge"] = "st"
+
+
+def three_name_edge(doc, entry):
+    entry["edge"].append(doc["spine"][0])
+
+
+@pytest.mark.parametrize("spoil", [huge_coordinate, spine_as_string,
+                                   edge_as_string, three_name_edge])
+def test_json_refuses_malformed_shapes(spoil):
+    # these raised a bare OverflowError or were read as other names
+    g = generate(GeneratorParams(n=8, chord_density=0.7, seed=3))
+    doc = json.loads(book_to_json(g, to_book_embedding(g, solve(g))))
+    spoil(doc, doc["edges"][0])
+    with pytest.raises(ParseError, match="^malformed book embedding: "):
+        book_from_json(g, json.dumps(doc))
+
+
 class TestValidatorFaults:
     def embed(self, g):
         return to_book_embedding(g, solve(g))

@@ -18,10 +18,12 @@ from hpcc.crossings import (
     scan_order,
     solution_crossings,
 )
-from hpcc import build_graph, graph_from_json, graph_to_json, solve
+from hpcc import (GeneratorParams, build_graph, generate, graph_from_json,
+                  graph_to_json, solve)
 from hpcc.book import (BookEmbedding, book_to_json, to_book_embedding,
                        validate_book_embedding)
-from hpcc.graph import _LEFT, int_array, is_linear_extension, order_positions
+from hpcc.graph import (_LEFT, _RIGHT, int_array, is_linear_extension,
+                        order_positions)
 from hpcc.oracle import _NaiveScorer, enumerate_hamiltonian_orders
 from hpcc.solver import solution_problems
 from conftest import nested_fan_graph
@@ -44,8 +46,16 @@ class TestEdgeCrossings:
         assert edge_crossings(chorded_polygon, (4, 1)) == [(0, 3)]
 
     def test_rejects_chain_to_itself(self, chorded_polygon):
-        with pytest.raises(SameSideCompletionEdge):
+        with pytest.raises(SameSideCompletionEdge) as exc:
             edge_crossings(chorded_polygon, (1, 2))
+        assert str(exc.value) == "(l1, l2) does not join the two chains"
+
+    @pytest.mark.parametrize("ce, names", [((0, 4), "s, r1"),
+                                           ((2, 3), "l2, t")])
+    def test_rejects_a_pair_at_s_or_t(self, chorded_polygon, ce, names):
+        with pytest.raises(SameSideCompletionEdge) as exc:
+            edge_crossings(chorded_polygon, ce)
+        assert str(exc.value) == f"({names}) does not join the two chains"
 
 
 class TestSolutionCrossings:
@@ -83,11 +93,11 @@ class TestSolutionCrossings:
 def test_grouping_by_crossed_edge(chorded_polygon):
     g = chorded_polygon
     scan = scan_order(g, (0, 1, 2, 4, 3))
-    eids, offsets, rows = crossings_along_edges(g, scan)
-    pairs = [(g.name(g.tail[e]), g.name(g.head[e])) for e in eids]
-    assert pairs == [("s", "t"), ("l1", "t")]
-    assert offsets.tolist() == [0, 1, 2]
+    rows = crossings_along_edges(g, scan)
     assert rows.tolist() == [1, 0]
+    pairs = [(g.name(g.tail[e]), g.name(g.head[e]))
+             for e in scan.pair_eid[rows]]
+    assert pairs == [("s", "t"), ("l1", "t")]
 
 
 def test_hp_extension_subdivides_each_crossing(chorded_polygon):
@@ -125,10 +135,9 @@ def test_scan_of_topological_order(g):
 def head_first(real):
     """crossings_along_edges with each edge's crossings listed head first."""
     def listed(g, scan):
-        eids, offsets, rows = real(g, scan)
-        return eids, offsets, np.concatenate(
-            [rows[a:b][::-1] for a, b in zip(offsets[:-1], offsets[1:])]
-            + [rows[:0]])
+        rows = real(g, scan)
+        return rows[np.lexsort((-np.arange(len(rows)),
+                                scan.pair_eid[rows]))]
     return listed
 
 
@@ -177,16 +186,50 @@ def test_each_completion_edge_crosses_exactly_what_interleaves(g, rng):
         for row, ce in enumerate(zip(scan.ce_tail.tolist(),
                                      scan.ce_head.tolist())):
             assert got.get(row, set()) == set(naive.crossings_of(*ce))
-    # a linear extension's first and last gap are edges at s and t, so
-    # chords touching s or t are asked of the batch directly
-    others = [v for v in range(1, g.n) if v != g.t]
-    chords = [(e, rng.choice(others)) for e in (g.s, g.t) for _ in range(4)]
-    chords += [(v, e) for e, v in chords] + [(g.s, g.t)]
-    f, h = (np.array(c, dtype=np.int64) for c in zip(*chords))
-    rows, eids, _ = crossings._batch_crossings(g, f, h)
-    got = crossed_sets(g, rows, eids)
-    for row, ce in enumerate(chords):
-        assert got.get(row, set()) == set(naive.crossings_of(*ce))
+
+
+def small_instances():
+    """Generator instances with n = 2..10 over a grid of shapes and seeds."""
+    for n in range(2, 11):
+        for left in (0.2, 0.5, 0.8):
+            for density in (0.0, 0.3, 0.7, 1.0):
+                for seed in range(16):
+                    yield generate(GeneratorParams(n, left, density, seed))
+
+
+def test_every_gap_of_a_linear_extension_joins_the_two_chains():
+    # the precondition the crossing engine is written for
+    for g in small_instances():
+        naive, side = _NaiveScorer(g), g.side.tolist()
+        for order in enumerate_hamiltonian_orders(g):
+            for u, v in naive.completion_edges(order):
+                assert {side[u], side[v]} == {_LEFT, _RIGHT}
+
+
+def tail_side(n, f, edge):
+    """The cycle vertices off ``edge`` on the same side of it as ``f``."""
+    a, b = sorted(edge)
+    return sum((a < w < b) == (a < f < b) for w in range(n) if w not in edge)
+
+
+def test_batch_matches_interleaving_on_every_pair_across_the_chains():
+    for g in small_instances():
+        naive, side = _NaiveScorer(g), g.side.tolist()
+        lefts = [v for v in range(g.n) if side[v] == _LEFT]
+        rights = [v for v in range(g.n) if side[v] == _RIGHT]
+        pairs = [ce for u in lefts for v in rights for ce in ((u, v), (v, u))]
+        f, h = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+        rows, eids, _ = crossings._batch_crossings(g, f, h)
+        along = {}
+        for r, e in zip(rows.tolist(), eids.tolist()):
+            along.setdefault(r, []).append((int(g.tail[e]), int(g.head[e])))
+        for row, ce in enumerate(pairs):
+            got = along.get(row, [])
+            assert set(got) == set(naive.crossings_of(*ce))
+            assert got == edge_crossings(g, ce)
+            # the crossed edges cut off ever more of the cycle from the tail
+            sizes = [tail_side(g.n, ce[0], e) for e in got]
+            assert sizes == sorted(set(sizes))
 
 
 def fresh(g):

@@ -178,9 +178,8 @@ def test_backward_subdivision_is_reported(double_crossing, monkeypatch):
     real = crossings.crossings_along_edges
 
     def head_first(g, scan):
-        eids, offsets, rows = real(g, scan)
-        return eids, offsets, np.concatenate(
-            [rows[a:b][::-1] for a, b in zip(offsets[:-1], offsets[1:])])
+        rows = real(g, scan)
+        return rows[np.lexsort((-np.arange(len(rows)), scan.pair_eid[rows]))]
 
     sol = solve(double_crossing)
     assert solution_problems(double_crossing, sol) == []
