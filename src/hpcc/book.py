@@ -333,17 +333,18 @@ def book_from_json(g: OuterplanarStDigraph, text: str) -> BookEmbedding:
     try:
         spine = tuple(map(g.vid, _exact(payload["spine"], (list,), "array")))
         drawings = []
-        for entry in payload["edges"]:
+        for entry in _exact(payload["edges"], (list,), "array"):
             segs = tuple(
-                Segment(str(s["page"]),
+                Segment(_exact(s["page"], (str,), "page"),
                         float(_exact(s["from"], (int, float), "number")),
                         float(_exact(s["to"], (int, float), "number")))
-                for s in entry["segments"])
+                for s in _exact(entry["segments"], (list,), "array"))
             u, v = _exact(entry["edge"], (list,), "array")
             drawings.append(EdgeDrawing(
                 (g.vid(u), g.vid(v)),
-                segs, tuple(_exact(i, (int,), "integer slot")
-                            for i in entry["spine_crossings"])))
+                segs, tuple(_exact(i, (int,), "integer slot") for i in
+                            _exact(entry["spine_crossings"], (list,),
+                                   "array"))))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed book embedding: {exc}") from None
     return BookEmbedding(spine, tuple(drawings))

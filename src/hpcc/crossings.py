@@ -10,7 +10,8 @@ into one laminar family, the c chords covering a point are one per
 nesting depth below c, each the last chord of its depth opened before
 the point, so one ``searchsorted`` over the chords' (depth, index) order
 finds them for every completion edge at once.  The two-sided chords
-crossed are two contiguous runs of the chain.
+crossed are two contiguous runs of the chain.  Counting needs no search:
+it is c at each end plus the runs' lengths (:func:`crossing_counts`).
 
 The chord families come sorted from the graph (``g.chords``, built once by
 :func:`hpcc.graph.build_graph` once its plane check has found the edges
@@ -55,53 +56,74 @@ def _side_size(n: int, pa, pb, probe):
     return np.where(inside, inner, n - 2 - inner)
 
 
+def _separators(g, f_arr, h_arr):
+    """Where completion edges, each joining the two chains, meet the chords.
+
+    Returns the joint coordinate of every end (the f ends, then the h
+    ends) and the two runs of two-sided chords each edge crosses, as
+    (first index, length) pairs; no runs when there are no two-sided
+    chords.
+    """
+    idx, n, k = g.chords, g.n, g.k
+    # one-sided separators: an endpoint at q on the joint line (right-line
+    # coordinates shifted past t's left coordinate) lies under
+    # idx.under[q] = #(starts < q) - #(ends <= q) chords
+    ends = np.concatenate((f_arr, h_arr))
+    q = np.where(ends <= k, ends, n + k + 2 - ends)
+    if not len(idx.ti):
+        return q, ()
+    # two-sided separators: two contiguous runs of the monotone chain
+    x = np.maximum(g.lcoord[f_arr], g.lcoord[h_arr])
+    y = np.maximum(g.rcoord[f_arr], g.rcoord[h_arr])
+    return q, [(lo, np.maximum(hi - lo, 0)) for lo, hi in (
+        (np.searchsorted(idx.tj, y, side="right"),
+         np.searchsorted(idx.ti, x, side="left")),
+        (np.searchsorted(idx.ti, x, side="right"),
+         np.searchsorted(idx.tj, y, side="left")))]
+
+
+def crossing_counts(g, f_arr, h_arr):
+    """How many graph edges each completion edge (f, h) crosses; every
+    edge joins the two chains."""
+    q, runs = _separators(g, f_arr, h_arr)
+    under = g.chords.under[q].reshape(2, -1).sum(axis=0, dtype=np.int64)
+    return under + sum(cnt for _, cnt in runs)
+
+
 def _batch_crossings(g, f_arr, h_arr):
     """Crossed edge ids for many completion edges, each joining the two chains.
 
-    Returns (pair_ce_row, pair_eid, pair_size) sorted by row and then by
-    the size of the ce-tail-side region of each crossed chord, which is
-    the geometric crossing order along the completion edge.
+    Returns (pair_ce_row, pair_eid) sorted by row and then by the size of
+    the ce-tail-side region of each crossed chord, which is the geometric
+    crossing order along the completion edge.
     """
-    idx, n, k = g.chords, g.n, g.k
+    idx = g.chords
     rows = np.arange(len(f_arr))
+    q, runs = _separators(g, f_arr, h_arr)
     found = []
 
-    # one-sided separators: an endpoint at q on the joint line (right-line
-    # coordinates shifted past t's left coordinate) lies under c = #(starts
-    # < q) - #(ends <= q) chords, one per nesting depth below c, each the
-    # last chord of its depth opened before q
-    ends = np.concatenate((f_arr, h_arr))
-    q = np.where(ends <= k, ends, n + k + 2 - ends)
+    # the c chords over an end at q are one per nesting depth below c, each
+    # the last chord of its depth opened before q
     cnt = idx.under[q]
     if cnt.any():
         N, row = len(idx.deid), np.repeat(np.concatenate((rows, rows)), cnt)
         at = idx.depth_key.searchsorted(np.arange(len(row)) * N + np.repeat(
             idx.opened[q] - N * (cnt.cumsum() - cnt), cnt)) - 1  # d*N + opened
         found.append((row, idx.deid[at]))
-
-    # two-sided separators: two contiguous runs of the monotone chain
-    if len(idx.ti):
-        x = np.maximum(g.lcoord[f_arr], g.lcoord[h_arr])
-        y = np.maximum(g.rcoord[f_arr], g.rcoord[h_arr])
-        for lo, hi in ((np.searchsorted(idx.tj, y, side="right"),
-                        np.searchsorted(idx.ti, x, side="left")),
-                       (np.searchsorted(idx.ti, x, side="right"),
-                        np.searchsorted(idx.tj, y, side="left"))):
-            cnt = np.maximum(hi - lo, 0)
-            if cnt.any():
-                found.append((np.repeat(rows, cnt), idx.teid[
-                    np.arange(cnt.sum()) + np.repeat(lo - cnt.cumsum() + cnt,
-                                                     cnt)]))
+    for lo, cnt in runs:
+        if cnt.any():
+            found.append((np.repeat(rows, cnt), idx.teid[
+                np.arange(cnt.sum()) + np.repeat(lo - cnt.cumsum() + cnt,
+                                                 cnt)]))
 
     if not found:
         e = np.empty(0, dtype=np.int64)
-        return e, e.copy(), e.copy()
+        return e, e.copy()
     pr, pe = np.concatenate(found, axis=1)
     pa = np.minimum(g.tail[pe], g.head[pe])
     pb = np.maximum(g.tail[pe], g.head[pe])
-    size = _side_size(n, pa, pb, np.asarray(f_arr)[pr])
-    order = np.lexsort((size, pr))
-    return pr[order], pe[order], size[order]
+    order = np.lexsort((_side_size(g.n, pa, pb, np.asarray(f_arr)[pr]), pr))
+    return pr[order], pe[order]
 
 
 def _check_completion_pairs(g, f_arr, h_arr):
@@ -148,7 +170,7 @@ def scan_order(g: OuterplanarStDigraph, order) -> SolutionScan:
     u, v = arr[:-1], arr[1:]
     ce_tail, ce_head, ce_spine = u[miss], v[miss], np.flatnonzero(miss)
     _check_completion_pairs(g, ce_tail, ce_head)
-    pr, pe, _ = _batch_crossings(g, ce_tail, ce_head)
+    pr, pe = _batch_crossings(g, ce_tail, ce_head)
     # pairs come sorted by row: the ordinal counts from the row's first
     ordinal = np.arange(len(pr)) - pr.searchsorted(pr)
     cols = ce_tail, ce_head, ce_spine, pr, pe, ordinal

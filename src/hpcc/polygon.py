@@ -5,12 +5,13 @@ one chain then the other (one jump between the chains), or up a prefix of
 one chain, across, and back for the suffix (two jumps).  Only the jumps
 are completion edges, so each shape's cost is the jump crossing counts.
 
-Costing sweeps one jump endpoint along a chain run while the other stays
-fixed.  For a fixed chord, the set of sweep ordinals it crosses is one
-contiguous interval (or its complement), so every chord contributes a
-constant number of difference-array events and all polygons of a
-:class:`PolygonTable` are costed together in four vectorized passes
-(:func:`polygon_costs`).
+A polygon's boundary is a cycle of graph edges, so by planarity every edge
+a jump crosses has both ends on the polygon, and the crossing engine's
+chord index counts it (:func:`hpcc.crossings.crossing_counts`).
+:func:`polygon_costs` prices every polygon of a :class:`PolygonTable`
+with one such count: each chain run is swept bottom-up by jumps from
+both ends of the other run, a one-jump channel reads one jump of a sweep,
+and a two-jump channel takes the best split of two sweeps of one run.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import math
 
 import numpy as np
 
+from .crossings import crossing_counts
 from .decompose import PolygonTable
 from .graph import OuterplanarStDigraph, ValidationError
 
@@ -50,72 +52,13 @@ def _validate(g: OuterplanarStDigraph, t: PolygonTable) -> None:
         u, v = int(s[bad[0]]), int(k[bad[0]])
         raise NotAnStPolygon(f"polygon at {u} disagrees with the graph about "
                              f"the edge {u}->{v}")
-
-
-def _local_pairs(g: OuterplanarStDigraph, t: PolygonTable):
-    """(edge id, polygon id) pairs; an edge shared by two polygons is listed
-    under both.  Rejects edges that would pierce a polygon interior."""
-    SIG, TAU = np.append(t.source, -1), np.append(t.sink, -1)
-    pit, pih = t.owner[g.tail], t.owner[g.head]
-    both = (pit >= 0) & (pit == pih)
-    bad = both & (g.side[g.tail] != g.side[g.head])
-    if bad.any():
-        e = int(np.flatnonzero(bad)[0])
-        raise NotAnStPolygon(
-            f"edge {g.name(g.tail[e])}->{g.name(g.head[e])} joins the two "
-            f"chain runs inside one polygon")
-    ok_t = (pit >= 0) & (both | (g.head == SIG[pit]) | (g.head == TAU[pit]))
-    ok_h = (pih >= 0) & (~both) & \
-        ((g.tail == SIG[pih]) | (g.tail == TAU[pih]))
-
-    med_p = np.flatnonzero(t.median)
-    return (np.concatenate([np.flatnonzero(ok_t), np.flatnonzero(ok_h),
-                            g.edge_ids(t.source[med_p], t.sink[med_p])]),
-            np.concatenate([pit[ok_t], pih[ok_h], med_p]))
-
-
-def _jump_costs(pa, pb, base, fixv, orda, ordb, lena, flat_len):
-    """Crossing counts for one jump family, summed per sweep ordinal.
-
-    pa/pb: chord endpoints (ids are cycle positions, so also positions).
-    fixv: the jump's fixed endpoint per pair.  orda/ordb: the chord
-    endpoints mapped to sweep ordinals; values in [1, lena] are on the
-    moving run.  Returns the cumulative difference array.
-    """
-    d = np.zeros(flat_len, dtype=np.int64)
-    skip = (pa == fixv) | (pb == fixv)
-    in0 = (pa < fixv) & (fixv < pb)     # fixed endpoint ids == positions
-    lo = np.maximum(np.minimum(orda, ordb) + 1, 1)
-    hi = np.minimum(np.maximum(orda, ordb) - 1, lena)
-
-    m = ~skip & ~in0 & (lo <= hi)       # crossed while moving inside chord
-    np.add.at(d, base[m] + lo[m], 1)
-    np.add.at(d, base[m] + hi[m] + 1, -1)
-
-    m = ~skip & in0                     # crossed while moving outside
-    np.add.at(d, base[m] + 1, 1)
-    np.add.at(d, base[m] + lena[m] + 1, -1)
-    mi = m & (lo <= hi)
-    np.add.at(d, base[mi] + lo[mi], -1)
-    np.add.at(d, base[mi] + hi[mi] + 1, 1)
-    for q in (orda, ordb):              # shared endpoints never cross
-        ms = m & (q >= 1) & (q <= lena)
-        np.add.at(d, base[ms] + q[ms], -1)
-        np.add.at(d, base[ms] + q[ms] + 1, 1)
-    return np.cumsum(d)
-
-
-def _segment_best(c_first, c_second, off, width, count):
-    """min of c_first[q] + c_second[q+1] over q in 1..len-1, per segment."""
-    n_flat = len(c_first)
-    q = np.arange(n_flat) - np.repeat(off[:-1], width)
-    valid = (q >= 1) & (q <= np.repeat(count - 1, width))
-    shifted = np.concatenate([c_second[1:], [0]])
-    enc = np.where(valid, (c_first + shifted) * n_flat + q, _BIG)
-    best = np.minimum.reduceat(enc, off[:-1])
-    cost = np.where(best == _BIG, -1, best // max(n_flat, 1))
-    split = np.where(best == _BIG, 0, best % max(n_flat, 1))
-    return cost, split
+    pit = t.owner[g.tail]
+    bad = np.flatnonzero((pit >= 0) & (pit == t.owner[g.head])
+                         & (g.side[g.tail] != g.side[g.head]))
+    if len(bad):
+        u, v = g.name(g.tail[bad[0]]), g.name(g.head[bad[0]])
+        raise NotAnStPolygon(f"edge {u}->{v} joins the two chain runs "
+                             f"inside one polygon")
 
 
 def polygon_costs(g: OuterplanarStDigraph, t: PolygonTable):
@@ -130,36 +73,26 @@ def polygon_costs(g: OuterplanarStDigraph, t: PolygonTable):
     if not P:
         return np.zeros((0, 4)), np.zeros((0, 4), dtype=np.int64)
     _validate(g, t)
-    pe, pp = _local_pairs(g, t)
-    pa = np.minimum(g.tail[pe], g.head[pe])
-    pb = np.maximum(g.tail[pe], g.head[pe])
-
     llo, lhi, rlo, rhi = t.left_lo, t.left_hi, t.right_lo, t.right_hi
-    K, M = lhi - llo + 1, rhi - rlo + 1
-
-    offR = np.zeros(P + 1, dtype=np.int64)
-    np.cumsum(M + 2, out=offR[1:])
-    offL = np.zeros(P + 1, dtype=np.int64)
-    np.cumsum(K + 2, out=offL[1:])
-
-    # moving right ordinal q: position n - rlo + 1 - q; moving left
-    # ordinal i: position llo - 1 + i.  Ordinal in range iff the chord
-    # endpoint lies on that run.
-    cr = g.n - rlo[pp] + 1
-    cl = llo[pp] - 1
-    ra, rb = cr - pa, cr - pb
-    la, lb = pa - cl, pb - cl
-    baseR, baseL = offR[pp], offL[pp]
-    mR, kL = M[pp], K[pp]
-
-    f1 = _jump_costs(pa, pb, baseR, llo[pp], ra, rb, mR, int(offR[-1]))
-    f2 = _jump_costs(pa, pb, baseR, lhi[pp], ra, rb, mR, int(offR[-1]))
-    f3 = _jump_costs(pa, pb, baseL, g.n - rlo[pp], la, lb, kL, int(offL[-1]))
-    f4 = _jump_costs(pa, pb, baseL, g.n - rhi[pp], la, lb, kL, int(offL[-1]))
-
-    c2R, q2R = _segment_best(f1, f2, offR, M + 2, M)
-    c2L, q2L = _segment_best(f3, f4, offL, K + 2, K)
-    cost = np.stack([f1[offR[:-1] + M], f2[offR[:-1] + 1], c2L, c2R],
-                    axis=1).astype(np.float64)
-    cost[:, 2:][cost[:, 2:] < 0] = math.inf
-    return cost, np.column_stack([np.zeros((P, 2), np.int64), q2L, q2R])
+    # every right run, then every left run, bottom-up (right rank j is id
+    # n - j); the right run is swept from l_lo and l_hi, the left run
+    # from r_lo and r_hi
+    width = np.concatenate((rhi - rlo + 1, lhi - llo + 1))
+    start = width.cumsum() - width
+    N = int(start[-1] + width[-1])
+    at = np.arange(N) - np.repeat(start, width)
+    rank = np.repeat(np.concatenate((rlo, llo)), width) + at
+    run = np.where(np.arange(N) < start[P], g.n - rank, rank)
+    ends = np.concatenate((llo, g.n - rlo, lhi, g.n - rhi))
+    lo, hi = crossing_counts(g, np.repeat(ends, np.tile(width, 2)),
+                             np.tile(run, 2)).reshape(2, -1)
+    # two jumps, split after q: lo[q] + hi[q + 1], the lowest q on ties
+    last = at == np.repeat(width - 1, width)
+    enc = np.where(last, _BIG, (lo + np.append(hi[1:], 0)) * N + at + 1)
+    best = np.minimum.reduceat(enc, start)
+    two = np.where(best == _BIG, math.inf, best // N)
+    split = np.where(best == _BIG, 0, best % N)
+    cost = np.column_stack((lo[start[:P] + width[:P] - 1], hi[start[:P]],
+                            two[P:], two[:P]))
+    return cost, np.column_stack((np.zeros((P, 2), np.int64), split[P:],
+                                  split[:P]))

@@ -2,7 +2,8 @@
 
 The edge test for one pair, face walks, rhombus seed listings, the
 stored topological order and edge classes, the topological order as a
-path, channel orders and their jumps, one-row polygon tables,
+path, channel orders and their jumps, channel prices by plain loops,
+one-row polygon tables,
 polygon subgraphs and polygon edge lists, plain-Python
 recomputations of the tables ``build_graph`` stores and of its
 topological merge, random linear extensions, the solver's
@@ -39,7 +40,8 @@ from hpcc.crossings import (CompletionSolution, CrossingRecord,
 from hpcc.graph import (_LEFT, _RIGHT, _SNK, _SRC, NotAPermutation,
                         ValidationError, is_linear_extension)
 from hpcc.decompose import GAP
-from hpcc.polygon import CHANNELS, _local_pairs, _validate
+from hpcc.oracle import _NaiveScorer
+from hpcc.polygon import CHANNELS, _validate
 from hpcc.solver import solution_problems
 
 _L, _R = 0, 1
@@ -305,6 +307,25 @@ def channel_gaps(g, p, tag, q=None):
             if not has_edge(g, u, v)]
 
 
+def reference_polygon_costs(g):
+    """``polygon_costs`` of the decomposition by plain loops: every channel
+    and split of every polygon, its jumps' crossings counted pairwise, the
+    lowest split kept on ties."""
+    naive = _NaiveScorer(g)
+    polys = [p for p in decompose(g) if isinstance(p, StPolygon)]
+    cost = np.full((len(polys), len(CHANNELS)), math.inf)
+    split = np.zeros(cost.shape, dtype=np.int64)
+    for i, p in enumerate(polys):
+        for c, tag in enumerate(CHANNELS):
+            run = p.left_vertices if tag == "2L" else p.right_vertices
+            for q in range(1, len(run)) if tag[0] == "2" else [None]:
+                price = sum(len(naive.crossings_of(*ce))
+                            for ce in channel_gaps(g, p, tag, q))
+                if price < cost[i, c]:
+                    cost[i, c], split[i, c] = price, q or 0
+    return cost, split
+
+
 def polygon_table(p):
     """A one-row PolygonTable holding the polygon, junction GAP."""
     def col(x):
@@ -319,10 +340,11 @@ def polygon_table(p):
 
 def polygon_subgraph(g, p):
     """The polygon as a standalone instance; vertex names carry over."""
-    t = polygon_table(p)
-    _validate(g, t)
-    pe, _ = _local_pairs(g, t)
-    edges = [(g.name(g.tail[e]), g.name(g.head[e])) for e in np.sort(pe)]
+    _validate(g, polygon_table(p))
+    held = {p.source, p.sink, *p.left_vertices, *p.right_vertices}
+    edges = [(g.name(u), g.name(v))
+             for u, v in zip(g.tail.tolist(), g.head.tolist())
+             if u in held and v in held]
     return build_graph([g.name(v) for v in p.left_vertices],
                        [g.name(v) for v in p.right_vertices],
                        edges, s=g.name(p.source), t=g.name(p.sink))
@@ -624,7 +646,7 @@ def edge_crossings(g, ce):
     fa = np.array([f], dtype=np.int64)
     ha = np.array([h], dtype=np.int64)
     _check_completion_pairs(g, fa, ha)
-    _, pe, _ = _batch_crossings(g, fa, ha)
+    _, pe = _batch_crossings(g, fa, ha)
     return [(int(g.tail[e]), int(g.head[e])) for e in pe]
 
 

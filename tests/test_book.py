@@ -154,10 +154,27 @@ def three_name_edge(doc, entry):
     entry["edge"].append(doc["spine"][0])
 
 
-@pytest.mark.parametrize("spoil", [huge_coordinate, spine_as_string,
-                                   edge_as_string, three_name_edge])
+def wrong_type(where, value):
+    """A spoiler setting the first edge's field, its first segment's page
+    or the edge list to a JSON value of the wrong type."""
+    def spoil(doc, entry):
+        if where == "page":
+            entry["segments"][0]["page"] = value
+        elif where == "edges":
+            doc["edges"] = value
+        else:
+            entry[where] = value
+    return pytest.param(spoil, id=f"{where}-{json.dumps(value)}")
+
+
+@pytest.mark.parametrize("spoil", [
+    huge_coordinate, spine_as_string, edge_as_string, three_name_edge,
+    *(wrong_type(*wv) for wv in (
+        ("page", 7), ("page", True), ("segments", {}),
+        ("spine_crossings", {}), ("edges", {}), ("edges", "")))])
 def test_json_refuses_malformed_shapes(spoil):
-    # these raised a bare OverflowError or were read as other names
+    # these raised a bare OverflowError, were read as other names, or (the
+    # wrong types) were read through str() or as no entries
     g = generate(GeneratorParams(n=8, chord_density=0.7, seed=3))
     doc = json.loads(book_to_json(g, to_book_embedding(g, solve(g))))
     spoil(doc, doc["edges"][0])

@@ -219,13 +219,15 @@ def test_batch_matches_interleaving_on_every_pair_across_the_chains():
         rights = [v for v in range(g.n) if side[v] == _RIGHT]
         pairs = [ce for u in lefts for v in rights for ce in ((u, v), (v, u))]
         f, h = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
-        rows, eids, _ = crossings._batch_crossings(g, f, h)
+        rows, eids = crossings._batch_crossings(g, f, h)
+        counts = crossings.crossing_counts(g, f, h).tolist()
         along = {}
         for r, e in zip(rows.tolist(), eids.tolist()):
             along.setdefault(r, []).append((int(g.tail[e]), int(g.head[e])))
         for row, ce in enumerate(pairs):
             got = along.get(row, [])
             assert set(got) == set(naive.crossings_of(*ce))
+            assert counts[row] == len(naive.crossings_of(*ce))
             assert got == edge_crossings(g, ce)
             # the crossed edges cut off ever more of the cycle from the tail
             sizes = [tail_side(g.n, ce[0], e) for e in got]

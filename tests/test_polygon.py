@@ -1,17 +1,20 @@
 """Channel costs for a single st-polygon."""
 
 import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from hpcc import graph_from_json
 from hpcc.decompose import StPolygon, decompose
 from hpcc.oracle import GeneratorParams, brute_force_optimal, generate
 from hpcc.polygon import CHANNELS, NotAnStPolygon, polygon_costs
 from reference import (channel_gaps, channel_order, edge_crossings,
-                       local_edges, polygon_subgraph)
+                       ladder_module, local_edges, polygon_subgraph,
+                       polygon_table, reference_polygon_costs)
 from strategies import instances
 
 L1, R1, L2, R2 = range(4)     # cost columns, in CHANNELS order
@@ -95,6 +98,38 @@ def test_rejects_foreign_or_degenerate_polygons():
         bad = {k: v if k == "n" else np.array(v) for k, v in bad.items()}
         with pytest.raises(NotAnStPolygon):
             polygon_costs(g, dataclasses.replace(t, **bad))
+
+
+def test_rejects_an_edge_across_the_runs():
+    # one row from s to t over both whole chains holds every chord
+    g = generate(GeneratorParams(n=8, chord_density=0.7, seed=20))
+    whole = StPolygon(g.s, g.t, 1, g.k, 1, g.m, g.n, None, None, None)
+    with pytest.raises(NotAnStPolygon, match="^edge l1->r1 joins the two "
+                       "chain runs inside one polygon$"):
+        polygon_costs(g, polygon_table(whole))
+
+
+def small_graphs():
+    """Generator instances n = 2..14 and ladders of all three junction
+    kinds."""
+    for n in range(2, 15):
+        for left in (0.2, 0.5, 0.8):
+            for density in (0.0, 0.3, 0.7, 1.0):
+                for seed in range(3):
+                    yield generate(GeneratorParams(n, left, density, seed))
+    for rhombi in range(8, 21):
+        for seed in range(3):
+            lad = ladder_module().ladder(rhombi, seed)
+            assert all(lad.junctions.values())
+            yield graph_from_json(json.dumps(lad.doc))
+
+
+def test_costs_match_plain_loops_over_every_split():
+    for g in small_graphs():
+        cost, split = polygon_costs(g, decompose(g).table)
+        want_cost, want_split = reference_polygon_costs(g)
+        assert cost.tolist() == want_cost.tolist()
+        assert split.tolist() == want_split.tolist()
 
 
 @settings(max_examples=120, deadline=None)
