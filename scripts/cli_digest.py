@@ -13,7 +13,9 @@ and 10^4 rhombi, and on one malformed document per fault the reader names, plus
 bad edges (a string, three names, a non-string endpoint, and a bad edge
 beside a repeated side name) that pin which fault is named first.  For
 each command it prints one sha256 over every run's output file, exit code
-and standard error.
+and standard error, and a ``book-read`` sha256 over
+``book_to_json(g, book_from_json(g, out))`` for every ``embed`` output,
+which compares the book readers of two trees.
 Two trees whose digests agree write the same bytes.  SRC is the directory
 holding the ``hpcc`` package (default: this checkout's ``src``); the
 instances always come from this checkout.  Needs only the standard
@@ -35,6 +37,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 COMMANDS = (("check",), ("decompose",), ("solve",), ("embed",),
             ("embed", "--svg"))
+READ = ("book-read",)
 PATH = [["s", "a"], ["a", "b"], ["b", "t"], ["s", "r1"], ["r1", "t"]]
 # (label, left, right, s, t, edges): one document per fault the reader names
 MALFORMED = (
@@ -112,7 +115,7 @@ def main(argv=None) -> int:
     import hpcc
     import hpcc.cli
 
-    digests = {cmd: hashlib.sha256() for cmd in COMMANDS}
+    digests = {cmd: hashlib.sha256() for cmd in COMMANDS + (READ,)}
     runs = 0
     with tempfile.TemporaryDirectory() as tmp:
         src, out, svg = (Path(tmp) / f for f in ("in.json", "out", "out.svg"))
@@ -126,6 +129,11 @@ def main(argv=None) -> int:
                 with contextlib.redirect_stderr(err):
                     code = hpcc.cli.main(args)
                 h = digests[cmd]
+                if cmd == ("embed",) and code == 0:
+                    g = hpcc.graph_from_json(text)
+                    be = hpcc.book_from_json(g, out.read_text())
+                    digests[READ].update(f"\0{label}\0".encode())
+                    digests[READ].update(hpcc.book_to_json(g, be).encode())
                 for path in (out, svg) if len(cmd) > 1 else (out,):
                     h.update(path.read_bytes() if path.exists() else b"-")
                     path.unlink(missing_ok=True)

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
+from operator import attrgetter
 
 import numpy as np
 
@@ -60,28 +62,40 @@ class BookEmbedding:
     Segment ``i`` spans ``start[i]`` to ``end[i]`` on page
     ``pages[page[i]]``, where ``pages`` opens with ``L`` and ``R``; dive
     ``k`` lands in spine slot ``slot[k]``.  ``drawings`` is the tuple
-    view, built on first read.
+    view, built on first read; the reader, ``==`` and the SVG read the
+    arrays.
     """
 
     def __init__(self, spine: tuple[VertexId, ...],
                  drawings: tuple[EdgeDrawing, ...]):
         segs = [s for d in drawings for s in d.segments]
+        self._columns(spine, [d.edge for d in drawings],
+                      [len(d.segments) for d in drawings],
+                      [len(d.spine_crossings) for d in drawings],
+                      [s.page for s in segs], [s.start for s in segs],
+                      [s.end for s in segs],
+                      [k for d in drawings for k in d.spine_crossings])
+
+    def _columns(self, spine, ends, nseg, ndive, pages, start, end, slot):
+        """Fill the arrays from the columns: per drawing its (tail, head)
+        and segment and dive counts, per segment its page name and ends,
+        per dive its slot.  A float or string id or slot is a TypeError."""
         code = {LEFT_PAGE: 0, RIGHT_PAGE: 1}
-        page = [code.setdefault(s.page, len(code)) for s in segs]
-        edges = int_array([d.edge for d in drawings])
-        slot = [k for d in drawings for k in d.spine_crossings]
-        self._fill(tuple(int_array(spine).tolist()), *edges.reshape(-1, 2).T,
-                   np.cumsum([0] + [len(d.segments) for d in drawings]),
-                   np.cumsum([0] + [len(d.spine_crossings) for d in drawings]),
-                   np.array([s.start for s in segs], dtype=float),
-                   np.array([s.end for s in segs], dtype=float),
-                   np.array(page, dtype=np.int64), tuple(code),
-                   int_array(slot))
+        page = [code.setdefault(p, len(code)) for p in pages]
+        return self._fill(
+            tuple(int_array(spine).tolist()),
+            *int_array(ends).reshape(-1, 2).T, np.cumsum([0, *nseg]),
+            np.cumsum([0, *ndive]), np.array(start, dtype=float),
+            np.array(end, dtype=float), np.array(page, dtype=np.int64),
+            tuple(code), int_array(slot))
 
     def _fill(self, *parts) -> BookEmbedding:
         (self.spine, self.tail, self.head, self.seg, self.dive, self.start,
          self.end, self.page, self.pages, self.slot) = parts
         return self
+
+    _parts = property(attrgetter("spine", "tail", "head", "seg", "dive",
+                                 "start", "end", "page", "pages", "slot"))
 
     @cached_property
     def drawings(self) -> tuple[EdgeDrawing, ...]:
@@ -101,9 +115,16 @@ class BookEmbedding:
     def spine_crossing_count(self) -> int:
         return len(self.slot)
 
+    @property
+    def left(self) -> np.ndarray:   # per segment, whether on the left page
+        return self.page == 0
+
     def __eq__(self, other):
-        return isinstance(other, BookEmbedding) and (
-            self.spine, self.drawings) == (other.spine, other.drawings)
+        # pages are coded in order of first use after L and R, so equal
+        # books code alike; array == keeps the views' truth table: -0.0 ==
+        # 0.0, nan != nan, and a book equals itself
+        return isinstance(other, BookEmbedding) and (self is other or all(
+            map(np.array_equal, self._parts, other._parts)))
 
 
 def to_book_embedding(g: OuterplanarStDigraph,
@@ -277,10 +298,10 @@ def validate_book_embedding(be: BookEmbedding,
         scan = scan_order(g, spine)
     except NotLinearExtension as exc:
         return [f"spine is not a linear extension: {exc}"]
-    # drawn ends are spine vertices; the set must be the graph's edges
+    # drawn ends are spine vertices; each graph edge is drawn exactly once
     eid = g.edge_ids(be.tail, be.head)
     if not ((eid >= 0).all()
-            and np.bincount(eid, minlength=g.edge_count).all()):
+            and (np.bincount(eid, minlength=g.edge_count) == 1).all()):
         return ["drawn edges do not match the graph"]
     # a crossing with the completion edge in slot i dives at
     # i + (o + 1) / (c + 1), c that edge's crossing count
@@ -320,31 +341,33 @@ def book_to_json(g: OuterplanarStDigraph, be: BookEmbedding) -> str:
     })
 
 
-def _exact(value, kinds: tuple, what: str):
-    """``value`` if JSON decoded it as one of ``kinds``: no bool passes for
-    a number, and no float or string is cut down to an integer slot."""
-    if type(value) not in kinds:
-        raise TypeError(f"{what} expected, got {value!r}")
-    return value
+def _exact(values, kinds: set, what: str):
+    """``values`` if JSON decoded each as one of ``kinds``: no bool passes
+    for a number, and no float or string is cut down to an integer slot."""
+    if not set(map(type, values)) <= kinds:
+        bad = next(v for v in values if type(v) not in kinds)
+        raise TypeError(f"{what} expected, got {bad!r}")
+    return values
 
 
 def book_from_json(g: OuterplanarStDigraph, text: str) -> BookEmbedding:
+    """The book in ``text``, each field checked as one pass over its
+    column; any fault is a ParseError."""
     payload = load_json(text)
     try:
-        spine = tuple(map(g.vid, _exact(payload["spine"], (list,), "array")))
-        drawings = []
-        for entry in _exact(payload["edges"], (list,), "array"):
-            segs = tuple(
-                Segment(_exact(s["page"], (str,), "page"),
-                        float(_exact(s["from"], (int, float), "number")),
-                        float(_exact(s["to"], (int, float), "number")))
-                for s in _exact(entry["segments"], (list,), "array"))
-            u, v = _exact(entry["edge"], (list,), "array")
-            drawings.append(EdgeDrawing(
-                (g.vid(u), g.vid(v)),
-                segs, tuple(_exact(i, (int,), "integer slot") for i in
-                            _exact(entry["spine_crossings"], (list,),
-                                   "array"))))
+        spine, edges = _exact((payload["spine"], payload["edges"]), {list},
+                              "array")
+        ends, segs, dives = (_exact([e[k] for e in edges], {list}, "array")
+                             for k in ("edge", "segments", "spine_crossings"))
+        if set(map(len, ends)) - {2}:
+            raise ValueError("an edge is not a pair of names")
+        flat = list(chain(*segs))
+        return BookEmbedding.__new__(BookEmbedding)._columns(
+            list(map(g.vid, spine)), list(map(g.vid, chain(*ends))),
+            list(map(len, segs)), list(map(len, dives)),
+            _exact([s["page"] for s in flat], {str}, "page"),
+            _exact([s["from"] for s in flat], {int, float}, "number"),
+            _exact([s["to"] for s in flat], {int, float}, "number"),
+            _exact(list(chain(*dives)), {int}, "integer slot"))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed book embedding: {exc}") from None
-    return BookEmbedding(spine, tuple(drawings))

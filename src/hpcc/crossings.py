@@ -216,9 +216,9 @@ class CompletionSolution:
 
     def __eq__(self, other):
         return isinstance(other, CompletionSolution) and (
-            self.order, self.completion_edges, self.records, self.crossings
-        ) == (other.order, other.completion_edges, other.records,
-              other.crossings)
+            self.order == other.order and self.crossings == other.crossings
+            and np.array_equal(self.ce, other.ce)
+            and np.array_equal(self.rec, other.rec))
 
 
 def solution_crossings(g: OuterplanarStDigraph, order):

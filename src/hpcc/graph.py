@@ -94,10 +94,12 @@ _SRC, _LEFT, _RIGHT, _SNK = 0, 1, 2, 3
 
 def int_array(values) -> np.ndarray:
     """Integer ids (vertices, slots, ordinals) as int64, an int64 array as
-    it is: the one reader of orders, spines and claims.  Floats and
-    strings, which numpy would truncate or parse, raise TypeError."""
+    it is: the one reader of orders, spines and claims.  Floats, strings
+    and ids past int64, which numpy would truncate, parse or wrap, raise
+    TypeError."""
     arr = np.asarray(values)
-    if arr.size and arr.dtype.kind not in "iub":
+    if arr.size and (arr.dtype.kind not in "iub" or arr.dtype == np.uint64
+                     and arr.max() > np.iinfo(np.int64).max):
         raise TypeError(f"integer ids expected, got {arr.dtype} values")
     return arr.astype(np.int64, copy=False)
 

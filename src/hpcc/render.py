@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import re
 
-from .book import BookEmbedding, LEFT_PAGE
+import numpy as np
+
+from .book import BookEmbedding
 from .graph import OuterplanarStDigraph
 
 _STEP = 48.0
 _MARGIN = 42.0
-_PAGE_COLOR = {True: "#2166ac", False: "#b2182b"}
+_PAGE_COLOR = ("#b2182b", "#2166ac")   # right page, left page
 # characters XML 1.0 cannot carry even escaped (C0 controls but tab, LF,
 # CR; lone surrogates; U+FFFE, U+FFFF); re compiles it on first use
 _NOT_XML = "[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]"
@@ -34,15 +36,15 @@ def _bulge(span: float) -> float:
     return 12.0 + 15.0 * span
 
 
+@np.errstate(over="ignore", invalid="ignore")   # silent, as Python floats
 def render_svg(g: OuterplanarStDigraph, be: BookEmbedding) -> str:
-    n = len(be.spine)
-    reach = {True: 1.0, False: 1.0}
-    for d in be.drawings:
-        for s in d.segments:
-            left = s.page == LEFT_PAGE
-            reach[left] = max(reach[left], s.end - s.start)
-    x = _MARGIN + _bulge(reach[True])
-    width = x + _bulge(reach[False]) + _MARGIN + 46.0
+    n, left = len(be.spine), be.left
+    span = be.end - be.start
+    # the widest arc on each side, at least 1; a nan span never wins
+    reach = [float(np.fmax.reduce(span[side], initial=1.0))
+             for side in (left, ~left)]
+    x = _MARGIN + _bulge(reach[0])
+    width = x + _bulge(reach[1]) + _MARGIN + 46.0
     height = 2 * _MARGIN + (n - 1) * _STEP + 18.0
 
     def y(c: float) -> float:
@@ -64,20 +66,22 @@ def render_svg(g: OuterplanarStDigraph, be: BookEmbedding) -> str:
                 f'<line x1="{x:.2f}" y1="{y(i):.2f}" x2="{x:.2f}" '
                 f'y2="{y(i + 1):.2f}" stroke="#777" stroke-width="1.6" '
                 f'stroke-dasharray="5 4"/>')
-    for d in be.drawings:
-        for s in d.segments:
-            left = s.page == LEFT_PAGE
-            ry = (s.end - s.start) * _STEP / 2.0
-            path = (f'M {x:.2f} {y(s.start):.2f} '
-                    f'A {_bulge(s.end - s.start):.2f} {ry:.2f} 0 0 '
-                    f'{1 if left else 0} {x:.2f} {y(s.end):.2f}')
-            out.append(f'<path d="{path}" fill="none" '
-                       f'stroke="{_PAGE_COLOR[left]}" stroke-width="1.4"/>')
-        for s in d.segments[:-1]:
-            out.append(
-                f'<line x1="{x - 4:.2f}" y1="{y(s.end):.2f}" '
-                f'x2="{x + 4:.2f}" y2="{y(s.end):.2f}" '
-                f'stroke="#444" stroke-width="1"/>')
+    # each drawing's arcs, then a tick at each of its dives
+    lo, hi = y(be.start), y(be.end)
+    arcs = [f'<path d="M {x:.2f} {a:.2f} A {r:.2f} {h:.2f} 0 0 {k} '
+            f'{x:.2f} {b:.2f}" fill="none" stroke="{_PAGE_COLOR[k]}" '
+            f'stroke-width="1.4"/>'
+            for a, b, r, h, k in zip(lo.tolist(), hi.tolist(),
+                                     _bulge(span).tolist(),
+                                     (span * _STEP / 2.0).tolist(),
+                                     left.view(np.int8).tolist())]
+    d = np.arange(len(be.tail)).repeat(np.diff(be.seg))   # per segment
+    dive = d == np.append(d[1:], -1)    # the next segment is d's too
+    arcs += [f'<line x1="{x - 4:.2f}" y1="{c:.2f}" x2="{x + 4:.2f}" '
+             f'y2="{c:.2f}" stroke="#444" stroke-width="1"/>'
+             for c in hi[dive].tolist()]
+    out += map(arcs.__getitem__, np.concatenate((d, d[dive])).argsort(
+        kind="stable").tolist())
     for i, v in enumerate(be.spine):
         out.append(f'<circle cx="{x:.2f}" cy="{y(i):.2f}" r="3.4" '
                    f'fill="#111"/>')

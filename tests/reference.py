@@ -9,8 +9,9 @@ recomputations of the tables ``build_graph`` stores and of its
 topological merge, random linear extensions, the solver's
 original element-by-element DP and splice, the crossings of one
 completion edge, the set-based verifier, the per-edge HP-extended
-graph and the list form of ``build_hp_extended``'s arrays, book builder and book validator, and the dict payloads of the
-CLI's three bulk documents.  The array-backed solver must reproduce that
+graph and the list form of ``build_hp_extended``'s arrays, book builder,
+book validator and SVG renderer, and the dict payloads of the CLI's three
+bulk documents.  The array-backed solver must reproduce that
 reference order exactly, tie-breaks included, the array-backed verifier
 and post-solve layers must reproduce their references' results and
 problem lists, and
@@ -42,6 +43,7 @@ from hpcc.graph import (_LEFT, _RIGHT, _SNK, _SRC, NotAPermutation,
 from hpcc.decompose import GAP
 from hpcc.oracle import _NaiveScorer
 from hpcc.polygon import CHANNELS, _validate
+from hpcc.render import _MARGIN, _STEP, _bulge, _xml_text
 from hpcc.solver import solution_problems
 
 _L, _R = 0, 1
@@ -922,8 +924,7 @@ def reference_book_problems(be, g=None):
         ces, records, _ = solution_crossings(g, list(be.spine))
     except NotLinearExtension as exc:
         return [f"spine is not a linear extension: {exc}"]
-    drawn = {d.edge for d in be.drawings}
-    if drawn != g.edge_set:
+    if Counter(d.edge for d in be.drawings) != Counter(g.edge_set):
         probs.append("drawn edges do not match the graph")
         return probs
     ce_pos = {ce: pos[ce[0]] for ce in ces}
@@ -939,3 +940,59 @@ def reference_book_problems(be, g=None):
             probs.append(f"edge {d.edge[0]}->{d.edge[1]} dives do not match "
                          f"the spine's crossings")
     return probs
+
+
+def reference_svg(g, be):
+    """The SVG of a book embedding, drawing by drawing."""
+    n = len(be.spine)
+    reach = {True: 1.0, False: 1.0}
+    for d in be.drawings:
+        for s in d.segments:
+            left = s.page == LEFT_PAGE
+            reach[left] = max(reach[left], s.end - s.start)
+    x = _MARGIN + _bulge(reach[True])
+    width = x + _bulge(reach[False]) + _MARGIN + 46.0
+    height = 2 * _MARGIN + (n - 1) * _STEP + 18.0
+
+    def y(c):
+        return height - _MARGIN - c * _STEP
+
+    out = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.2f}" '
+        f'height="{height:.2f}" viewBox="0 0 {width:.2f} {height:.2f}">',
+        f'<text x="{_MARGIN:.2f}" y="16" font-size="12" '
+        f'font-family="sans-serif" fill="#333">'
+        f'{be.spine_crossing_count} spine crossing'
+        f'{"" if be.spine_crossing_count == 1 else "s"}</text>',
+        f'<line x1="{x:.2f}" y1="{y(0):.2f}" x2="{x:.2f}" '
+        f'y2="{y(n - 1):.2f}" stroke="#bbb" stroke-width="1"/>',
+    ]
+    for i in range(n - 1):
+        if not has_edge(g, be.spine[i], be.spine[i + 1]):
+            out.append(
+                f'<line x1="{x:.2f}" y1="{y(i):.2f}" x2="{x:.2f}" '
+                f'y2="{y(i + 1):.2f}" stroke="#777" stroke-width="1.6" '
+                f'stroke-dasharray="5 4"/>')
+    for d in be.drawings:
+        for s in d.segments:
+            left = s.page == LEFT_PAGE
+            ry = (s.end - s.start) * _STEP / 2.0
+            path = (f'M {x:.2f} {y(s.start):.2f} '
+                    f'A {_bulge(s.end - s.start):.2f} {ry:.2f} 0 0 '
+                    f'{1 if left else 0} {x:.2f} {y(s.end):.2f}')
+            color = "#2166ac" if left else "#b2182b"
+            out.append(f'<path d="{path}" fill="none" '
+                       f'stroke="{color}" stroke-width="1.4"/>')
+        for s in d.segments[:-1]:
+            out.append(
+                f'<line x1="{x - 4:.2f}" y1="{y(s.end):.2f}" '
+                f'x2="{x + 4:.2f}" y2="{y(s.end):.2f}" '
+                f'stroke="#444" stroke-width="1"/>')
+    for i, v in enumerate(be.spine):
+        out.append(f'<circle cx="{x:.2f}" cy="{y(i):.2f}" r="3.4" '
+                   f'fill="#111"/>')
+        out.append(f'<text x="{x + 9:.2f}" y="{y(i) + 4:.2f}" '
+                   f'font-size="12" font-family="sans-serif" '
+                   f'fill="#111">{_xml_text(g.name(v))}</text>')
+    out.append("</svg>")
+    return "\n".join(out)

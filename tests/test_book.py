@@ -24,10 +24,11 @@ from hpcc.book import (
     validate_book_embedding,
 )
 from hpcc.graph import _CHUNK_ROWS, ParseError
+from hpcc.render import render_svg
 from hpcc.solver import CompletionSolution
 from reference import (_page_planarity, book_payload, indented,
                        reference_book_embedding, reference_book_problems,
-                       reference_drawings)
+                       reference_drawings, reference_svg)
 from strategies import instances
 
 FIXTURES = ["weak_rhombus", "strong_rhombus", "chorded_polygon",
@@ -124,9 +125,13 @@ def test_both_readers_refuse_deep_nesting_and_long_integers(
     ("from", "3.3333333333333335"),
     ("from", True),
     ("to", None),
+    ("spine_crossings", [10**30]),
+    ("spine_crossings", [-2**63 - 1]),
+    ("spine_crossings", [2**63]),
 ])
 def test_json_refuses_coerced_values(field, value):
-    # read as slot 3 or as a float, these left the validator nothing to find
+    # read as slot 3 or as a float, these left the validator nothing to
+    # find; slots past int64 raised a bare TypeError or wrapped around
     g = generate(GeneratorParams(n=8, chord_density=0.7, seed=3))
     doc = json.loads(book_to_json(g, to_book_embedding(g, solve(g))))
     entry = next(e for e in doc["edges"] if e["spine_crossings"])
@@ -134,7 +139,7 @@ def test_json_refuses_coerced_values(field, value):
         entry[field] = value
     else:
         entry["segments"][1][field] = value
-    with pytest.raises(ParseError, match="malformed book embedding"):
+    with pytest.raises(ParseError, match="^malformed book embedding: "):
         book_from_json(g, json.dumps(doc))
 
 
@@ -337,6 +342,13 @@ class TestValidatorFaults:
         assert any("do not match the graph" in p
                    for p in problems(bad, weak_rhombus))
 
+    def test_edge_drawn_twice_against_graph(self, strong_rhombus):
+        be = self.embed(strong_rhombus)
+        twice = BookEmbedding(be.spine, be.drawings + be.drawings[:1])
+        assert problems(twice) == []
+        assert problems(twice, strong_rhombus) == [
+            "drawn edges do not match the graph"]
+
     def test_phantom_dive_against_graph(self, weak_rhombus):
         be = self.embed(weak_rhombus)
         d = drawing_of(be, (3, 2))
@@ -356,6 +368,7 @@ def test_embedding_matches_solution(g):
     be = to_book_embedding(g, sol)
     assert be == reference_book_embedding(g, sol)
     assert (be.spine, be.drawings) == reference_drawings(g, sol)
+    assert render_svg(g, be) == reference_svg(g, be)
     assert be.spine_crossing_count == sol.crossings
     assert problems(be, g) == []
     assert from_book_embedding(g, be) == sol
@@ -378,10 +391,11 @@ def test_json_on_fixed_cases(request, name):
 
 
 def test_non_integer_ends_and_slots_are_refused():
-    # numpy alone would read 0.5 as 0 and "2" as 2
+    # numpy alone would read 0.5 as 0, "2" as 2 and 2**63 as -2**63
     for d in (EdgeDrawing((0.5, 1), (Segment("L", 0.0, 1.0),), ()),
-              EdgeDrawing((0, 1), (Segment("L", 0.0, 0.5),
-                                   Segment("R", 0.5, 1.0)), ("2",))):
+              *(EdgeDrawing((0, 1), (Segment("L", 0.0, 0.5),
+                                     Segment("R", 0.5, 1.0)), (slot,))
+                for slot in ("2", 2**63))):
         with pytest.raises(TypeError):
             BookEmbedding((0, 1), (d,))
 
@@ -415,12 +429,35 @@ DRAWINGS = st.builds(EdgeDrawing,
                      st.lists(st.integers(-1, 9), max_size=3).map(tuple))
 
 
+BOOKS = st.builds(BookEmbedding,
+                  st.lists(st.integers(0, 3), max_size=5).map(tuple),
+                  st.lists(DRAWINGS, max_size=8).map(tuple))
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.sampled_from([NAMED, NUMBERED]),
-       st.builds(BookEmbedding, st.lists(st.integers(0, 3), max_size=5)
-                 .map(tuple), st.lists(DRAWINGS, max_size=8).map(tuple)))
+@given(st.sampled_from([NAMED, NUMBERED]), BOOKS)
 def test_json_of_hand_made_embeddings(g, be):
     assert book_to_json(g, be) == indented(book_payload(g, be))
+
+
+def unsigned_zeros(be):
+    """``be`` redrawn with each -0.0 coordinate as 0.0."""
+    return BookEmbedding(be.spine, tuple(dataclasses.replace(d, segments=tuple(
+        Segment(s.page, s.start + 0.0, s.end + 0.0) for s in d.segments))
+        for d in be.drawings))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([NAMED, NUMBERED]), BOOKS, BOOKS)
+def test_hand_made_embeddings_match_the_reference(g, be, other):
+    # nan, infinite and signed-zero coordinates, odd pages, empty drawings
+    assert render_svg(g, be) == reference_svg(g, be)
+    js = book_to_json(g, be)
+    again = book_from_json(g, js)
+    assert book_to_json(g, again) == js
+    for b in (be, other, again, unsigned_zeros(be),
+              BookEmbedding(other.spine, be.drawings)):
+        assert (be == b) == ((be.spine, be.drawings) == (b.spine, b.drawings))
 
 
 @pytest.mark.parametrize("count", [_CHUNK_ROWS - 1, _CHUNK_ROWS,
@@ -444,6 +481,7 @@ def test_fixtures_match_the_reference(request, name):
     be = to_book_embedding(g, sol)
     assert be == reference_book_embedding(g, sol)
     assert (be.spine, be.drawings) == reference_drawings(g, sol)
+    assert render_svg(g, be) == reference_svg(g, be)
     assert problems(be, g) == []
 
 

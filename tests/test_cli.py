@@ -15,7 +15,8 @@ from hypothesis import given, settings
 
 from hpcc import (GeneratorParams, build_graph, generate, graph_from_json,
                   graph_to_json, solve)
-from hpcc.book import BookEmbedding, book_to_json, to_book_embedding
+from hpcc.book import (BookEmbedding, book_from_json, book_to_json,
+                       from_book_embedding, to_book_embedding)
 from hpcc.cli import _solution_json, _write_text, main
 from hpcc.solver import CompletionSolution
 from reference import (book_payload, indented, ladder_module,
@@ -270,23 +271,36 @@ def test_written_text_ends_in_one_newline(capsys, tmp_path, text):
 
 def test_solve_and_embed_build_no_list_view(tmp_path, monkeypatch):
     # the polygon table, the solution's and the book's arrays carry the
-    # CLI from input to output; any element or list view built on the way
-    # raises here
-    def refuse(self):
+    # CLI from input to output, SVGs included, and the book reader, both
+    # == and from_book_embedding; any element or list view, drawing,
+    # segment or crossing record built on the way raises here
+    def refuse(*args, **kwargs):
         raise AssertionError("a lazy view was built")
 
     for cls, views in ((CompletionSolution, ("completion_edges", "records")),
                        (BookEmbedding, ("drawings",))):
         for view in views:
             monkeypatch.setattr(cls, view, property(refuse))
-    monkeypatch.setattr(importlib.import_module("hpcc.decompose"),
-                        "_elements", refuse)
+    for module, names in (("hpcc.decompose", ("_elements",)),
+                          ("hpcc.book", ("Segment", "EdgeDrawing")),
+                          ("hpcc.crossings", ("CrossingRecord",))):
+        for name in names:
+            monkeypatch.setattr(importlib.import_module(module), name, refuse)
     path = tmp_path / "in.json"
     path.write_text(json.dumps(ladder_module().ladder(40, 3).doc))
+    svg = tmp_path / "out.svg"
     for cmd in ("solve", "embed"):
-        out = tmp_path / f"{cmd}.json"
-        assert main([cmd, "-i", str(path), "-o", str(out)]) == 0
-        assert json.loads(out.read_text())
+        for extra in ([], ["--svg", str(svg)]):
+            out = tmp_path / f"{cmd}.json"
+            assert main([cmd, "-i", str(path), "-o", str(out), *extra]) == 0
+            assert json.loads(out.read_text())
+    assert main(["render", "-i", str(path), "-o", str(svg)]) == 0
+    assert svg.read_text().startswith("<svg")
+    g = graph_from_json(path.read_text())
+    sol = solve(g)
+    be = book_from_json(g, (tmp_path / "embed.json").read_text())
+    assert be == to_book_embedding(g, sol)
+    assert from_book_embedding(g, be) == sol
 
 
 def test_oracle_and_compare(capsys, sr_file):
