@@ -15,11 +15,14 @@ beside a repeated side name) that pin which fault is named first.  For
 each command it prints one sha256 over every run's output file, exit code
 and standard error, and a ``book-read`` sha256 over
 ``book_to_json(g, book_from_json(g, out))`` for every ``embed`` output,
-which compares the book readers of two trees.
-Two trees whose digests agree write the same bytes.  SRC is the directory
-holding the ``hpcc`` package (default: this checkout's ``src``); the
-instances always come from this checkout.  Needs only the standard
-library and hpcc.
+which compares the book readers of two trees.  The same six digests,
+prefixed ``corpus``, cover the shapes of ``perfbench/corpus.py``'s
+traffic beyond those: generator instances with n 2, 3 and 10..12 at the
+four densities, seeds 0..29, and the ladders of 1 to 3 rhombi with
+n <= 12 at seeds 0..79.  Two trees whose digests agree write the same
+bytes.  SRC is the directory holding the ``hpcc`` package (default: this
+checkout's ``src``); the instances always come from this checkout.  Needs
+only the standard library and hpcc.
 """
 
 from __future__ import annotations
@@ -109,39 +112,64 @@ def instances(hpcc):
             {"left": left, "right": right, "s": s, "t": t, "edges": edges})
 
 
+def corpus_instances(hpcc):
+    """(label, instance document text) pairs of the corpus-shaped set."""
+    for n in (2, 3, 10, 11, 12):
+        for density in (0.0, 0.3, 0.7, 1.0):
+            for seed in range(30):
+                g = hpcc.generate(hpcc.GeneratorParams(
+                    n=n, chord_density=density, seed=seed))
+                yield f"gen-{n}-{density}-{seed}", hpcc.graph_to_json(g)
+    ladder = load("digest_ladder", ROOT / "perfbench" / "ladder.py")
+    for rhombi in (1, 2, 3):
+        for seed in range(80):
+            lad = ladder.ladder(rhombi, seed)
+            if lad.n <= 12:
+                yield f"ladder-{rhombi}-{seed}", json.dumps(lad.doc)
+
+
+def digest(hpcc, pairs, tmp: Path) -> tuple[int, dict]:
+    """(runs, sha256 per command) over the (label, text) pairs."""
+    digests = {cmd: hashlib.sha256() for cmd in COMMANDS + (READ,)}
+    runs = 0
+    src, out, svg = (tmp / f for f in ("in.json", "out", "out.svg"))
+    for label, text in pairs:
+        src.write_text(text)
+        for cmd in COMMANDS:
+            args = [cmd[0], "-i", str(src), "-o", str(out)]
+            if len(cmd) > 1:
+                args += ["--svg", str(svg)]
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = hpcc.cli.main(args)
+            h = digests[cmd]
+            if cmd == ("embed",) and code == 0:
+                g = hpcc.graph_from_json(text)
+                be = hpcc.book_from_json(g, out.read_text())
+                digests[READ].update(f"\0{label}\0".encode())
+                digests[READ].update(hpcc.book_to_json(g, be).encode())
+            for path in (out, svg) if len(cmd) > 1 else (out,):
+                h.update(path.read_bytes() if path.exists() else b"-")
+                path.unlink(missing_ok=True)
+            h.update(f"\0{label}\0{code}\0{err.getvalue()}\0".encode())
+        runs += 1
+    return runs, digests
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     sys.path.insert(0, str(Path(argv[0]).resolve() if argv else ROOT / "src"))
     import hpcc
     import hpcc.cli
 
-    digests = {cmd: hashlib.sha256() for cmd in COMMANDS + (READ,)}
-    runs = 0
     with tempfile.TemporaryDirectory() as tmp:
-        src, out, svg = (Path(tmp) / f for f in ("in.json", "out", "out.svg"))
-        for label, text in instances(hpcc):
-            src.write_text(text)
-            for cmd in COMMANDS:
-                args = [cmd[0], "-i", str(src), "-o", str(out)]
-                if len(cmd) > 1:
-                    args += ["--svg", str(svg)]
-                err = io.StringIO()
-                with contextlib.redirect_stderr(err):
-                    code = hpcc.cli.main(args)
-                h = digests[cmd]
-                if cmd == ("embed",) and code == 0:
-                    g = hpcc.graph_from_json(text)
-                    be = hpcc.book_from_json(g, out.read_text())
-                    digests[READ].update(f"\0{label}\0".encode())
-                    digests[READ].update(hpcc.book_to_json(g, be).encode())
-                for path in (out, svg) if len(cmd) > 1 else (out,):
-                    h.update(path.read_bytes() if path.exists() else b"-")
-                    path.unlink(missing_ok=True)
-                h.update(f"\0{label}\0{code}\0{err.getvalue()}\0".encode())
-            runs += 1
-    print(f"instances {runs}, hpcc from {Path(hpcc.__file__).parent}")
-    for cmd, h in digests.items():
-        print(f"{' '.join(cmd):12s} {h.hexdigest()}")
+        runs, digests = digest(hpcc, instances(hpcc), Path(tmp))
+        more, corpus = digest(hpcc, corpus_instances(hpcc), Path(tmp))
+    print(f"instances {runs} + corpus-shaped {more}, "
+          f"hpcc from {Path(hpcc.__file__).parent}")
+    for prefix, group in (("", digests), ("corpus ", corpus)):
+        for cmd, h in group.items():
+            print(f"{prefix + ' '.join(cmd):19s} {h.hexdigest()}")
     return 0
 
 

@@ -20,16 +20,17 @@ import numpy as np
 
 from .crossings import NotLinearExtension, chain_edges, scan_order
 from .graph import (OuterplanarStDigraph, Edge, Nested, ParseError,
-                    ValidationError, VertexId, _LEFT, int_array, json_object,
-                    json_rows, json_scalars, load_json, nesting)
+                    UnknownVertex, ValidationError, VertexId, _LEFT, int_array,
+                    json_object, json_rows, json_scalars, load_json, nesting)
 from .solver import CompletionSolution, solution_problems
 
 LEFT_PAGE = "L"
 RIGHT_PAGE = "R"
 # left page for an edge between spine neighbours, by edge class (left,
-# right, two-sided) and the tail's side code (s, left chain, t, right)
+# right, two-sided) and the tail's side code (s, left chain, right, t)
 _NEIGHBOUR_LEFT = np.zeros((3, 4), dtype=bool)
 _NEIGHBOUR_LEFT[0] = _NEIGHBOUR_LEFT[2, _LEFT] = True
+_NAN = np.array([np.nan])
 
 
 class InvalidSolution(ValidationError):
@@ -139,13 +140,14 @@ def to_book_embedding(g: OuterplanarStDigraph,
     n, tail, head = g.n, g.tail, g.head
     spine = int_array(sol.order)
     pos = spine.argsort()           # the inverse permutation
-    # per crossing: its completion edge (named by the tail, which starts
-    # at most one gap), the crossed edge's id and the ordinal
-    ce, _, xt, xh, o = sol.rec
-    eid = g.edge_ids(xt, xh)
-    dive = pos[ce] + (o + 1) / (np.bincount(ce, minlength=n)[ce] + 1)
-    dive = dive[np.lexsort((dive, eid))]
-    per_edge = np.bincount(eid, minlength=len(tail))
+    # the check has just scanned this order, and the claims match its
+    # crossings: the dives come off that scan, by crossed edge, then upward
+    scan = g._cache["scan"][1]
+    row, eid = scan.pair_ce, scan.pair_eid
+    dive = scan.ce_spine[row] + (scan.pair_ordinal + 1) / (
+        np.bincount(row)[row] + 1)
+    dive, per_edge = (dive[np.lexsort((dive, eid))],
+                      np.bincount(eid, minlength=len(tail)))
     pu, pv = pos[tail], pos[head]
     start, end = chain_edges(pu.astype(float), pv.astype(float), per_edge,
                              dive)
@@ -160,12 +162,12 @@ def to_book_embedding(g: OuterplanarStDigraph,
     left = np.where(pv == pu + 1, _NEIGHBOUR_LEFT[g.classes, g.side[tail]],
                     (nxt - head) % n < (nxt - ring[pu]) % n)
     # pages alternate along each edge, from its first segment at index at
-    before = per_edge.cumsum() - per_edge
-    at = np.arange(len(tail)) + before
-    left = (left ^ (at & 1)).repeat(per_edge + 1) ^ (np.arange(len(start)) & 1)
+    before = np.concatenate(([0], per_edge.cumsum()))
+    at = np.arange(len(tail) + 1) + before
+    left = (left ^ (at[:-1] & 1)).repeat(per_edge + 1) ^ (
+        np.arange(len(start)) & 1)
     return BookEmbedding.__new__(BookEmbedding)._fill(
-        tuple(sol.order), tail, head, np.append(at, len(start)),
-        np.append(before, len(dive)), start, end, left ^ 1,
+        tuple(sol.order), tail, head, at, before, start, end, left ^ 1,
         (LEFT_PAGE, RIGHT_PAGE), np.floor(dive).astype(np.int64))
 
 
@@ -184,10 +186,17 @@ def _page_planarity(start, end, right) -> list[str]:
     line of coordinate ranks, the right page past the left.  A page's stack
     pass (ends before starts) fails at the least end of a parent that an
     arc leaves, with the arcs open there, less those ending there on top."""
-    coord, at = np.unique(np.concatenate((start, end)), return_inverse=True)
+    # coordinate ranks by one argsort, as np.unique would rank them
+    x = np.concatenate((start, end))
+    by = x.argsort()
+    xs, new = x[by], np.ones(len(x), dtype=bool)
+    new[1:] = xs[1:] != xs[:-1]
+    at = np.empty_like(by)
+    at[by] = new.cumsum() - 1
+    coord = xs[new]
     lo, hi = at.reshape(2, -1) + len(coord) * right
     nest = nesting(lo, hi, 2 * len(coord))
-    if not nest.leaves.size:
+    if not len(nest.leaves):
         return []
     bound = hi[nest.order[nest.parent[nest.leaves]]]    # parents left
     pre = np.empty_like(nest.order)                     # arcs in preorder
@@ -221,15 +230,17 @@ def validate_book_embedding(be: BookEmbedding,
     if len(set(be.spine)) != len(be.spine):
         return ["spine repeats a vertex"]
     S, D, seg, dive = len(be.start), len(be.tail), be.seg, be.dive
-    nseg, ndive = np.diff(seg), np.diff(dive)
+    nseg, ndive = seg[1:] - seg[:-1], dive[1:] - dive[:-1]
     # spine position of each drawing's ends, -1 off the spine
     spine = int_array(be.spine)
-    by, ends = spine.argsort(), np.stack((be.tail, be.head))
-    i = np.minimum(spine[by].searchsorted(ends), len(by) - 1)
-    pu, pv = np.where(spine[by][i] == ends, by[i], -1)
+    by = spine.argsort()
+    ranked, ends = spine[by], np.concatenate((be.tail, be.head))
+    i = np.minimum(ranked.searchsorted(ends), len(by) - 1)
+    pu, pv = np.where(ranked[i] == ends, by[i], -1).reshape(2, -1)
     # per segment, then a padding entry that matches nothing
-    start, end = np.append(be.start, np.nan), np.append(be.end, np.nan)
-    page = np.append(be.page, -1)
+    start, end = (np.concatenate((be.start, _NAN)),
+                  np.concatenate((be.end, _NAN)))
+    page = np.concatenate((be.page, [-1]))
     first, last, dive_first = seg[:-1], seg[1:] - 1, dive[:-1]
     # dive k of a drawing lands at the end of its k-th segment
     at = np.minimum(np.arange(len(be.slot))
@@ -249,9 +260,9 @@ def validate_book_embedding(be: BookEmbedding,
     integer = np.isfinite(c) & (c == np.floor(c))
     outside = np.floor(c) != be.slot
     probs = []
-    if ((missing | off_ends | miscount).any()
-            or (gap | same | unknown | flat_up).any()
-            or (integer | outside).any()):
+    if (np.count_nonzero(missing | off_ends | miscount)
+            or np.count_nonzero(gap | same | unknown | flat_up)
+            or np.count_nonzero(integer | outside)):
         ends = end.tolist()     # messages hold plain Python floats
         for d, (u, v) in enumerate(zip(be.tail.tolist(), be.head.tolist())):
             tag = f"edge {u}->{v}"
@@ -300,23 +311,25 @@ def validate_book_embedding(be: BookEmbedding,
         return [f"spine is not a linear extension: {exc}"]
     # drawn ends are spine vertices; each graph edge is drawn exactly once
     eid = g.edge_ids(be.tail, be.head)
-    if not ((eid >= 0).all()
-            and (np.bincount(eid, minlength=g.edge_count) == 1).all()):
+    if np.count_nonzero(eid < 0) or np.count_nonzero(
+            np.bincount(eid, minlength=g.edge_count) != 1):
         return ["drawn edges do not match the graph"]
     # a crossing with the completion edge in slot i dives at
     # i + (o + 1) / (c + 1), c that edge's crossing count
     row, crossed = scan.pair_ce, scan.pair_eid
     want = scan.ce_spine[row] + (scan.pair_ordinal + 1) / (
         np.bincount(row, minlength=len(scan.ce_spine))[row] + 1)
-    want = np.append(want[np.lexsort((want, crossed))], np.nan)
+    want = want[np.lexsort((want, crossed))]
     per_edge = np.bincount(crossed, minlength=g.edge_count)
     # each drawing's dives against its edge's crossings, in order
-    at = np.minimum(np.arange(len(c)) + (
-        (per_edge.cumsum() - per_edge)[eid] - dive_first).repeat(ndive),
-        len(want) - 1)
-    off = np.bincount(np.arange(D).repeat(ndive)[want[at] != c],
-                      minlength=D)
-    bad = (per_edge[eid] != ndive) | (off > 0)
+    bad = per_edge[eid] != ndive
+    if not np.count_nonzero(bad):
+        at = np.arange(len(c)) + (
+            (per_edge.cumsum() - per_edge)[eid] - dive_first).repeat(ndive)
+        off = want[at] != c
+        if not np.count_nonzero(off):
+            return []
+        bad = np.bincount(np.arange(D).repeat(ndive)[off], minlength=D) > 0
     return [f"edge {u}->{v} dives do not match the spine's crossings"
             for u, v in zip(be.tail[bad].tolist(), be.head[bad].tolist())]
 
@@ -350,6 +363,13 @@ def _exact(values, kinds: set, what: str):
     return values
 
 
+def _vids(g: OuterplanarStDigraph, names) -> list[VertexId]:
+    try:    # one pass over the name dict; a bare KeyError would quote names
+        return list(map(g._ids.__getitem__, names))
+    except KeyError as exc:
+        raise UnknownVertex(exc.args[0]) from None
+
+
 def book_from_json(g: OuterplanarStDigraph, text: str) -> BookEmbedding:
     """The book in ``text``, each field checked as one pass over its
     column; any fault is a ParseError."""
@@ -363,7 +383,7 @@ def book_from_json(g: OuterplanarStDigraph, text: str) -> BookEmbedding:
             raise ValueError("an edge is not a pair of names")
         flat = list(chain(*segs))
         return BookEmbedding.__new__(BookEmbedding)._columns(
-            list(map(g.vid, spine)), list(map(g.vid, chain(*ends))),
+            _vids(g, spine), _vids(g, chain(*ends)),
             list(map(len, segs)), list(map(len, dives)),
             _exact([s["page"] for s in flat], {str}, "page"),
             _exact([s["from"] for s in flat], {int, float}, "number"),

@@ -49,10 +49,11 @@ class CrossingRecord:
     ordinal: int  # 0-based position along the completion edge, tail first
 
 
-def _side_size(n: int, pa, pb, probe):
-    """Interior vertices on the probe's side of the chord (pa, pb)."""
-    inner = pb - pa - 1
-    inside = (pa < probe) & (probe < pb)
+def _side_size(n: int, a, b, probe):
+    """Interior vertices on the probe's side of the chord (a, b), either
+    end first."""
+    inner = np.abs(b - a) - 1
+    inside = (probe - a) * (probe - b) < 0
     return np.where(inside, inner, n - 2 - inner)
 
 
@@ -64,7 +65,7 @@ def _separators(g, f_arr, h_arr):
     (first index, length) pairs; no runs when there are no two-sided
     chords.
     """
-    idx, n, k = g.chords, g.n, g.k
+    idx, n, k, F = g.chords, g.n, g.k, len(f_arr)
     # one-sided separators: an endpoint at q on the joint line (right-line
     # coordinates shifted past t's left coordinate) lies under
     # idx.under[q] = #(starts < q) - #(ends <= q) chords
@@ -73,21 +74,20 @@ def _separators(g, f_arr, h_arr):
     if not len(idx.ti):
         return q, ()
     # two-sided separators: two contiguous runs of the monotone chain
-    x = np.maximum(g.lcoord[f_arr], g.lcoord[h_arr])
-    y = np.maximum(g.rcoord[f_arr], g.rcoord[h_arr])
+    c = g.coord[:, ends]
+    x, y = np.maximum(c[:, :F], c[:, F:])
     return q, [(lo, np.maximum(hi - lo, 0)) for lo, hi in (
-        (np.searchsorted(idx.tj, y, side="right"),
-         np.searchsorted(idx.ti, x, side="left")),
-        (np.searchsorted(idx.ti, x, side="right"),
-         np.searchsorted(idx.tj, y, side="left")))]
+        (idx.tj.searchsorted(y, "right"), idx.ti.searchsorted(x, "left")),
+        (idx.ti.searchsorted(x, "right"), idx.tj.searchsorted(y, "left")))]
 
 
 def crossing_counts(g, f_arr, h_arr):
     """How many graph edges each completion edge (f, h) crosses; every
     edge joins the two chains."""
     q, runs = _separators(g, f_arr, h_arr)
-    under = g.chords.under[q].reshape(2, -1).sum(axis=0, dtype=np.int64)
-    return under + sum(cnt for _, cnt in runs)
+    under, F = g.chords.under[q], len(f_arr)
+    return np.add(under[:F], under[F:], dtype=np.int64) + sum(
+        cnt for _, cnt in runs)
 
 
 def _batch_crossings(g, f_arr, h_arr):
@@ -105,24 +105,23 @@ def _batch_crossings(g, f_arr, h_arr):
     # the c chords over an end at q are one per nesting depth below c, each
     # the last chord of its depth opened before q
     cnt = idx.under[q]
-    if cnt.any():
-        N, row = len(idx.deid), np.repeat(np.concatenate((rows, rows)), cnt)
-        at = idx.depth_key.searchsorted(np.arange(len(row)) * N + np.repeat(
-            idx.opened[q] - N * (cnt.cumsum() - cnt), cnt)) - 1  # d*N + opened
-        found.append((row, idx.deid[at]))
+    if np.count_nonzero(cnt):
+        N, row = len(idx.deid), np.concatenate((rows, rows)).repeat(cnt)
+        at = idx.depth_key.searchsorted(np.arange(len(row)) * N + (
+            idx.opened[q] - N * (cnt.cumsum() - cnt)).repeat(cnt)) - 1
+        found.append((row, idx.deid[at]))   # at: d * N + opened
     for lo, cnt in runs:
-        if cnt.any():
-            found.append((np.repeat(rows, cnt), idx.teid[
-                np.arange(cnt.sum()) + np.repeat(lo - cnt.cumsum() + cnt,
-                                                 cnt)]))
+        if np.count_nonzero(cnt):
+            end = cnt.cumsum()
+            found.append((rows.repeat(cnt), idx.teid[
+                np.arange(end[-1]) + (lo - end + cnt).repeat(cnt)]))
 
     if not found:
         e = np.empty(0, dtype=np.int64)
         return e, e.copy()
     pr, pe = np.concatenate(found, axis=1)
-    pa = np.minimum(g.tail[pe], g.head[pe])
-    pb = np.maximum(g.tail[pe], g.head[pe])
-    order = np.lexsort((_side_size(g.n, pa, pb, np.asarray(f_arr)[pr]), pr))
+    order = (pr * g.n + _side_size(g.n, g.tail[pe], g.head[pe], f_arr[pr])
+             ).argsort(kind="stable")
     return pr[order], pe[order]
 
 
@@ -130,8 +129,8 @@ def _check_completion_pairs(g, f_arr, h_arr):
     # a linear extension's gaps join the two chains: its first and last are
     # the edges at s and t, and a chain's consecutive vertices are adjacent
     bad = g.side[f_arr] * g.side[h_arr] != _LEFT * _RIGHT
-    if bad.any():
-        i = int(np.flatnonzero(bad)[0])
+    if np.count_nonzero(bad):
+        i = int(bad.argmax())
         raise SameSideCompletionEdge(
             f"({g.names[int(f_arr[i])]}, {g.names[int(h_arr[i])]}) "
             "does not join the two chains")
@@ -163,12 +162,12 @@ def scan_order(g: OuterplanarStDigraph, order) -> SolutionScan:
     except NotAPermutation as exc:
         raise NotLinearExtension(str(exc)) from None
     pt, ph = pos[g.tail], pos[g.head]
-    if not (pt < ph).all():
+    if np.count_nonzero(pt > ph):
         raise NotLinearExtension("order violates an edge direction")
     miss = np.ones(g.n - 1, dtype=bool)     # the gaps no graph edge spans
     miss[pt[ph == pt + 1]] = False
-    u, v = arr[:-1], arr[1:]
-    ce_tail, ce_head, ce_spine = u[miss], v[miss], np.flatnonzero(miss)
+    ce_spine = miss.nonzero()[0]
+    ce_tail, ce_head = arr[ce_spine], arr[ce_spine + 1]
     _check_completion_pairs(g, ce_tail, ce_head)
     pr, pe = _batch_crossings(g, ce_tail, ce_head)
     # pairs come sorted by row: the ordinal counts from the row's first
@@ -239,10 +238,9 @@ def crossings_along_edges(g: OuterplanarStDigraph, scan: SolutionScan):
     by the size of the completion chord's region containing the edge's
     tail, i.e. by distance from the tail.
     """
-    cf, ch = scan.ce_tail[scan.pair_ce], scan.ce_head[scan.pair_ce]
-    from_tail = _side_size(g.n, np.minimum(cf, ch), np.maximum(cf, ch),
-                           g.tail[scan.pair_eid])
-    return np.lexsort((from_tail, scan.pair_eid))
+    row, eid = scan.pair_ce, scan.pair_eid
+    return (eid * g.n + _side_size(g.n, scan.ce_tail[row], scan.ce_head[row],
+                                   g.tail[eid])).argsort(kind="stable")
 
 
 def chain_edges(first, last, counts, mids):
@@ -252,9 +250,8 @@ def chain_edges(first, last, counts, mids):
     Returns (tails, heads): row ``r``'s ``counts[r] + 1`` edges start at
     index ``r + counts[:r].sum()``.
     """
-    at = np.arange(len(mids)) + np.repeat(np.arange(len(first)), counts)
-    tails = np.repeat(first, counts + 1)
-    heads = np.repeat(last, counts + 1)
+    at = np.arange(len(mids)) + np.arange(len(first)).repeat(counts)
+    tails, heads = first.repeat(counts + 1), last.repeat(counts + 1)
     tails[at + 1] = heads[at] = mids
     return tails, heads
 

@@ -129,58 +129,57 @@ def _build_table(g: OuterplanarStDigraph) -> PolygonTable:
     """
     scan = median_scan(g)
     f, weak = _weak_face_mask(g)
-    wi = np.flatnonzero(weak)
-    src = np.concatenate([g.tail[scan.edges], f.source[wi]]).astype(np.int64)
-    snk = np.concatenate([g.head[scan.edges], f.sink[wi]]).astype(np.int64)
+    wi = weak.nonzero()[0]
+    src = np.concatenate((g.tail[scan.edges], f.source[wi]))
+    snk = np.concatenate((g.head[scan.edges], f.sink[wi]))
     # weak faces have no (source, sink) edge, medians are one
     median = np.arange(len(src)) < len(scan.edges)
     ti = g.topo_pos
-    by_src = np.argsort(ti[src], kind="stable")
+    by_src = ti[src].argsort(kind="stable")
     src, snk, median = src[by_src], snk[by_src], median[by_src]
 
-    at_s, at_t = src == g.s, snk == g.t
-    s_left, t_left = g.side[src] == _LEFT, g.side[snk] == _LEFT
-    # rows: left chain, right chain
-    chain = np.array([[_LEFT], [_RIGHT]])
-    coord = np.array([g.lcoord, g.rcoord])
-    lo = np.where(at_s, 1, np.where(g.side[src] == chain, coord[:, src] + 1,
-                                    g.lo_out[src]))
-    hi = np.where(at_t, [[g.k], [g.m]], np.where(
-        g.side[snk] == chain, coord[:, snk] - 1, g.hi_in[snk]))
-    if (lo <= 0).any():
+    # rows: left chain, right chain.  s and t sit at 0 and at the top of
+    # both lines, so a run starts right above a source on its line and
+    # ends right under a sink on its line, else at the limit
+    cs, ck = g.coord[:, src], g.coord[:, snk]
+    lo = np.where(cs >= 0, cs + 1, g.lo_out[src])
+    hi = np.where(ck >= 0, ck - 1, g.hi_in[snk])
+    if np.count_nonzero(lo <= 0):
         raise InternalError("decompose", "polygon source has no limit edge")
-    if (hi < 0).any():
+    if np.count_nonzero(hi < 0):
         raise InternalError("decompose", "polygon sink has no limit edge")
     (llo, rlo), (lhi, rhi) = lo, hi
-    lower = np.where(at_s, -1, np.where(s_left, g.n - rlo, llo))
-    upper = np.where(at_t, -1, np.where(t_left, g.n - rhi, lhi))
+    s_side, t_side = g.side[src], g.side[snk]
+    lower = np.where(s_side == _LEFT, g.n - rlo,
+                     np.where(s_side == _RIGHT, llo, -1))
+    upper = np.where(t_side == _LEFT, g.n - rhi,
+                     np.where(t_side == _RIGHT, lhi, -1))
 
-    if (src[1:] == src[:-1]).any() or np.bincount(snk).max(initial=0) > 1:
+    if (np.count_nonzero(src[1:] == src[:-1])
+            or np.count_nonzero(np.bincount(snk) > 1)):
         raise InternalError("decompose", "polygons share a source or sink")
+    # the runs cover their ids (right rank j is id n - j) once at most.
     # Endpoints stack on top of chains: one vertex may be sink of a polygon,
     # chain vertex of the next, and source of the one after.
-    ends = np.concatenate([src, snk])
-    free = []
-    for lo, hi, top, side, line in ((llo, lhi, g.k, _LEFT, g.lcoord),
-                                    (rlo, rhi, g.m, _RIGHT, g.rcoord)):
-        cov = np.cumsum(np.bincount(lo, minlength=top + 2)
-                        - np.bincount(hi + 1, minlength=top + 2))[1:top + 1]
-        if cov.max(initial=0) > 1:
-            raise InternalError("decompose", "polygon chains overlap")
-        cov += np.bincount(line[ends[g.side[ends] == side]],
-                           minlength=top + 1)[1:]
-        free.append(np.flatnonzero(cov == 0) + 1)
-    free = np.concatenate([free[0], g.n - free[1]])
+    cover = (np.bincount(np.concatenate((llo, g.n - rhi)), minlength=g.n + 1)
+             - np.bincount(np.concatenate((lhi + 1, g.n + 1 - rlo)),
+                           minlength=g.n + 1)).cumsum()[:-1]
+    if np.count_nonzero(cover > 1):
+        raise InternalError("decompose", "polygon chains overlap")
+    cover += np.bincount(np.concatenate((src, snk)), minlength=g.n)
+    cover[g.s] = cover[g.t] = 1
+    free = (cover == 0).nonzero()[0]
 
     P = len(src)
-    at = np.argsort(ti[np.concatenate([src, free])], kind="stable")
-    element = np.concatenate([np.arange(P), ~free])[at]
+    at = ti[np.concatenate((src, free))].argsort(kind="stable")
+    element = np.concatenate((np.arange(P), ~free))[at]
     # polygons meet only when no free vertex sits between them
-    meet = np.diff(np.flatnonzero(element >= 0)) == 1
+    p = (element >= 0).nonzero()[0]
+    meet = p[1:] - p[:-1] == 1
     vertex = meet & (snk[:-1] == src[1:])
     edge = meet & ~vertex & (lower[1:] == snk[:-1])
     junction = np.full(P, GAP, dtype=np.int64)
-    junction[1:] = np.select([vertex, edge], [VERTEX, EDGE], GAP)
+    junction[1:] = np.where(vertex, VERTEX, np.where(edge, EDGE, GAP))
     return PolygonTable(g.n, src, snk, llo, lhi, rlo, rhi, median,
                         lower, upper, junction, element)
 

@@ -31,7 +31,7 @@ def incidence(g: OuterplanarStDigraph) -> Incidence:
         return g._cache["incidence"]
     E, nested, parent = g.edge_count, g.nesting.order, g.nesting.parent
     heads = np.abs(g.head - g.tail)[nested] >= 2
-    face = np.where(heads, np.cumsum(heads) - 1, -1)
+    face = np.where(heads, heads.cumsum() - 1, -1)
     own, outer = np.empty((2, E), dtype=np.int64)
     own[nested] = face
     outer[nested] = np.where(parent >= 0, face[parent], -1)
@@ -60,24 +60,28 @@ def faces(g: OuterplanarStDigraph) -> Faces:
     count, child = len(inc.head_of), g.nesting.order[1:]
     of_child = inc.outer[child]
     size = np.bincount(of_child, minlength=count) + 1
-    start = np.cumsum(size) - size
-    ring = np.empty(size.sum(), dtype=np.int64)
+    last = size.cumsum() - 1
+    start = last - size + 1
+    ring = np.empty(count + len(child), dtype=np.int64)
+    succ = np.arange(1, len(ring) + 1)      # the next ring edge's index
     ring[start] = inc.head_of
-    ring[np.arange(len(child)) + of_child + 1] = child
+    ring[succ[:len(child)] + of_child] = child
+    succ[last] = start
     ta, ha = g.tail[ring], g.head[ring]
-    tb, hb = np.roll(ta, -1), np.roll(ha, -1)   # the cyclic successor's
-    tb[start + size - 1], hb[start + size - 1] = ta[start], ha[start]
+    tb, hb = ta[succ], ha[succ]
     corner = np.maximum(ta, ha)
     corner[start] = np.minimum(ta[start], ha[start])
     src = (ta == corner) & (tb == corner)
     snk = (ha == corner) & (hb == corner)
     # each face of a plane st-digraph has one source and one sink corner
-    if src.sum() != count or snk.sum() != count:
+    if np.count_nonzero(src) != count or np.count_nonzero(snk) != count:
         raise InternalError("faces", "a face without one source and sink")
-    face = np.repeat(np.arange(count), size)
-    side = np.where(src | snk, -1, g.side[corner])
+    face = np.arange(count).repeat(size)
+    side = g.side[corner]
+    side[src | snk] = -1
+    src, snk = src.nonzero()[0], snk.nonzero()[0]
     f = Faces(corner[src], corner[snk],
-              np.array([ha[src], hb[src]]), np.array([ta[snk], tb[snk]]),
+              np.array((ha[src], hb[src])), np.array((ta[snk], tb[snk])),
               np.bincount(face[side == _LEFT], minlength=count),
               np.bincount(face[side == _RIGHT], minlength=count))
     g._cache["faces"] = f
@@ -99,7 +103,7 @@ def median_scan(g: OuterplanarStDigraph) -> MedianScan:
     if "median_scan" in g._cache:
         return g._cache["median_scan"]
     inc, f = incidence(g), faces(g)
-    cand = np.flatnonzero((inc.own >= 0) & (inc.outer >= 0))
+    cand = ((inc.own >= 0) & (inc.outer >= 0)).nonzero()[0]
     x, y = inc.own[cand], inc.outer[cand]
     u, v = g.tail[cand], g.head[cand]
     fan = ((f.source[x] == u) & (f.sink[x] == v) & (f.source[y] == u)

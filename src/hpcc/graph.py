@@ -97,6 +97,8 @@ def int_array(values) -> np.ndarray:
     it is: the one reader of orders, spines and claims.  Floats, strings
     and ids past int64, which numpy would truncate, parse or wrap, raise
     TypeError."""
+    if type(values) is np.ndarray and values.dtype == np.int64:
+        return values
     arr = np.asarray(values)
     if arr.size and (arr.dtype.kind not in "iub" or arr.dtype == np.uint64
                      and arr.max() > np.iinfo(np.int64).max):
@@ -112,21 +114,27 @@ class Nesting:
     leaves: np.ndarray   # the entries that end past their parent's end
 
 
-def nesting(lo, hi, size) -> Nesting:
+def nesting(lo, hi, size, parents=True) -> Nesting:
     """Intervals ``[lo[i], hi[i]]`` below ``size`` by nesting.  In (lo, -hi)
     preorder an interval's depth is its index less the intervals ending at
     or before its start; its parent, the last interval one level up before
     it, is the innermost one open at its start while those before it are
-    laminar.  So the first in preorder to leave its parent crosses it."""
+    laminar.  So the first in preorder to leave its parent crosses it.
+    Without ``parents``, ``parent`` and ``leaves`` are left None."""
     count = len(lo)
-    pre = np.argsort(lo * size + (size - hi), kind="stable")
-    depth = np.arange(count) - np.cumsum(               # less the ends <= lo
-        np.bincount(hi, minlength=size))[lo[pre]]
-    key = np.sort(depth * count + np.arange(count))
-    parent, order = key.searchsorted(key - count) - 1, pre[key % count]
+    pre = (lo * size + (size - hi)).argsort(kind="stable")
+    at = np.arange(count)
+    key = at - np.bincount(hi, minlength=size).cumsum()[lo[pre]]
+    key *= count
+    key += at
+    key.sort()
+    order = pre[key % count]
+    if not parents:
+        return Nesting(order, key, None, None)
+    parent = key.searchsorted(key - count) - 1
     end = hi[order]
     return Nesting(order, key, parent,
-                   np.flatnonzero((parent >= 0) & (end > end[parent])))
+                   ((parent >= 0) & (end > end[parent])).nonzero()[0])
 
 
 @dataclass
@@ -150,8 +158,8 @@ class OuterplanarStDigraph:
     """Validated, immutable instance.  Construct via :func:`build_graph`,
     which derives every table passed in here."""
 
-    def __init__(self, names, ids, k, m, tail, head, keys, side, lcoord,
-                 rcoord, classes, nest, chords, lo_out, hi_in, topo_pos):
+    def __init__(self, names, ids, k, m, tail, head, keys, side, coord,
+                 classes, nest, chords, lo_out, hi_in, topo_pos):
         self.names: list[str] = names
         self.n: int = len(names)
         self.k: int = k
@@ -162,9 +170,9 @@ class OuterplanarStDigraph:
         self.head: np.ndarray = head
         self.side: np.ndarray = side
         # left line: s=0, l_i=i, t=k+1; right line: s=0, r_j=j, t=m+1;
-        # -1 off the line
-        self.lcoord: np.ndarray = lcoord
-        self.rcoord: np.ndarray = rcoord
+        # -1 off the line; the rows of coord
+        self.coord: np.ndarray = coord
+        self.lcoord, self.rcoord = coord
         self.classes: np.ndarray = classes  # 0 left, 1 right, 2 two-sided
         self.nesting: Nesting = nest        # the edges' cycle intervals
         self.chords: ChordIndex = chords
@@ -224,12 +232,17 @@ class OuterplanarStDigraph:
 def _line_coords(k, m):
     """Left- and right-line coordinates of every vertex, -1 off the line."""
     n = k + m + 2
-    lcoord = np.full(n, -1, dtype=np.int64)
-    lcoord[:k + 2] = np.arange(k + 2)
-    rcoord = np.full(n, -1, dtype=np.int64)
-    rcoord[0], rcoord[k + 1] = 0, m + 1
-    rcoord[k + 2:] = np.arange(m, 0, -1)
-    return lcoord, rcoord
+    coord = np.empty((2, n), dtype=np.int64)
+    coord[0] = np.arange(n)             # s = 0, l_i = i, t = k + 1
+    coord[1] = n - coord[0]             # r_j = j at id n - j, t = m + 1
+    coord[0, k + 2:] = coord[1, 1:k + 1] = -1
+    coord[1, 0] = 0
+    return coord
+
+
+# edge class code by tail side * 4 + head side (s, left, right, t)
+_CLASS = np.array((0, 0, 1, 0, 0, 0, 2, 0, 1, 2, 1, 1, 0, 0, 1, 0),
+                  dtype=np.int8)
 
 
 def _edge_class_codes(tail, head, side):
@@ -238,56 +251,42 @@ def _edge_class_codes(tail, head, side):
     Edges touching s or t take the side of the other endpoint; (s,t) is
     one-sided left by convention.
     """
-    ts, hs = side[tail], side[head]
-    cls = np.full(len(tail), 2, dtype=np.int8)
-    left_ish = lambda c: (c == _LEFT) | (c == _SRC) | (c == _SNK)
-    right_ish = lambda c: (c == _RIGHT) | (c == _SRC) | (c == _SNK)
-    cls[left_ish(ts) & left_ish(hs)] = 0
-    # right-classification loses to left for (s,t), hence the order
-    only_right = right_ish(ts) & right_ish(hs) & ((ts == _RIGHT) | (hs == _RIGHT))
-    cls[only_right] = 1
-    return cls
+    return _CLASS[side[tail] * 4 + side[head]]
 
 
 def _cycle_nesting(names, tail, head) -> Nesting:
     """The edges' cycle intervals by nesting: every vertex is on the cycle,
     so the embedding is plane exactly when they are laminar."""
     nest = nesting(np.minimum(tail, head), np.maximum(tail, head), len(names))
-    if nest.leaves.size:
-        x = nest.leaves[np.argmin(nest.key[nest.leaves] % len(tail))]
+    if len(nest.leaves):
+        x = nest.leaves[(nest.key[nest.leaves] % len(tail)).argmin()]
         a, b = nest.order[[nest.parent[x], x]]
         raise EmbeddingNotPlane("edges ({}, {}) and ({}, {}) cross".format(
             *(names[v] for v in (tail[a], head[a], tail[b], head[b]))))
     return nest
 
 
-def _chord_index(tail, head, cls, lcoord, rcoord) -> ChordIndex:
+def _chord_index(tail, head, cls, a, b, n) -> ChordIndex:
     """Sort each chord family once: two-sided chords by (left, right) rank,
     one-sided chords spanning two line steps or more by nesting on the
-    joint line (the right line shifted past t's left coordinate)."""
-    lt, rt = lcoord.max(), rcoord.max()         # t's line coordinates
-    size = lt + rt + 2
-    one = np.flatnonzero(cls < 2)
-    uv = np.stack((tail[one], head[one]))
-    # a one-sided edge runs up its line: build_graph has checked that
-    a, b = np.where(cls[one] == 0, lcoord[uv], rcoord[uv] + lt + 1)
-    chord = (b - a) >= 2
-    a, b, e = a[chord], b[chord], one[chord]
-    nest = nesting(a, b, size)
+    joint line, where edge ``e`` runs from ``a[e]`` up to ``b[e]``."""
+    e = ((cls < 2) & (b - a >= 2)).nonzero()[0]
+    a, b = a[e], b[e]
+    nest = nesting(a, b, n + 2, parents=False)
 
-    two = np.flatnonzero(cls == 2)
-    tt, th = tail[two], head[two]
-    ti = np.where(lcoord[tt] >= 0, lcoord[tt], lcoord[th])
-    tj = np.where(rcoord[tt] >= 0, rcoord[tt], rcoord[th])
-    by_rank = np.lexsort((tj, ti))
+    # a two-sided edge joins left rank i (its lower id) and right rank j
+    two = (cls == 2).nonzero()[0]
+    ti = np.minimum(tail[two], head[two])
+    tj = n - np.maximum(tail[two], head[two])
+    by_rank = (ti * n + tj).argsort(kind="stable")
 
-    opened = np.cumsum(np.bincount(a + 1, minlength=size), dtype=np.int32)
-    closed = np.cumsum(np.bincount(b, minlength=size), dtype=np.int32)
+    opened = np.bincount(a + 1, minlength=n + 2).cumsum(dtype=np.int32)
+    closed = np.bincount(b, minlength=n + 2).cumsum(dtype=np.int32)
     return ChordIndex(ti[by_rank], tj[by_rank], two[by_rank],
                       opened, opened - closed, nest.key, e[nest.order])
 
 
-def _limit_tables(n, tail, head, cls, lcoord, rcoord):
+def _limit_tables(n, tail, head, cls, coord):
     """Per-vertex extreme two-sided neighbours, as opposite-chain ranks.
 
     lo_out[v] = rank of v's lowest out-neighbour on the other chain,
@@ -299,8 +298,8 @@ def _limit_tables(n, tail, head, cls, lcoord, rcoord):
     two = cls == 2
     u, v = tail[two], head[two]
     # a chain vertex is off the other line (-1): the maximum is its own
-    np.minimum.at(lo_out, u, np.maximum(lcoord[v], rcoord[v]))
-    np.maximum.at(hi_in, v, np.maximum(lcoord[u], rcoord[u]))
+    np.minimum.at(lo_out, u, np.maximum(*coord[:, v]))
+    np.maximum.at(hi_in, v, np.maximum(*coord[:, u]))
     lo_out[lo_out == n] = 0
     return lo_out, hi_in
 
@@ -326,7 +325,7 @@ def _toposort(k, m, hi_in):
     stuck = rr.searchsorted(i) + 1      # lowest right rank not ready for i
     J = np.maximum.accumulate(np.maximum(rl + 1, np.minimum(stuck, i)))
     # a right vertex placed before left i but not ready for it: stuck
-    if (J > stuck).any():
+    if np.count_nonzero(J > stuck):
         raise CycleDetected("two-sided edges force a cycle")
     j = np.arange(1, m + 1)
     pos = np.empty(n, dtype=np.int64)
@@ -379,9 +378,9 @@ def build_graph(left_seq, right_seq, edges, s=None, t=None):
         ids = dict(zip(names, range(n)))    # none did: raises the TypeError
     tail, head = _edge_endpoint_ids(ids, edges)
 
-    loops = np.flatnonzero(tail == head)
-    if loops.size:
-        raise CycleDetected(f"self-loop at {names[int(tail[int(loops[0])])]!r}")
+    if np.count_nonzero(tail == head):
+        loop = tail[(tail == head).argmax()]
+        raise CycleDetected(f"self-loop at {names[loop]!r}")
     indeg = np.bincount(head, minlength=n)
     outdeg = np.bincount(tail, minlength=n)
     if indeg[0]:
@@ -389,18 +388,19 @@ def build_graph(left_seq, right_seq, edges, s=None, t=None):
     if outdeg[k + 1]:
         raise CycleDetected("edge out of the sink")
     if np.count_nonzero(indeg == 0) > 1:
-        offn = [str(names[i]) for i in np.flatnonzero(indeg == 0)]
+        offn = [str(names[i]) for i in (indeg == 0).nonzero()[0]]
         raise MultipleSources(str(sorted(offn)))
     if np.count_nonzero(outdeg == 0) > 1:
-        offn = [str(names[i]) for i in np.flatnonzero(outdeg == 0)]
+        offn = [str(names[i]) for i in (outdeg == 0).nonzero()[0]]
         raise MultipleSinks(str(sorted(offn)))
 
     keys = tail * n + head
-    order = np.argsort(keys, kind="stable")
+    order = keys.argsort(kind="stable")
     keys, tail, head = keys[order], tail[order], head[order]
-    if len(keys) and np.any(np.diff(keys) == 0):
-        dup = int(np.flatnonzero(np.diff(keys) == 0)[0])
-        raise DuplicateEdge(f"({names[int(tail[dup])]}, {names[int(head[dup])]})")
+    same = keys[1:] == keys[:-1]
+    if np.count_nonzero(same):
+        dup = same.argmax()
+        raise DuplicateEdge(f"({names[tail[dup]]}, {names[head[dup]]})")
 
     side = np.empty(n, dtype=np.int8)
     side[0] = _SRC
@@ -408,39 +408,44 @@ def build_graph(left_seq, right_seq, edges, s=None, t=None):
     side[k + 1] = _SNK
     side[k + 2:] = _RIGHT
 
-    # required boundary path along each side
-    wu = np.concatenate((np.arange(k + 1), [0], np.arange(n - 1, k + 1, -1)))
-    wv = np.concatenate((np.arange(1, k + 2),
-                         np.arange(n - 1, k + 1, -1), [k + 1]))
-    want = wu * n + wv
-    pos = np.searchsorted(keys, want)
-    hit = (pos < keys.size) & (keys[np.minimum(pos, keys.size - 1)] == want)
-    if not hit.all():
-        b = int(np.flatnonzero(~hit)[0])
-        raise SideNotAPath(
-            f"missing boundary edge ({names[int(wu[b])]}, {names[int(wv[b])]})")
+    # the boundary paths: left steps i -> i + 1 from s to t, right steps
+    # j + 1 -> j down the ids to t, and (s, n - 1); with no edge repeated,
+    # all n are there when n edges are such steps ((s, t) twice when n = 2)
+    d = head - tail
+    if (np.count_nonzero((d == 1) & (tail <= k))
+            + np.count_nonzero((d == -1) & (tail > k + 1))
+            + np.count_nonzero(d == n - 1)) != n:
+        have = set(zip(tail.tolist(), head.tolist()))
+        u, v = next(e for e in zip(
+            [*range(k + 1), 0, *range(n - 1, k + 1, -1)],
+            [*range(1, k + 2), *range(n - 1, k, -1)]) if e not in have)
+        raise SideNotAPath(f"missing boundary edge ({names[u]}, {names[v]})")
 
-    lcoord, rcoord = _line_coords(k, m)
+    coord = _line_coords(k, m)
     cls = _edge_class_codes(tail, head, side)
-    lft = cls == 0
-    if np.any(lcoord[tail[lft]] >= lcoord[head[lft]]):
-        raise CycleDetected("descending edge on the left side")
-    rgt = cls == 1
-    if np.any(rcoord[tail[rgt]] >= rcoord[head[rgt]]):
-        raise CycleDetected("descending edge on the right side")
-
+    # every edge's ends on the joint line: a right edge reads the right
+    # line, shifted past t's left coordinate k + 1, any other the left line
+    joint = coord.flatten()
+    joint[n:] += k + 2
+    off = (cls == 1) * n
+    a, b = joint[tail + off], joint[head + off]
+    down = (a >= b) & (cls < 2)
+    if np.count_nonzero(down):
+        raise CycleDetected("descending edge on the {} side".format(
+            "left" if np.count_nonzero(down & (cls == 0)) else "right"))
+    del d, joint, off, down     # edge-sized scratch, before the big tables
     nest = _cycle_nesting(names, tail, head)
-    chords = _chord_index(tail, head, cls, lcoord, rcoord)
-    lo_out, hi_in = _limit_tables(n, tail, head, cls, lcoord, rcoord)
+    chords = _chord_index(tail, head, cls, a, b, n)
+    lo_out, hi_in = _limit_tables(n, tail, head, cls, coord)
     topo_pos = _toposort(k, m, hi_in)
     return OuterplanarStDigraph(names, ids, k, m, tail, head, keys, side,
-                                lcoord, rcoord, cls, nest, chords, lo_out,
-                                hi_in, topo_pos)
+                                coord, cls, nest, chords, lo_out, hi_in,
+                                topo_pos)
 
 
 def is_linear_extension(g: OuterplanarStDigraph, order) -> bool:
     pos = order_positions(g, order)
-    return bool(np.all(pos[g.tail] < pos[g.head]))
+    return not np.count_nonzero(pos[g.tail] > pos[g.head])
 
 
 def order_positions(g: OuterplanarStDigraph, order) -> np.ndarray:
@@ -449,11 +454,11 @@ def order_positions(g: OuterplanarStDigraph, order) -> np.ndarray:
     arr = int_array(order)
     if len(arr) != g.n:
         raise NotAPermutation(f"length {len(arr)}, expected {g.n}")
-    pos = np.full(g.n, -1, dtype=np.int64)
-    if arr.min(initial=0) < 0 or arr.max(initial=0) >= g.n:
+    if np.count_nonzero(arr.view(np.uint64) >= g.n):   # negatives wrap up
         raise NotAPermutation("vertex id out of range")
+    pos = np.full(g.n, -1, dtype=np.int64)
     pos[arr] = np.arange(g.n)
-    if np.any(pos < 0):
+    if np.count_nonzero(pos < 0):
         raise NotAPermutation("repeated vertex")
     return pos
 
@@ -605,13 +610,20 @@ def graph_from_json(text: str) -> OuterplanarStDigraph:
 
 
 def load_json(text: str) -> dict:
-    """The JSON object in ``text``; any fault of it is a ParseError."""
+    """The JSON object in ``text``; any fault of it is a ParseError.  The
+    cyclic collector is paused for the parse, whose fresh lists hold no
+    cycles, and the caller's collector state is restored on every exit."""
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         doc = json.loads(text)
     except ValueError as exc:   # also an integer too long to convert
         raise ParseError(f"invalid JSON: {exc}") from None
     except RecursionError:
         raise ParseError("invalid JSON: nested too deep") from None
+    finally:
+        if enabled:
+            gc.enable()
     if not isinstance(doc, dict):
         raise ParseError("top-level document must be an object")
     return doc

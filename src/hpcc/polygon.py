@@ -42,19 +42,19 @@ def _validate(g: OuterplanarStDigraph, t: PolygonTable) -> None:
           & (1 <= t.left_lo) & (t.left_lo <= t.left_hi) & (t.left_hi <= g.k)
           & (1 <= t.right_lo) & (t.right_lo <= t.right_hi)
           & (t.right_hi <= g.m))
-    if not ok.all():
-        p = int(np.flatnonzero(~ok)[0])
+    if np.count_nonzero(ok) < len(ok):
+        p = int(ok.argmin())
         raise NotAnStPolygon(f"polygon {s[p]}->{k[p]} needs a "
                              f"source below its sink among the graph's "
                              f"vertices and nonempty runs on both chains")
-    bad = np.flatnonzero(g.has_edges(s, k) != t.median)
-    if len(bad):
-        u, v = int(s[bad[0]]), int(k[bad[0]])
+    bad = g.has_edges(s, k) != t.median
+    if np.count_nonzero(bad):
+        u, v = int(s[bad.argmax()]), int(k[bad.argmax()])
         raise NotAnStPolygon(f"polygon at {u} disagrees with the graph about "
                              f"the edge {u}->{v}")
     pit = t.owner[g.tail]
-    bad = np.flatnonzero((pit >= 0) & (pit == t.owner[g.head])
-                         & (g.side[g.tail] != g.side[g.head]))
+    bad = ((pit >= 0) & (pit == t.owner[g.head])
+           & (g.side[g.tail] != g.side[g.head])).nonzero()[0]
     if len(bad):
         u, v = g.name(g.tail[bad[0]]), g.name(g.head[bad[0]])
         raise NotAnStPolygon(f"edge {u}->{v} joins the two chain runs "
@@ -78,21 +78,23 @@ def polygon_costs(g: OuterplanarStDigraph, t: PolygonTable):
     # n - j); the right run is swept from l_lo and l_hi, the left run
     # from r_lo and r_hi
     width = np.concatenate((rhi - rlo + 1, lhi - llo + 1))
-    start = width.cumsum() - width
-    N = int(start[-1] + width[-1])
-    at = np.arange(N) - np.repeat(start, width)
-    rank = np.repeat(np.concatenate((rlo, llo)), width) + at
-    run = np.where(np.arange(N) < start[P], g.n - rank, rank)
+    end = width.cumsum()
+    start, N = end - width, int(end[-1])
+    at = np.arange(N) - start.repeat(width)
+    run = np.concatenate((rlo, llo)).repeat(width) + at
+    run[:start[P]] = g.n - run[:start[P]]
     ends = np.concatenate((llo, g.n - rlo, lhi, g.n - rhi))
-    lo, hi = crossing_counts(g, np.repeat(ends, np.tile(width, 2)),
-                             np.tile(run, 2)).reshape(2, -1)
+    lo, hi = crossing_counts(g, ends.repeat(np.concatenate((width, width))),
+                             np.concatenate((run, run))).reshape(2, -1)
     # two jumps, split after q: lo[q] + hi[q + 1], the lowest q on ties
-    last = at == np.repeat(width - 1, width)
-    enc = np.where(last, _BIG, (lo + np.append(hi[1:], 0)) * N + at + 1)
+    enc = lo * N + at + 1
+    enc[:-1] += hi[1:] * N
+    enc[end - 1] = _BIG
     best = np.minimum.reduceat(enc, start)
-    two = np.where(best == _BIG, math.inf, best // N)
-    split = np.where(best == _BIG, 0, best % N)
-    cost = np.column_stack((lo[start[:P] + width[:P] - 1], hi[start[:P]],
-                            two[P:], two[:P]))
-    return cost, np.column_stack((np.zeros((P, 2), np.int64), split[P:],
-                                  split[:P]))
+    none = best == _BIG
+    two, split = np.divmod(best, N)
+    two = np.where(none, math.inf, two)
+    split[none] = 0
+    cut = np.zeros((P, 4), dtype=np.int64)
+    cut[:, 2], cut[:, 3] = split[P:], split[:P]
+    return np.array((lo[end[:P] - 1], hi[start[:P]], two[P:], two[:P])).T, cut

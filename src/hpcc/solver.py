@@ -84,37 +84,40 @@ def _splice(g: OuterplanarStDigraph, t: PolygonTable, ch, split):
     ends a run laid out before, or the stretch moved by the polygon below,
     so one stable sort of the runs puts every moved stretch in place.
     """
-    n, el, s, jn, P = g.n, t.element, t.source, t.junction, len(t)
-    left, pp, at = _OPENS_LEFT[ch], np.arange(P) - 1, np.flatnonzero(el >= 0)
+    n, el, s, k, jn, P = g.n, t.element, t.source, t.sink, t.junction, len(t)
+    left, pp = _OPENS_LEFT[ch], np.arange(-1, P - 1)
+    at = (el >= 0).nonzero()[0]
     lr = np.array((t.left_lo, n - t.right_lo, t.left_hi - t.left_lo + 1,
                    t.right_hi - t.right_lo + 1))    # first ids, lengths
     xs, ys, xl, yl = np.where(left, lr, lr[[1, 0, 3, 2]])
-    xd, a = np.where(left, 1, -1), np.where(ch < 2, xl, split)
+    xd, a = left * 2 - 1, np.where(ch < 2, xl, split)
     first, last, gap = ~el, ~el, el < 0
-    first[at], last[at], gap[at] = s, t.sink, jn == GAP
-    prev = np.append(-1, last)[at]          # the vertex placed last before
-    edge, one = jn == EDGE, np.ones_like(s)
+    first[at], last[at], gap[at] = s, k, jn == GAP
+    prev = np.concatenate(([-1], last))[at]    # the vertex placed last before
+    edge = jn == EDGE
     moved = edge & (prev == ys)
-    x0, mv = np.where(moved, a, edge & (prev == xs)), np.flatnonzero(moved)
-    # five runs (first id, step, length) per element, then the moved X[:a]
-    lay, B = np.zeros((3, 5, len(el)), dtype=np.int64), 5 * len(el)
-    lay[:, :, at] = ((s, xs + xd * x0, ys - xd * moved, xs + xd * a, t.sink),
-                     (one, xd, -xd, xd, one),
-                     (jn == GAP, a - x0, yl - moved, xl - a, one))
-    lay[0, 0, el < 0], lay[2, 0, el < 0] = ~el[el < 0], 1
-    lay, missing = lay.transpose(0, 2, 1).reshape(3, B), moved
+    x0, mv = np.where(moved, a, edge & (prev == xs)), moved.nonzero()[0]
+    # five runs (first id, step, length) per element, a free vertex as the
+    # last, then the moved X[:a]
+    lay, B = np.zeros((3, len(el), 5), dtype=np.int64), 5 * len(el)
+    lay[0, :, 4], lay[1:, :, 4], lay[0, at, 4] = ~el, 1, k
+    lay[:, at, :4] = np.array(((s, xs + xd * x0, ys - xd * moved, xs + xd * a),
+                               (xd, xd, -xd, xd),
+                               (jn == GAP, a - x0, yl - moved, xl - a))
+                              ).transpose(0, 2, 1)
+    lay, missing = lay.reshape(3, B), moved
     if len(mv):     # sort each moved X[:a] after the run its source ends
-        end, full = np.full(n, B), np.flatnonzero(lay[2])
+        end, full = np.full(n, B), lay[2].nonzero()[0]
         end[lay[0, full] + lay[1, full] * (lay[2, full] - 1)] = full
         cont = moved & moved[pp] & (a[pp] > 0) & (s == (xs + xd * a - xd)[pp])
         missing = moved & ~cont & (end[s] >= 5 * at - 1)
         root = np.maximum.accumulate(np.where(moved & ~cont, pp + 1, -1))[mv]
-        key = np.append(np.arange(0, 2 * B, 2), 2 * end[s[root]] + 1)
+        key = np.concatenate((np.arange(0, 2 * B, 2), 2 * end[s[root]] + 1))
         lay = np.concatenate((lay, (xs[mv], xd[mv], a[mv])), axis=1)[
             :, key.argsort(kind="stable")]
     bad = np.array(((jn == VERTEX) & (prev != s) | edge & (t.upper[pp] != s),
                     missing, edge & ~moved & (prev != xs)))
-    if bad.any():
+    if np.count_nonzero(bad):
         raise InternalError("splice", (
             "a polygon does not start where the previous one ends",
             "a polygon source is missing from the order",
@@ -122,9 +125,10 @@ def _splice(g: OuterplanarStDigraph, t: PolygonTable, ch, split):
                 bad[:, bad.any(axis=0).argmax()].argmax()])
     order = np.concatenate(([g.s], runs(*lay), [g.t]))
     cap = order[[1, -2]] != (g.s, g.t)      # s and t join the ends
-    join = np.flatnonzero(gap)[1:]
-    if not g.has_edges(np.append(last[join - 1], order[[0, -2]][cap]),
-                       np.append(first[join], order[[1, -1]][cap])).all():
+    join = gap.nonzero()[0][1:]
+    if not g.has_edges(np.concatenate((last[join - 1], order[[0, -2]][cap])),
+                       np.concatenate((first[join], order[[1, -1]][cap]))
+                       ).all():
         raise InternalError("splice", "elements not joined by an edge")
     return order[0 if cap[0] else 1:None if cap[1] else -1]
 
@@ -158,8 +162,8 @@ def _owners(g: OuterplanarStDigraph, t: PolygonTable) -> np.ndarray:
 
 def _same_rows(a: np.ndarray, b: np.ndarray) -> bool:
     """Whether two blocks of columns hold the same rows, with repeats."""
-    return a.shape == b.shape and bool((a == b).all() or (
-        a[:, np.lexsort(a)] == b[:, np.lexsort(b)]).all())
+    return a.shape == b.shape and not (np.count_nonzero(a != b) and (
+        np.count_nonzero(a[:, np.lexsort(a)] != b[:, np.lexsort(b)])))
 
 
 def solution_problems(g: OuterplanarStDigraph,
@@ -186,8 +190,8 @@ def solution_problems(g: OuterplanarStDigraph,
                      f"recount says {scan.total}")
 
     per_edge = np.bincount(scan.pair_eid, minlength=g.edge_count)
-    worst = int(per_edge.max(initial=0))
-    if worst > 2:
+    if np.count_nonzero(per_edge > 2):
+        worst = int(per_edge.max())
         probs.append(f"an edge is crossed {worst} times, 2 is the most "
                      f"an optimal drawing ever needs")
 
@@ -197,7 +201,7 @@ def solution_problems(g: OuterplanarStDigraph,
     limit_tail = np.full(g.n, -1)
     limit_tail[t.sink] = t.upper                # -1: no upper limit
     _, _, xt, xh, _ = recount.rec
-    hit = np.flatnonzero(limit_tail[xh] == xt)
+    hit = (limit_tail[xh] == xt).nonzero()[0]
     if len(hit):
         eid, first = np.unique(scan.pair_eid[hit], return_index=True)
         above = np.empty(g.n, dtype=np.int64)   # element index per sink

@@ -187,6 +187,21 @@ def test_json_refuses_malformed_shapes(spoil):
         book_from_json(g, json.dumps(doc))
 
 
+@pytest.mark.parametrize("where", ["spine", "edge"])
+def test_unknown_names_are_named_exactly(where):
+    # names map through the graph's dict in one pass; a miss names the
+    # name itself, not a quoted KeyError
+    g = generate(GeneratorParams(n=8, chord_density=0.7, seed=3))
+    doc = json.loads(book_to_json(g, to_book_embedding(g, solve(g))))
+    if where == "spine":
+        doc["spine"][2] = "zz"
+    else:
+        doc["edges"][1]["edge"][1] = "zz"
+    with pytest.raises(ParseError) as exc:
+        book_from_json(g, json.dumps(doc))
+    assert str(exc.value) == "malformed book embedding: zz"
+
+
 class TestValidatorFaults:
     def embed(self, g):
         return to_book_embedding(g, solve(g))

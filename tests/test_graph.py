@@ -28,7 +28,8 @@ from hpcc import (
     graph_to_json,
     is_linear_extension,
 )
-from hpcc.graph import _LEFT, _RIGHT, _toposort, order_positions
+from hpcc.graph import (_LEFT, _RIGHT, _SNK, _SRC, _edge_class_codes,
+                        _toposort, load_json, nesting, order_positions)
 from conftest import nested_fan_graph
 from reference import (cycle_crossings, edge_classes, graph_payload, has_edge,
                        indented, reference_tables, reference_toposort,
@@ -156,6 +157,34 @@ def test_reading_restores_the_collector_state(enabled, text, exc):
         (gc.enable if was else gc.disable)()
 
 
+@pytest.mark.parametrize("outer", [False, True], ids=["top", "nested"])
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("text", ['{"a": [1]}', "not json", "[1]"],
+                         ids=["ok", "bad-json", "not-an-object"])
+def test_parse_pauses_and_restores_the_collector(monkeypatch, enabled, outer,
+                                                 text):
+    # the parse runs paused; a caller's own pause (as graph_from_json's)
+    # outlives it, and every exit gives back the caller's state
+    seen = []
+    real = json.loads
+    monkeypatch.setattr(json, "loads",
+                        lambda t: seen.append(gc.isenabled()) or real(t))
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if outer:
+            gc.disable()
+        if text.startswith("{"):
+            assert load_json(text) == {"a": [1]}
+        else:
+            with pytest.raises(ParseError):
+                load_json(text)
+        assert gc.isenabled() is (enabled and not outer)
+        assert seen == [False]
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
 def test_s_and_t_must_be_distinct():
     with pytest.raises(ParseError):
         build_graph(["a", "b"], ["r1"], PATH_EDGES, s="s", t="s")
@@ -259,6 +288,82 @@ def test_edge_classes(strong_rhombus, stacked_rhombi):
     assert edge_class(g, 0, 3) == ONE_SIDED_RIGHT
     h = stacked_rhombi
     assert edge_class(h, h.vid("b"), h.vid("m")) == TWO_SIDED
+
+
+def test_edge_class_codes_on_every_side_pair():
+    # an end at s or t takes the other end's side, and (s, t) is left
+    side = np.array([_SRC, _LEFT, _RIGHT, _SNK], dtype=np.int8)
+    pairs = [(a, b) for a in range(4) for b in range(4)]
+    codes = _edge_class_codes(np.array([a for a, _ in pairs]),
+                              np.array([b for _, b in pairs]), side)
+    for (a, b), code in zip(pairs, codes.tolist()):
+        sides = {side[a], side[b]} - {_SRC, _SNK}
+        want = (ONE_SIDED_RIGHT if sides == {_RIGHT} else TWO_SIDED
+                if len(sides) == 2 else ONE_SIDED_LEFT)
+        assert code == want, (a, b)
+
+
+def plain_nesting(lo, hi):
+    """(order, key) of the intervals by a loop: in (lo, -hi, index)
+    preorder an interval's depth counts those before it still open at its
+    start, and entries go by (depth, preorder index)."""
+    count = len(lo)
+    pre = sorted(range(count), key=lambda i: (lo[i], -hi[i], i))
+    depth = [sum(hi[pre[j]] > lo[pre[r]] for j in range(r))
+             for r in range(count)]
+    ranks = sorted(range(count), key=lambda r: (depth[r], r))
+    return [pre[r] for r in ranks], [depth[r] * count + r for r in ranks]
+
+
+def crossing(lo, hi, a, b):
+    return lo[a] < lo[b] < hi[a] < hi[b] or lo[b] < lo[a] < hi[b] < hi[a]
+
+
+@st.composite
+def interval_families(draw, laminar):
+    size = draw(st.integers(2, 24))
+    lo, hi = [], []
+    for _ in range(draw(st.integers(0, 14))):
+        a = draw(st.integers(0, size - 2))
+        b = draw(st.integers(a + 1, size - 1))
+        lo.append(a)
+        hi.append(b)
+        if laminar and any(crossing(lo, hi, i, len(lo) - 1)
+                           for i in range(len(lo) - 1)):
+            lo.pop()
+            hi.pop()
+    return size, lo, hi
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.booleans().flatmap(interval_families))
+def test_nesting_matches_a_containment_loop(family):
+    size, lo, hi = family
+    lo_a, hi_a = np.array(lo, dtype=np.int64), np.array(hi, dtype=np.int64)
+    bare = nesting(lo_a, hi_a, size, parents=False)
+    assert (bare.order.tolist(), bare.key.tolist()) == plain_nesting(lo, hi)
+    assert bare.parent is bare.leaves is None
+    nest = nesting(lo_a, hi_a, size)
+    assert (nest.order.tolist(), nest.key.tolist()) == plain_nesting(lo, hi)
+    order = nest.order
+    crosses = [(a, b) for a in range(len(lo)) for b in range(a)
+               if crossing(lo, hi, a, b)]
+    at = {x: i for i, x in enumerate(order.tolist())}
+    if not crosses:
+        # a laminar family: each parent is the innermost interval around
+        # it, the last such in preorder, and no entry leaves its parent
+        for i, x in enumerate(order.tolist()):
+            around = [y for y in range(len(lo)) if y != x and lo[y] <= lo[x]
+                      and hi[x] <= hi[y] and (lo[y], -hi[y], y)
+                      < (lo[x], -hi[x], x)]
+            inner = max(around, key=lambda y: (lo[y], -hi[y], y),
+                        default=None)
+            assert nest.parent[i] == (-1 if inner is None else at[inner])
+        assert nest.leaves.tolist() == []
+    else:
+        # the first entry in preorder to leave its parent crosses it
+        x = min(nest.leaves.tolist(), key=lambda y: nest.key[y] % len(lo))
+        assert crossing(lo, hi, order[nest.parent[x]], order[x])
 
 
 def test_topological_order_merges_sides():
