@@ -20,8 +20,9 @@ import numpy as np
 
 from .crossings import NotLinearExtension, chain_edges, scan_order
 from .graph import (OuterplanarStDigraph, Edge, Nested, ParseError,
-                    UnknownVertex, ValidationError, VertexId, _LEFT, int_array,
-                    json_object, json_rows, json_scalars, load_json, nesting)
+                    UnknownVertex, ValidationError, VertexId, _LEFT,
+                    collector_paused, int_array, json_object, json_rows,
+                    json_scalars, load_json, nesting)
 from .solver import CompletionSolution, solution_problems
 
 LEFT_PAGE = "L"
@@ -370,6 +371,7 @@ def _vids(g: OuterplanarStDigraph, names) -> list[VertexId]:
         raise UnknownVertex(exc.args[0]) from None
 
 
+@collector_paused
 def book_from_json(g: OuterplanarStDigraph, text: str) -> BookEmbedding:
     """The book in ``text``, each field checked as one pass over its
     column; any fault is a ParseError."""

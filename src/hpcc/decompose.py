@@ -77,20 +77,6 @@ class PolygonTable:
     def __len__(self) -> int:
         return len(self.source)
 
-    @cached_property
-    def owner(self) -> np.ndarray:
-        """Per vertex, the polygon whose chain run holds it, else -1;
-        read-only, built on first read."""
-        # right rank j is id n - j, its negation modulo n
-        lo = np.concatenate([self.left_lo, -self.right_hi])
-        count = np.maximum(np.concatenate([self.left_hi, -self.right_lo])
-                           - lo + 1, 0)
-        own = np.full(self.n, -1, dtype=np.int64)
-        own[runs(lo, np.ones_like(lo), count) % self.n] = np.repeat(
-            np.tile(np.arange(len(self)), 2), count)
-        own.setflags(write=False)
-        return own
-
 
 def runs(first, step, length) -> np.ndarray:
     """The runs ``first + step * i`` for ``i < length``, one after another."""

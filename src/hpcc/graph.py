@@ -31,6 +31,7 @@ from __future__ import annotations
 import gc
 import json
 from dataclasses import dataclass
+from functools import wraps
 from itertools import chain
 
 import numpy as np
@@ -591,39 +592,36 @@ def json_object(fields: dict) -> str:
     return "".join(parts)
 
 
-def graph_from_json(text: str) -> OuterplanarStDigraph:
-    """Parse and build an instance document.
+def collector_paused(reader):
+    """``reader`` with the cyclic collector paused over its whole body: a
+    parsed document holds no cycles, but the collector's passes over it
+    cost as much as the parse.  Every exit restores the caller's state."""
+    @wraps(reader)
+    def paused(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return reader(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+    return paused
 
-    The cyclic garbage collector is paused from the parse until the parsed
-    document is dropped: the document is lists of strings with no cycles,
-    which reference counting frees, but the collector's passes over the
-    freshly tracked edge lists would cost twice the parse itself.  The
-    caller's collector state is restored on every exit.
-    """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return _parse_graph(load_json(text))
-    finally:
-        if enabled:
-            gc.enable()
+
+@collector_paused
+def graph_from_json(text: str) -> OuterplanarStDigraph:
+    """Parse and build an instance document."""
+    return _parse_graph(load_json(text))
 
 
 def load_json(text: str) -> dict:
-    """The JSON object in ``text``; any fault of it is a ParseError.  The
-    cyclic collector is paused for the parse, whose fresh lists hold no
-    cycles, and the caller's collector state is restored on every exit."""
-    enabled = gc.isenabled()
-    gc.disable()
+    """The JSON object in ``text``; any fault of it is a ParseError."""
     try:
         doc = json.loads(text)
     except ValueError as exc:   # also an integer too long to convert
         raise ParseError(f"invalid JSON: {exc}") from None
     except RecursionError:
         raise ParseError("invalid JSON: nested too deep") from None
-    finally:
-        if enabled:
-            gc.enable()
     if not isinstance(doc, dict):
         raise ParseError("top-level document must be an object")
     return doc

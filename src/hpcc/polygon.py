@@ -52,11 +52,17 @@ def _validate(g: OuterplanarStDigraph, t: PolygonTable) -> None:
         u, v = int(s[bad.argmax()]), int(k[bad.argmax()])
         raise NotAnStPolygon(f"polygon at {u} disagrees with the graph about "
                              f"the edge {u}->{v}")
-    pit = t.owner[g.tail]
-    bad = ((pit >= 0) & (pit == t.owner[g.head])
-           & (g.side[g.tail] != g.side[g.head])).nonzero()[0]
-    if len(bad):
-        u, v = g.name(g.tail[bad[0]]), g.name(g.head[bad[0]])
+    # a plane graph's two-sided chords ascend in both ranks, so those with
+    # both ends in a polygon's runs are one range of the chord index
+    ti, tj = g.chords.ti.searchsorted, g.chords.tj.searchsorted
+    lo = np.maximum(ti(t.left_lo), tj(t.right_lo))
+    hi = np.minimum(ti(t.left_hi, "right"), tj(t.right_hi, "right"))
+    bad, slots = lo < hi, len(g.chords.ti) + 1
+    if np.count_nonzero(bad):   # the least edge id any bad range covers
+        inside = (np.bincount(lo[bad], minlength=slots).cumsum()
+                  > np.bincount(hi[bad], minlength=slots).cumsum())
+        e = g.chords.teid[inside[:-1]].min()
+        u, v = g.name(g.tail[e]), g.name(g.head[e])
         raise NotAnStPolygon(f"edge {u}->{v} joins the two chain runs "
                              f"inside one polygon")
 

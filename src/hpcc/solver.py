@@ -151,8 +151,11 @@ def _owners(g: OuterplanarStDigraph, t: PolygonTable) -> np.ndarray:
     default to the first and the last element."""
     el = t.element
     at = np.flatnonzero(el >= 0)
-    # a run vertex takes its polygon's element, -1 (none) the appended one
-    own = np.append(at, len(el))[t.owner]
+    # a run vertex takes its polygon's element (right rank j is id n - j)
+    first = np.concatenate((t.left_lo, g.n - t.right_hi))
+    count = np.concatenate((t.left_hi + 1, g.n + 1 - t.right_lo)) - first
+    own = np.full(g.n, len(el))
+    own[runs(first, np.ones_like(first), count)] = np.tile(at, 2).repeat(count)
     own[~el[el < 0]] = np.flatnonzero(el < 0)
     own[g.s], own[g.t] = 0, max(len(el) - 1, 0)
     for ends in (t.source, t.sink):

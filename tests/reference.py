@@ -3,7 +3,7 @@
 The edge test for one pair, face walks, rhombus seed listings, the
 stored topological order and edge classes, the topological order as a
 path, channel orders and their jumps, channel prices by plain loops,
-one-row polygon tables,
+one-row polygon tables, the edge that joins a polygon's two runs,
 polygon subgraphs and polygon edge lists, plain-Python
 recomputations of the tables ``build_graph`` stores and of its
 topological merge, random linear extensions, the solver's
@@ -48,17 +48,29 @@ from hpcc.solver import solution_problems
 
 _L, _R = 0, 1
 LADDER_PY = Path(__file__).resolve().parents[1] / "perfbench" / "ladder.py"
+CONFTEST_PY = Path(__file__).resolve().with_name("conftest.py")
 
 
-def ladder_module():
-    """The benchmark's ladder generator, imported by path."""
-    name = "perfbench_ladder"
+def _module_at(name, path):
+    """The module at ``path``, imported once under ``name``."""
     if name not in sys.modules:
-        spec = importlib.util.spec_from_file_location(name, LADDER_PY)
+        spec = importlib.util.spec_from_file_location(name, path)
         mod = importlib.util.module_from_spec(spec)
         sys.modules[name] = mod      # dataclasses resolve their module
         spec.loader.exec_module(mod)
     return sys.modules[name]
+
+
+def ladder_module():
+    """The benchmark's ladder generator, imported by path."""
+    return _module_at("perfbench_ladder", LADDER_PY)
+
+
+def nested_fan_graph(*args, **kwargs):
+    """The suite conftest's ``nested_fan_graph``, imported by path: a bare
+    ``import conftest`` finds whichever conftest was imported first."""
+    conftest = _module_at("tests_conftest", CONFTEST_PY)
+    return conftest.nested_fan_graph(*args, **kwargs)
 
 
 def has_edge(g, u, v):
@@ -338,6 +350,18 @@ def polygon_table(p):
         col(-1 if p.lower_limit is None else p.lower_limit[1]),
         col(-1 if p.upper_limit is None else p.upper_limit[0]),
         col(GAP), col(0))
+
+
+def run_joining_edge(g, t):
+    """The least id of an edge with one end in a polygon's left run and
+    the other in the same polygon's right run, else None."""
+    for e, (u, v) in enumerate(zip(g.tail.tolist(), g.head.tolist())):
+        for p in range(len(t)):
+            left = range(t.left_lo[p], t.left_hi[p] + 1)
+            right = range(g.n - t.right_hi[p], g.n - t.right_lo[p] + 1)
+            if u in left and v in right or u in right and v in left:
+                return e
+    return None
 
 
 def polygon_subgraph(g, p):

@@ -26,9 +26,9 @@ from hpcc.graph import (_LEFT, _RIGHT, int_array, is_linear_extension,
                         order_positions)
 from hpcc.oracle import _NaiveScorer, enumerate_hamiltonian_orders
 from hpcc.solver import solution_problems
-from conftest import nested_fan_graph
-from reference import (edge_crossings, hp_lists, random_linear_extension,
-                       reference_hp_extended, topological_order)
+from reference import (edge_crossings, hp_lists, nested_fan_graph,
+                       random_linear_extension, reference_hp_extended,
+                       topological_order)
 from strategies import instances, three_kind_ladders
 
 

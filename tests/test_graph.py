@@ -1,5 +1,6 @@
 """Construction, validation, and serialization of embedded instances."""
 
+import functools
 import gc
 import json
 import random
@@ -11,6 +12,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import hpcc.book
+import hpcc.graph
 from hpcc import (
     CycleDetected,
     DuplicateEdge,
@@ -22,18 +25,21 @@ from hpcc import (
     ParseError,
     SideNotAPath,
     UnknownVertex,
+    book_from_json,
+    book_to_json,
     build_graph,
     generate,
     graph_from_json,
     graph_to_json,
     is_linear_extension,
+    solve,
+    to_book_embedding,
 )
 from hpcc.graph import (_LEFT, _RIGHT, _SNK, _SRC, _edge_class_codes,
-                        _toposort, load_json, nesting, order_positions)
-from conftest import nested_fan_graph
+                        _toposort, nesting, order_positions)
 from reference import (cycle_crossings, edge_classes, graph_payload, has_edge,
-                       indented, reference_tables, reference_toposort,
-                       topological_order)
+                       indented, nested_fan_graph, reference_tables,
+                       reference_toposort, topological_order)
 from strategies import instances
 
 # class codes of g.classes
@@ -159,30 +165,38 @@ def test_reading_restores_the_collector_state(enabled, text, exc):
 
 @pytest.mark.parametrize("outer", [False, True], ids=["top", "nested"])
 @pytest.mark.parametrize("enabled", [True, False])
-@pytest.mark.parametrize("text", ['{"a": [1]}', "not json", "[1]"],
+@pytest.mark.parametrize("text", [None, "not json", "[1]"],
                          ids=["ok", "bad-json", "not-an-object"])
 def test_parse_pauses_and_restores_the_collector(monkeypatch, enabled, outer,
                                                  text):
-    # the parse runs paused; a caller's own pause (as graph_from_json's)
-    # outlives it, and every exit gives back the caller's state
-    seen = []
-    real = json.loads
-    monkeypatch.setattr(json, "loads",
-                        lambda t: seen.append(gc.isenabled()) or real(t))
-    was = gc.isenabled()
-    (gc.enable if enabled else gc.disable)()
-    try:
-        if outer:
-            gc.disable()
-        if text.startswith("{"):
-            assert load_json(text) == {"a": [1]}
-        else:
-            with pytest.raises(ParseError):
-                load_json(text)
-        assert gc.isenabled() is (enabled and not outer)
-        assert seen == [False]
-    finally:
-        (gc.enable if was else gc.disable)()
+    # each reader runs paused from its parse through its build; a caller's
+    # own pause outlives it, and every exit gives back the caller's state
+    doc = _doc(["a", "b"], ["r1"], PATH_EDGES)
+    g = graph_from_json(doc)
+    book = book_to_json(g, to_book_embedding(g, solve(g)))
+    for read, ok, build in (
+            (graph_from_json, doc, (hpcc.graph, "build_graph")),
+            (functools.partial(book_from_json, g), book, (hpcc.book, "_vids"))):
+        seen = []
+        with monkeypatch.context() as mp:
+            for mod, name in ((json, "loads"), build):
+                real = getattr(mod, name)
+                mp.setattr(mod, name, lambda *a, real=real, **kw:
+                           seen.append(gc.isenabled()) or real(*a, **kw))
+            was = gc.isenabled()
+            (gc.enable if enabled else gc.disable)()
+            try:
+                if outer:
+                    gc.disable()
+                if text is None:
+                    read(ok)
+                else:
+                    with pytest.raises(ParseError):
+                        read(text)
+                assert gc.isenabled() is (enabled and not outer)
+                assert len(seen) >= (1 if text else 2) and not any(seen)
+            finally:
+                (gc.enable if was else gc.disable)()
 
 
 def test_s_and_t_must_be_distinct():

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hpcc import graph_from_json
 from hpcc.decompose import StPolygon, decompose
@@ -14,8 +15,9 @@ from hpcc.oracle import GeneratorParams, brute_force_optimal, generate
 from hpcc.polygon import CHANNELS, NotAnStPolygon, polygon_costs
 from reference import (channel_gaps, channel_order, edge_crossings,
                        ladder_module, local_edges, polygon_subgraph,
-                       polygon_table, reference_polygon_costs)
-from strategies import instances
+                       polygon_table, reference_polygon_costs,
+                       run_joining_edge)
+from strategies import instances, three_kind_ladders
 
 L1, R1, L2, R2 = range(4)     # cost columns, in CHANNELS order
 
@@ -107,6 +109,33 @@ def test_rejects_an_edge_across_the_runs():
     with pytest.raises(NotAnStPolygon, match="^edge l1->r1 joins the two "
                        "chain runs inside one polygon$"):
         polygon_costs(g, polygon_table(whole))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(instances(min_n=2, max_n=30),
+                 three_kind_ladders(max_rhombi=20)), st.data())
+def test_run_joining_check_matches_a_plain_loop(g, data):
+    # each decompose run widened at random, so that runs may overlap
+    t = decompose(g).table
+
+    def widen(lo, hi, top):
+        return (np.array([data.draw(st.integers(1, x)) for x in lo.tolist()],
+                         dtype=np.int64),
+                np.array([data.draw(st.integers(x, top)) for x in hi.tolist()],
+                         dtype=np.int64))
+    (llo, lhi), (rlo, rhi) = (widen(t.left_lo, t.left_hi, g.k),
+                              widen(t.right_lo, t.right_hi, g.m))
+    wide = dataclasses.replace(t, left_lo=llo, left_hi=lhi, right_lo=rlo,
+                               right_hi=rhi)
+    e = run_joining_edge(g, wide)
+    if e is None:
+        polygon_costs(g, wide)
+        return
+    with pytest.raises(NotAnStPolygon) as exc:
+        polygon_costs(g, wide)
+    u, v = g.name(g.tail[e]), g.name(g.head[e])
+    assert str(exc.value) == (f"edge {u}->{v} joins the two chain runs "
+                              f"inside one polygon")
 
 
 def small_graphs():
